@@ -16,6 +16,7 @@ a sound criterion applies and as honest upper bounds otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Optional
 
 from .field import (
@@ -373,259 +374,145 @@ def _clear_denominators(field, coeffs, b):
     return L, B, C
 
 
-def _search_char2(field, n, coeffs, b, max_deg) -> Optional[tuple[int, int]]:
-    """Bit-packed enumeration for p = 2; returns candidate indices or None.
+def _poly_at(field: FieldDesc, monos: list[tuple[int, ...]], idx: int) -> MPoly:
+    """The polynomial whose base-p digits over monos spell idx."""
+    out = {}
+    k = 0
+    while idx:
+        idx, d = divmod(idx, field.p)
+        if d:
+            out[monos[k]] = d
+        k += 1
+    return MPoly(field, out)
 
-    Polynomials over F_2 are integers with one bit per monomial, packed so
-    that exponent addition is bit-position addition.  Products are then
-    shift-xors and the p^n-th power test is a single mask test.
+
+def _least_solution(rows, K: int, p: int) -> Optional[int]:
+    """Least base-p index of x in F_p^K solving every row, or None.
+
+    A row is K coefficients followed by its right-hand side.  Each echelon
+    row pivots at its lowest unknown, so it ties that unknown to higher
+    ones only; setting every free unknown to 0 and back-substituting from
+    the highest pivot down then gives the least solution when the highest
+    unknown is the most significant digit.
     """
-    r = field.r
-    m = len(coeffs) - 1
-    L, B, C = _clear_denominators(field, coeffs, b)
-    monos = _monomials_up_to(r, max_deg)
-    pm = 2 ** m
-    q = 1 << n
-    L_perfect = all(all(x % q == 0 for x in e) for e in L.terms) and m >= n
-    bound = 0
-    for f in [L, B] + C:
-        if f.terms:
-            bound = max(bound, max(max(e) for e in f.terms))
-    bound += pm * max_deg + 1
-    if not L_perfect:
-        # the test multiplies by (L h^(2^m))^(q-1), inflating degrees
-        bound *= q
-    width = bound.bit_length() + 1
-    lane = 1 << width
-
-    def pack(e: tuple[int, ...]) -> int:
-        pos = 0
-        for x in reversed(e):
-            pos = pos * lane + x
-        return pos
-
-    def topoly(f: MPoly) -> int:
-        v = 0
-        for e in f.terms:
-            v |= 1 << pack(e)
-        return v
-
-    def mul(x: int, y: int) -> int:
-        out = 0
-        small, big = (x, y) if x.bit_count() <= y.bit_count() else (y, x)
-        while small:
-            low = small & -small
-            out ^= big << (low.bit_length() - 1)
-            small ^= low
-        return out
-
-    def frob(x: int, k: int) -> int:
-        out = 0
-        while x:
-            low = x & -x
-            out |= 1 << ((low.bit_length() - 1) * k)
-            x ^= low
-        return out
-
-    # mask of bit positions whose exponent vector is NOT divisible by 2^n:
-    # complement of the tensor product of the single-lane good masks
-    lane_good = 0
-    for x in range(0, bound + 1, q):
-        lane_good |= 1 << x
-    good = lane_good
-    for v in range(1, r):
-        acc = 0
-        src = lane_good
-        while src:
-            low = src & -src
-            acc |= good << ((low.bit_length() - 1) << (width * v))
-            src ^= low
-        good = acc
-    maxpos = pack(tuple([bound] * r)) + 1
-    bad = ((1 << maxpos) - 1) & ~good
-    L_i, B_i = topoly(L), topoly(B)
-    C_i = [topoly(c) for c in C]
-    npows = [2 ** i for i in range(m + 1)]
-    gs = []
-    packed = [pack(e) for e in monos]
-    for gidx in range(2 ** len(monos)):
-        v = 0
-        bits = gidx
-        k = 0
-        while bits:
-            if bits & 1:
-                v |= 1 << packed[k]
-            bits >>= 1
-            k += 1
-        gs.append(v)
-    E_pow = q - 1
-    for hidx in range(1, len(gs)):
-        h = gs[hidx]
-        hm = frob(h, npows[m])
-        # h^(2^m - 2^i) is built as a product of Frobenius powers of h
-        hrest = []
-        for i in range(m + 1):
-            acc = 0
-            e = npows[m] - npows[i]
-            # e is a sum of powers of two; multiply the corresponding h^(2^j)
-            accv = None
-            j = 0
-            while e:
-                if e & 1:
-                    hj = frob(h, 1 << j)
-                    accv = hj if accv is None else mul(accv, hj)
-                e >>= 1
-                j += 1
-            hrest.append(accv if accv is not None else 1)
-        base_term = mul(B_i, hm) if B_i else 0
-        if not L_perfect:
-            D = mul(L_i, hm)
-            E = 1
-            for _ in range(E_pow):
-                E = mul(E, D)
-        for gidx in range(len(gs)):
-            g = gs[gidx]
-            N = base_term
-            for i in range(m + 1):
-                if C_i[i]:
-                    gi = frob(g, npows[i]) if g else 0
-                    if gi:
-                        N ^= mul(C_i[i], mul(gi, hrest[i]))
-            if L_perfect:
-                if N & bad == 0:
-                    return gidx, hidx
-            else:
-                if mul(N, E) & bad == 0:
-                    return gidx, hidx
-    return None
+    pivots: dict[int, list[int]] = {}
+    for row in rows:
+        row = [v % p for v in row]
+        for k in range(K):
+            c = row[k]
+            if not c:
+                continue
+            piv = pivots.get(k)
+            if piv is None:
+                inv = pow(c, p - 2, p)
+                pivots[k] = [v * inv % p for v in row]
+                break
+            row = [(v - c * w) % p for v, w in zip(row, piv)]
+        else:
+            if row[K]:
+                return None
+    x = [0] * K
+    for k in sorted(pivots, reverse=True):
+        piv = pivots[k]
+        x[k] = (piv[K] - sum(piv[j] * x[j] for j in range(k + 1, K))) % p
+    return sum(d * p ** k for k, d in enumerate(x))
 
 
-def _search_generic(field, n, coeffs, b, max_deg) -> Optional[tuple[int, int]]:
-    """Dict-based enumeration valid for every p; same candidate order."""
+def _search(field, n, coeffs, b, max_deg) -> Optional[tuple[int, int]]:
+    """First (gidx, hidx) in counting order whose x = g/h is a point, or None.
+
+    With L the common denominator, b = B/L and a_i = C_i/L, the point
+    equation holds at x = g/h exactly when N * E is a p^n-th power, where
+    N = B h^(p^m) + sum_i C_i g^(p^i) h^(p^m - p^i) and E = (L h^(p^m))^(q-1)
+    (E = 1 when L h^(p^m) is already a q-th power).  Over F_p a polynomial
+    is a q-th power iff no exponent is off the lattice q*Z^r, and
+    g -> g^(p^i) is additive and fixes F_p, so for fixed monic h the test
+    is one affine system over F_p in the K base-p digits of g.
+    """
+    if not b:
+        return 0, 1  # x = 0 lies on every form
     p = field.p
-    r = field.r
     m = len(coeffs) - 1
-    L, B, C = _clear_denominators(field, coeffs, b)
-    monos = _monomials_up_to(r, max_deg)
     q = p ** n
+    L, B, C = _clear_denominators(field, coeffs, b)
+    monos = _monomials_up_to(field.r, max_deg)
+    K = len(monos)
+    one = MPoly.one(field)
+    L_perfect = m >= n and all(x % q == 0 for e in L.terms for x in e)
+    Lq = one if L_perfect else L ** (q - 1)
 
-    def mul(A: dict, Bd: dict) -> dict:
+    def split(f: MPoly) -> dict:
+        """Terms of f grouped by their exponent residue mod q."""
         out: dict = {}
-        for ea, ca in A.items():
-            for eb, cb in Bd.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                s = (out.get(e, 0) + ca * cb) % p
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
+        for e, c in f.terms.items():
+            out.setdefault(tuple(x % q for x in e), []).append((e, c))
         return out
 
-    def frob(A: dict, k: int) -> dict:
-        return {tuple(x * k for x in e): c for e, c in A.items()}
+    def shift(e: tuple[int, ...], i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Residue mod q and exponent of the monomial e^(p^i)."""
+        e = tuple(p ** i * x for x in e)
+        return tuple(x % q for x in e), e
 
-    def add(A: dict, Bd: dict) -> dict:
-        out = dict(A)
-        for e, c in Bd.items():
-            s = (out.get(e, 0) + c) % p
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        return out
+    shifts = [[shift(e, i) for e in monos] for i in range(m + 1)]
+    good = (0,) * field.r
 
-    def is_qth_power(A: dict) -> bool:
-        return all(all(x % q == 0 for x in e) for e in A)
-
-    L_d, B_d = dict(L.terms), dict(B.terms)
-    C_d = [dict(c.terms) for c in C]
-    L_perfect = is_qth_power(L_d) and m >= n
-
-    def poly_at(idx: int) -> dict:
-        out = {}
-        k = 0
-        while idx:
-            d = idx % p
-            if d:
-                out[monos[k]] = d
-            idx //= p
-            k += 1
-        return out
-
-    total = p ** len(monos)
-    for hidx in range(1, total):
-        h = poly_at(hidx)
-        lead = max(h, key=lambda e: (sum(e), e))
-        if h[lead] != 1:
-            continue
-        hm = frob(h, p ** m)
-        hrest = []
-        for i in range(m + 1):
-            e = p ** m - p ** i
-            acc = {(0,) * r: 1}
-            ppow = 1
-            while e:
-                d = e % p
-                for _ in range(d):
-                    acc = mul(acc, frob(h, ppow))
-                e //= p
-                ppow *= p
-            hrest.append(acc)
-        base_term = mul(B_d, hm) if B_d else {}
-        if not L_perfect:
-            D = mul(L_d, hm)
-            E = {(0,) * r: 1}
-            for _ in range(q - 1):
-                E = mul(E, D)
-        for gidx in range(total):
-            g = poly_at(gidx)
-            N = base_term
-            for i in range(m + 1):
-                if C_d[i]:
-                    gi = frob(g, p ** i)
-                    if gi:
-                        N = add(N, mul(C_d[i], mul(gi, hrest[i])))
-            if L_perfect:
-                if is_qth_power(N):
-                    return gidx, hidx
-            else:
-                if is_qth_power(mul(N, E)):
-                    return gidx, hidx
+    for top in range(K):
+        # monic h: leading digit 1 at position top, anything below
+        for hidx in range(p ** top, 2 * p ** top):
+            h = _poly_at(field, monos, hidx)
+            hp1 = h ** (p - 1)
+            E = Lq
+            if not L_perfect:
+                for j in range(m, m + n):
+                    E = E * hp1.frobenius(j)
+            const = split(B * h.frobenius(m) * E)
+            const.pop(good, None)
+            if not const:
+                return 0, hidx
+            # one equation per bad exponent: K digit coefficients, then the right side
+            rows = {e: [0] * K + [-c] for terms in const.values() for e, c in terms}
+            R = one  # h^(p^m - p^i), for i from m down to 0
+            for i in range(m, -1, -1):
+                if i < m:
+                    R = R * hp1.frobenius(i)
+                if not C[i]:
+                    continue
+                # column k gets C_i h^(p^m - p^i) E times monos[k]^(p^i)
+                for res, terms in split(C[i] * R * E).items():
+                    for k, (s_res, s) in enumerate(shifts[i]):
+                        if all((x + y) % q == 0 for x, y in zip(res, s_res)):
+                            continue
+                        for e, c in terms:
+                            e = tuple(map(add, e, s))
+                            row = rows.get(e)
+                            if row is None:
+                                row = rows[e] = [0] * (K + 1)
+                            row[k] += c
+            gidx = _least_solution(rows.values(), K, p)
+            if gidx is not None:
+                return gidx, hidx
     return None
 
 
 def find_rational_point(T, max_deg: int) -> Optional[tuple[RatFunc, RatFunc]]:
     """Search for a rational point with x = g/h, total degrees <= max_deg.
 
-    The enumeration order is fixed (denominators outer, numerators inner,
-    both in base-p counting order over the graded monomial list), so the
-    returned witness is deterministic.  A found candidate is re-verified
-    through exact field arithmetic before being returned.
+    Candidates are ordered denominators outer, numerators inner, both in
+    base-p counting order over the graded monomial list, with h monic.
+    For each h the numerators that give a point form an affine subspace
+    over F_p, so one linear system returns the least such g without
+    enumerating the p^K numerators.  The witness is the first candidate
+    in that order, so it is deterministic.  It is re-verified through
+    exact field arithmetic before being returned.
     """
     field, n, coeffs, b = _unpack(T)
     if max_deg < 0:
         raise ValueError("max_deg must be nonnegative")
-    if field.p == 2:
-        hit = _search_char2(field, n, coeffs, b, max_deg)
-    else:
-        hit = _search_generic(field, n, coeffs, b, max_deg)
+    hit = _search(field, n, coeffs, b, max_deg)
     if hit is None:
         return None
-    gidx, hidx = hit
     monos = _monomials_up_to(field.r, max_deg)
-
-    def poly_of(idx: int) -> MPoly:
-        out = {}
-        k = 0
-        while idx:
-            d = idx % field.p
-            if d:
-                out[monos[k]] = d
-            idx //= field.p
-            k += 1
-        return MPoly(field, out)
-
-    x = RatFunc(poly_of(gidx), poly_of(hidx))
+    x = RatFunc(_poly_at(field, monos, hit[0]), _poly_at(field, monos, hit[1]))
     y = _recover_y(T, x)
     if y is None or not equation_holds(T, x, y):
         raise AssertionError("search engine returned a bogus candidate")

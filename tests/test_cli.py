@@ -204,6 +204,20 @@ def test_points_not_found(capsys):
     assert "no point found (bound 1)" in out
 
 
+def test_points_found_f3(capsys):
+    code, out, _ = run_cli(capsys, "points", "--field", "GF(3)(t)",
+                           "--eq", "y^3 = x + t*x^3 + t^3 - 1/t - 1/t^2", "--max-deg", "1")
+    assert code == 0
+    assert out.strip() == "point: x = 1/t, y = t"
+
+
+def test_points_not_found_f3(capsys):
+    code, out, _ = run_cli(capsys, "points", "--field", "GF(3)(t)",
+                           "--eq", "y^3 = 1/t + x + t*x^3", "--max-deg", "1")
+    assert code == 0
+    assert out.strip() == "no point found (bound 1)"
+
+
 def test_p1_complement(capsys):
     code, out, _ = run_cli(capsys, "p1-complement", "--field", "GF(2)(t)",
                            "--e", "3", "--c", "t")

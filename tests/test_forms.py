@@ -22,9 +22,13 @@ from unipic import (
     splitting_field_degree,
     splitting_level,
 )
-from unipic.forms import _search_char2, _search_generic, _unpack
+from unipic.forms import _search, _unpack
 
 from conftest import F2T, F2TU, F3T, ratfunc_strategy
+from search_reference import brute_force_search
+
+F5T = FieldDesc(5, ("t",))
+SEARCH_FIELDS = [FieldDesc(p, names) for p in (2, 3, 5) for names in (("t",), ("t", "u"))]
 
 
 def form_over(field, n, coeffs):
@@ -192,20 +196,51 @@ def test_no_small_point_two_variables():
 
 
 def test_search_engines_agree_regression(tower_form):
-    # the bitmask engine must honour non-perfect leading parts; this input
-    # once produced a false positive at bound 1
-    args = _unpack(make_torsor(tower_form, F2T.var("t") ** 2))
-    assert _search_char2(*args, 1) is None
-    assert _search_generic(*args, 1) is None
+    # the engine must honour non-perfect leading parts; this input once
+    # produced a false positive at bound 1
+    T = make_torsor(tower_form, F2T.var("t") ** 2)
+    assert _search(*_unpack(T), 1) is None
+    assert brute_force_search(T, 1) is None
+
+
+@st.composite
+def search_torsors(draw):
+    field = draw(st.sampled_from(SEARCH_FIELDS))
+    a1 = draw(ratfunc_strategy(field, max_deg=1, nonzero=True))
+    b = draw(ratfunc_strategy(field, max_deg=1))
+    return make_torsor(form_over(field, 1, {0: field.one(), 1: a1}), b)
 
 
 @settings(max_examples=25, deadline=None)
-@given(ratfunc_strategy(F2T, max_deg=1, nonzero=True),
-       ratfunc_strategy(F2T, max_deg=1))
-def test_search_engines_agree(a1, b):
-    g = form_over(F2T, 1, {0: F2T.one(), 1: a1})
-    args = _unpack(make_torsor(g, b))
-    assert _search_char2(*args, 1) == _search_generic(*args, 1)
+@given(search_torsors())
+def test_search_engines_agree(T):
+    assert _search(*_unpack(T), 1) == brute_force_search(T, 1)
+
+
+def test_point_over_second_denominator_f3():
+    # x0 = 1/t is planted; no polynomial x works, so h = t is the first
+    # denominator with a point
+    t = F3T.var("t")
+    b = t ** 3 - t.inverse() - t.inverse() ** 2
+    T = make_torsor(form_over(F3T, 1, {0: F3T.one(), 1: t}), b)
+    assert find_rational_point(T, 1) == (t.inverse(), t)
+
+
+def test_point_f5():
+    # x0 is planted over t + 1, the third monic denominator
+    t = F5T.var("t")
+    x0 = (t + F5T.const(2)) / (t + F5T.one())
+    T = make_torsor(form_over(F5T, 1, {0: F5T.one(), 1: t}), t ** 5 - x0 - t * x0 ** 5)
+    assert find_rational_point(T, 1) == (x0, t)
+
+
+def test_least_witness_takes_low_digit_over_free_high_digit():
+    # with h = 1 the points are x = t^2 + 1 and x = t^2 + t: the t-digit is
+    # free, and the least witness leaves it at 0 and sets the constant digit
+    t = F2T.var("t")
+    g = form_over(F2T, 1, {0: F2T.one(), 1: t / (t ** 2 + F2T.one())})
+    T = make_torsor(g, t ** 3 + t)
+    assert find_rational_point(T, 2) == (t ** 2 + F2T.one(), t + F2T.one())
 
 
 @settings(max_examples=20, deadline=None)
