@@ -193,22 +193,7 @@ def hilbert_dim(a: int, delta: int, mode: str = "formula") -> int:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _poly_pow_dict(base: dict[int, RatFunc], q: int, field: FieldDesc) -> dict[int, RatFunc]:
-    out = {0: field.one()}
-    for _ in range(q):
-        nxt: dict[int, RatFunc] = {}
-        for e1, c1 in out.items():
-            for e2, c2 in base.items():
-                cur = nxt.get(e1 + e2, field.zero()) + c1 * c2
-                if cur:
-                    nxt[e1 + e2] = cur
-                elif e1 + e2 in nxt:
-                    del nxt[e1 + e2]
-        out = nxt
-    return out
-
-
-def _h1_dim_window(C: WeightedCurve, N: int) -> int:
+def _h1_dim_window(C: WeightedCurve, N: int, powers: list[dict[int, RatFunc]]) -> int:
     """Cech H1 of {z != 0, x != 0} truncated to x-exponents in [-N, N].
 
     The overlap ring has basis x^e y^j with e in Z and 0 <= j < p^n after
@@ -216,61 +201,70 @@ def _h1_dim_window(C: WeightedCurve, N: int) -> int:
     unit rows with e >= 0.  The boundary chart is spanned by the degree
     zero monomials y^i z^s / x^l; for n <= m these map to single basis
     monomials, while for n > m powers y^i with i >= p^n are reduced
-    through the equation, producing rows supported in [-l, 0].
+    through the equation, producing rows supported in [-l, 0] whose
+    entries are the coefficients of f^(i // p^n), taken from `powers`.
+
+    A unit row only marks its column: reducing the other rows by unit
+    vectors deletes those columns and leaves the rank unchanged.  So unit
+    columns are collected in a set, and only the reduced rows, with those
+    columns dropped, go through elimination.
     """
-    field, n, coeffs, b = _unpack(C.source)
+    field, n, coeffs, _ = _unpack(C.source)
     p = field.p
     m = len(coeffs) - 1
     pn = p ** n
-    ncols = (2 * N + 1) * pn
 
     def col(e: int, j: int) -> int:
         return (e + N) * pn + j
 
+    a = C.a
+    units = {col(e, j) for e in range(0, N + 1) for j in range(pn)}
     space = RowSpace()
-    one = field.one()
-    for e in range(0, N + 1):
-        for j in range(pn):
-            space.insert({col(e, j): one})
     if n <= m:
-        a = p ** (m - n)
-        for j in range(pn):
-            for e in range(-N, min(-a * j, 0) + 1):
-                space.insert({col(e, j): one})
+        units.update(col(e, j) for j in range(pn) for e in range(-N, min(-a * j, 0) + 1))
     else:
-        a = p ** (n - m)
-        fdict = {p ** i: c for i, c in enumerate(coeffs) if c}
-        if b:
-            fdict[0] = fdict.get(0, field.zero()) + b
-        for l in range(0, N + 1):
-            for i in range(0, a * l + 1):
+        units.update(col(-l, rho) for l in range(N + 1) for rho in range(min(a * l + 1, pn)))
+        for l in range(N + 1):
+            for i in range(pn, a * l + 1):
                 q, rho = divmod(i, pn)
-                if q == 0:
-                    if l <= N:
-                        space.insert({col(-l, rho): one})
-                    continue
-                poly = _poly_pow_dict(fdict, q, field)
                 row = {}
-                for e, c in poly.items():
-                    if -N <= e - l <= N:
-                        row[col(e - l, rho)] = c
+                for e, v in powers[q].items():
+                    c = col(e - l, rho)
+                    if -N <= e - l <= N and c not in units:
+                        row[c] = v
                 space.insert(row)
-    return ncols - space.rank
+    return (2 * N + 1) * pn - len(units) - space.rank
 
 
 def cech_h1_dim(C: WeightedCurve, pole_bound: Optional[int] = None) -> tuple[int, bool]:
     """Dimension of H1 of the structure sheaf, with a stabilization flag.
 
-    The window [-N, N] of x-exponents grows until the reported dimension
-    matches the previous window; the flag records whether it did.
+    H1 is computed on the windows [-N, N] of x-exponents for N = P - 1 and
+    N = P, where P is the pole bound (2 * degree by default).  The larger
+    window's dimension is returned, and the flag records whether the two
+    windows agree.  For n > m the powers f^0, ..., f^Q of
+    f = b + sum a_i x^(p^i) that the larger window needs are built once,
+    each from the one before, and both windows share them.
     """
     _check_source(C)
     if pole_bound is None:
         pole_bound = 2 * C.degree
     if pole_bound < 2:
         raise BoundTooSmall("pole_bound must be at least 2")
-    d_prev = _h1_dim_window(C, pole_bound - 1)
-    d_cur = _h1_dim_window(C, pole_bound)
+    field, n, coeffs, b = _unpack(C.source)
+    powers = [{0: field.one()}]
+    if n > len(coeffs) - 1:
+        f = {field.p ** i: c for i, c in enumerate(coeffs) if c}
+        if b:
+            f[0] = b
+        for _ in range(C.a * pole_bound // C.degree):
+            nxt: dict[int, RatFunc] = {}
+            for e1, c1 in powers[-1].items():
+                for e2, c2 in f.items():
+                    nxt[e1 + e2] = nxt.get(e1 + e2, field.zero()) + c1 * c2
+            powers.append({e: c for e, c in nxt.items() if c})
+    d_prev = _h1_dim_window(C, pole_bound - 1, powers)
+    d_cur = _h1_dim_window(C, pole_bound, powers)
     return d_cur, d_cur == d_prev
 
 

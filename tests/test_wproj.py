@@ -1,6 +1,8 @@
 """Weighted projective completions, regularity at infinity, genus oracles."""
 
 import dataclasses
+import importlib.util
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -24,6 +26,7 @@ from unipic import (
     rewrite_plane_model,
 )
 
+from cech_reference import h1_dim_window
 from conftest import F2T, F3T
 
 T = F2T.var("t")
@@ -161,14 +164,53 @@ def test_cech_bound_too_small():
         cech_h1_dim(naive_completion(CONIC), 1)
 
 
-@settings(max_examples=8, deadline=None)
-@given(st.integers(1, 2), st.integers(1, 2))
-def test_cech_matches_formula_grid(n, m):
-    g = form2(n, {0: ONE, m: T})
-    C = naive_completion(g)
+def _cech_case(k, n, m, torsor=False, binomial=False):
+    t, one = k.var("t"), k.one()
+    mid, top = (t + one, t * t + t) if binomial else (k.zero(), t)
+    X = make_form(n, SkewPoly(k, [one] + [mid] * (m - 1) + [top]))
+    return make_torsor(X, t + one) if torsor else X
+
+
+@settings(max_examples=18, deadline=None)
+@given(st.sampled_from([F2T, F3T]), st.integers(1, 3), st.integers(1, 3))
+def test_cech_matches_formula_grid(k, n, m):
+    C = naive_completion(_cech_case(k, n, m))
     dim, stable = cech_h1_dim(C)
     assert stable
     assert dim == genus_from_formula(C)
+
+
+def test_cech_p3_n3_m1_pinned():
+    assert cech_h1_dim(naive_completion(_cech_case(F3T, 3, 1))) == (25, True)
+
+
+_ALL_CASES = [(torsor, binomial) for torsor in (False, True) for binomial in (False, True)]
+# The reference costs about 1 s per case on the two n > m cells with the
+# most rows, so those run one case each.
+_CECH_CELLS = [(p, n, m, _ALL_CASES) for p in (2, 3) for n in (1, 2) for m in (1, 2) if (p, n, m) != (3, 2, 1)]
+_CECH_CELLS += [(3, 2, 1, [(True, True)]), (2, 3, 1, [(False, False)])]
+
+
+@pytest.mark.parametrize("p,n,m,cases", _CECH_CELLS, ids=[f"p{p}-n{n}-m{m}" for p, n, m, _ in _CECH_CELLS])
+def test_cech_matches_row_by_row_reference(p, n, m, cases):
+    k = {2: F2T, 3: F3T}[p]
+    for torsor, binomial in cases:
+        C = naive_completion(_cech_case(k, n, m, torsor, binomial))
+        top = 2 * C.degree + 1
+        ref = {N: h1_dim_window(C, N) for N in range(1, top + 1)}
+        for bound in range(2, top + 1):
+            assert cech_h1_dim(C, bound) == (ref[bound], ref[bound] == ref[bound - 1])
+
+
+def test_genus_grid_script_level_3():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "genus_grid.py"
+    spec = importlib.util.spec_from_file_location("genus_grid", path)
+    grid = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(grid)
+    rows = grid.run_grid(grid.GridConfig((2, 3), 3))
+    assert len(rows) == 18
+    for p, n, m, genus, dim, stable, regular in rows:
+        assert stable and dim == genus, (p, n, m)
 
 
 # ------------------------------------------------------------------- hilbert
