@@ -15,6 +15,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
+from .catalogue import run_catalogue
 from .field import FieldDesc, RatFunc, is_prime
 from .forms import (
     FormPresentation,
@@ -31,7 +32,6 @@ from .picard import (
     ReportOptions,
     invariant_report,
     pic_p1_complement,
-    verify_paper_examples,
 )
 from .skew import SkewPoly
 from .wproj import TrivialTau, cech_h1_dim, genus_from_formula, hilbert_dim, naive_completion
@@ -340,10 +340,6 @@ def _parse_term(cur: _Cursor, field: FieldDesc) -> tuple[RatFunc, Optional[int]]
     return coeff, xexp
 
 
-def format_equation(X: Union[FormPresentation, Torsor]) -> str:
-    return X.equation_str()
-
-
 # -- serialization ------------------------------------------------------
 
 
@@ -365,7 +361,7 @@ def report_to_dict(rep: InvariantReport) -> dict:
         }
     return {
         "field": str(rep.target.field),
-        "equation": format_equation(rep.target),
+        "equation": rep.target.equation_str(),
         "n": _nv(rep.n),
         "n_prime": _nv(rep.n_prime),
         "r": _nv(rep.r),
@@ -398,7 +394,7 @@ def _fmt_nv(v: NValue) -> str:
 def render_report_text(rep: InvariantReport) -> str:
     lines = []
     kind = "torsor" if rep.is_torsor else "form"
-    lines.append(f"{kind}: {format_equation(rep.target)} over {rep.target.field}")
+    lines.append(f"{kind}: {rep.target.equation_str()} over {rep.target.field}")
     lines.append(f"n(X)   = {_fmt_nv(rep.n)}")
     lines.append(f"n'(X)  = {_fmt_nv(rep.n_prime)}")
     lines.append(f"r(X)   = {_fmt_nv(rep.r)}")
@@ -498,7 +494,7 @@ def _cmd_p1_complement(args) -> int:
 
 
 def _cmd_paper_examples(args) -> int:
-    results = verify_paper_examples()
+    results = run_catalogue()
     failures = 0
     for r in results:
         mark = "PASS" if r.passed else "FAIL"

@@ -25,8 +25,6 @@ from .linalg import RowSpace
 DEFAULT_BASIS_CAP = 4096
 BASIS_CAP_ENV = "UNIPIC_BASIS_CAP"
 
-NEG_INF = float("-inf")
-
 
 class FieldMismatch(ValueError):
     """Operands live over different field descriptions."""
@@ -192,12 +190,6 @@ class MPoly:
         return len(self.terms) == 1
 
     # -- basic queries --------------------------------------------------
-
-    def total_degree(self):
-        """Total degree; the zero polynomial reports -inf."""
-        if not self.terms:
-            return NEG_INF
-        return max(sum(e) for e in self.terms)
 
     def degree_in(self, v: int) -> int:
         if not self.terms:
@@ -681,31 +673,6 @@ class RatFunc:
         return f"RatFunc({self})"
 
 
-def rf_arith(op: str, f: RatFunc, g: Optional[RatFunc] = None) -> RatFunc:
-    """Named dispatch over field operations; operators are the daily surface."""
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    if op == "div":
-        return f / g
-    if op == "neg":
-        return -f
-    if op == "inv":
-        return f.inverse()
-    raise ValueError(f"unknown op {op!r}")
-
-
-def partial_derivative(f: RatFunc, name: str) -> RatFunc:
-    return f.partial(name)
-
-
-def pth_root(f: RatFunc) -> Optional[RatFunc]:
-    return f.pth_root()
-
-
 def pn_power_test(f: RatFunc, n: int) -> Optional[RatFunc]:
     """Return g with g^(p^n) = f if f is a p^n-th power, else None."""
     if n < 0:
@@ -766,7 +733,6 @@ class RootTowerElem:
     def in_base(self) -> Optional[RatFunc]:
         """Rewrite as an element of k when all root exponents cancel."""
         q = self.base.p ** self.level
-        aux = self.value.field
 
         def down(f: MPoly) -> Optional[MPoly]:
             out = {}
@@ -782,7 +748,6 @@ class RootTowerElem:
         rd = down(self.value.den)
         if rd is None:
             return None
-        del aux
         return RatFunc(rn, rd)
 
 
@@ -824,11 +789,23 @@ def _decompose(x: RootTowerElem) -> dict[tuple[int, ...], RatFunc]:
     return out
 
 
-def _basis_index(e: tuple[int, ...], q: int) -> int:
-    idx = 0
-    for x in e:
-        idx = idx * q + x
-    return idx
+def _coords(x: RootTowerElem) -> dict[int, RatFunc]:
+    """Coordinates of x keyed by the index of u^e, e read in base p^level."""
+    q = x.base.p ** x.level
+    out = {}
+    for e, c in _decompose(x).items():
+        idx = 0
+        for d in e:
+            idx = idx * q + d
+        out[idx] = c
+    return out
+
+
+def _check_basis(base: FieldDesc, level: int, cap: int) -> None:
+    """Refuse a dense tower basis of size p^(r*level) above cap."""
+    size = base.p ** (base.r * level)
+    if size > cap:
+        raise BasisTooLarge(f"dense tower basis p^(r*N) = {size} exceeds cap {cap}")
 
 
 def _exponent_over(x: RootTowerElem) -> int:
@@ -859,6 +836,16 @@ def _span_products(
     return stack
 
 
+def _span_space(
+    base: FieldDesc, level: int, ladder: Sequence[tuple[RootTowerElem, int]]
+) -> RowSpace:
+    """Echelon basis of k(ladder) in tower coordinates, from its power products."""
+    space = RowSpace()
+    for prod in _span_products(base, level, ladder):
+        space.insert(_coords(prod))
+    return space
+
+
 def subfield_membership(
     x: RootTowerElem, gens: Sequence[RootTowerElem], cap: Optional[int] = None
 ) -> bool:
@@ -869,11 +856,7 @@ def subfield_membership(
     for g in gens:
         if g.level != level or g.base != x.base:
             raise LevelMismatch("all elements must share base field and level")
-    q = x.base.p ** level
-    if x.base.p ** (x.base.r * level) > cap:
-        raise BasisTooLarge(
-            f"dense tower basis p^(r*N) = {x.base.p ** (x.base.r * level)} exceeds cap {cap}"
-        )
+    _check_basis(x.base, level, cap)
     ladder: list[tuple[RootTowerElem, int]] = []
     for g in gens:
         if not g.value:
@@ -881,11 +864,7 @@ def subfield_membership(
         e = _exponent_over(g)
         if e:
             ladder.append((g, e))
-    space = RowSpace()
-    for prod in _span_products(x.base, level, ladder):
-        space.insert({_basis_index(e, q): c for e, c in _decompose(prod).items()})
-    vec = {_basis_index(e, q): c for e, c in _decompose(x).items()}
-    return space.reduces_to_zero(vec)
+    return _span_space(x.base, level, ladder).reduces_to_zero(_coords(x))
 
 
 def compositum_degree(
@@ -910,33 +889,19 @@ def compositum_degree(
     level = max(n for _, n in pairs)
     if level == 0:
         return 1
-    if base.p ** (base.r * level) > cap:
-        raise BasisTooLarge(
-            f"dense tower basis p^(r*N) = {base.p ** (base.r * level)} exceeds cap {cap}"
-        )
-    q = base.p ** level
+    _check_basis(base, level, cap)
     ladder: list[tuple[RootTowerElem, int]] = []
     degree = 1
-    space = RowSpace()
-    for prod in _span_products(base, level, ladder):
-        space.insert({_basis_index(ex, q): c for ex, c in _decompose(prod).items()})
+    space = _span_space(base, level, ladder)
     for a, n in pairs:
         x = tower_root(a, n, level)
-        e_needed = None
+        # e = n always stops the loop: x^(p^n) = a lies in k
         for e in range(n + 1):
             xe = x.power(e)
-            if xe.in_base() is not None:
-                e_needed = e
+            if xe.in_base() is not None or space.reduces_to_zero(_coords(xe)):
                 break
-            vec = {_basis_index(ex, q): c for ex, c in _decompose(xe).items()}
-            if space.reduces_to_zero(vec):
-                e_needed = e
-                break
-        assert e_needed is not None
-        if e_needed:
-            ladder.append((x, e_needed))
-            degree *= base.p ** e_needed
-            space = RowSpace()
-            for prod in _span_products(base, level, ladder):
-                space.insert({_basis_index(ex, q): c for ex, c in _decompose(prod).items()})
+        if e:
+            ladder.append((x, e))
+            degree *= base.p ** e
+            space = _span_space(base, level, ladder)
     return degree

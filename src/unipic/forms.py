@@ -28,7 +28,7 @@ from .field import (
     pn_power_test,
     poly_gcd,
 )
-from .skew import AdditivePoly, SkewPoly, to_additive
+from .skew import SkewPoly
 
 
 class NotSeparable(ValueError):
@@ -99,12 +99,6 @@ class FormPresentation:
     def twist_coeffs(self) -> list[tuple[int, RatFunc]]:
         """Nonzero coefficients a_i with i >= 1."""
         return [(i, c) for i, c in enumerate(self.tau.coeffs) if i >= 1 and c]
-
-    def additive(self) -> AdditivePoly:
-        return to_additive(self.tau)
-
-    def is_trivial_presentation(self) -> bool:
-        return self.m == 0
 
     def equation_str(self) -> str:
         lhs = "y" if self.n == 0 else f"y^{self.field.p ** self.n}"
@@ -215,15 +209,18 @@ def splitting_field_degree(G: FormPresentation) -> int:
 def splitting_level(G: FormPresentation) -> NValue:
     """The level of the smallest Frobenius twist trivializing the group.
 
-    Split presentations are certified level 0.  If some a_i is not a p-th
-    power, the supplied n is minimal over every presentation: any
-    presentation at level n0 forces the minimal splitting field inside
-    k^(1/p^n0), and here that field has exponent exactly n.  Otherwise
-    the supplied n is only an upper bound and is reported as such.
+    The presentation is split, certified level 0, when every a_i is a
+    p^n-th power: k' = k(a_i^(1/p^n)) equals k exactly then, so no root
+    tower is built.  If some a_i is not a p-th power, the supplied n is
+    minimal over every presentation: any presentation at level n0 forces
+    the minimal splitting field inside k^(1/p^n0), and here that field has
+    exponent exactly n.  Otherwise the supplied n is only an upper bound
+    and is reported as such.
     """
-    if splitting_field_degree(G) == 1:
+    coeffs = [c for _, c in G.twist_coeffs()]
+    if all(pn_power_test(c, G.n) is not None for c in coeffs):
         return NValue("exact", 0, "split")
-    if any(c.pth_root() is None for _, c in G.twist_coeffs()):
+    if any(c.pth_root() is None for c in coeffs):
         return NValue("exact", G.n, "coefficient-not-pth-power")
     return NValue("upper_bound", G.n)
 

@@ -19,7 +19,6 @@ from .forms import (
     NValue,
     Torsor,
     _unpack,
-    equation_holds,
     find_rational_point,
     rationality_level,
     rewrite_plane_model,
@@ -27,6 +26,7 @@ from .forms import (
     splitting_level,
 )
 from .wproj import (
+    InfinityData,
     cech_h1_dim,
     genus_from_formula,
     is_regular_at_infinity,
@@ -149,21 +149,20 @@ def pic_p1_complement(e: int, c: RatFunc) -> P1ComplementData:
     )
 
 
-def _residue_level(T) -> NValue:
+def _residue_level(T, inf: Optional[InfinityData]) -> NValue:
     """The level r with deg of the boundary point = p^r, certified if possible.
 
-    Chain: trivial presentations complete to the projective line (r = 0);
-    regular naive completions read r off the boundary residue field; for
-    n = m + 1 with a_m a p^m-th power, the plane-model rewrite with
-    alpha = a_m^(1/p^m), s = 1 can expose a field residue ring; otherwise
-    only r <= n is known.
+    inf is the boundary data of the naive completion of T, None when T
+    has no twist term.  Chain: trivial presentations complete to the
+    projective line (r = 0); regular naive completions read r off the
+    boundary residue field; for n = m + 1 with a_m a p^m-th power, the
+    plane-model rewrite with alpha = a_m^(1/p^m), s = 1 can expose a field
+    residue ring; otherwise only r <= n is known.
     """
     field, n, coeffs, b = _unpack(T)
     m = len(coeffs) - 1
     if m == 0:
         return NValue("exact", 0, "trivial-presentation")
-    C = naive_completion(T)
-    inf = is_regular_at_infinity(C)
     if inf.is_field:
         return NValue("exact", inf.exponent, "regular-completion")
     if n > m:
@@ -182,28 +181,31 @@ def exact_sequence_data(X, search_bound: int = 2) -> ExactSeqData:
     m(X) = 1 is certified by a found rational point (the zero section
     handles every form); without a point only m(X) | p^r is known.  The
     Pic0 dimension is the completed curve's genus, exact when the naive
-    completion is regular and an upper bound otherwise.
+    completion is regular and an upper bound otherwise.  The completion
+    and its boundary data are built once and serve both r and Pic0.
     """
     field, n, coeffs, b = _unpack(X)
     p = field.p
     m = len(coeffs) - 1
-    r = _residue_level(X)
-    point = find_rational_point(X, search_bound)
-    if point is not None:
-        m_X = NValue("exact", 1, "rational-point")
-    else:
-        m_X = NValue("upper_bound", p ** r.value)
     if m == 0:
+        inf = None
         pic0 = NValue("exact", 0, "projective-line")
     else:
         C = naive_completion(X)
+        inf = is_regular_at_infinity(C)
         g = int(genus_from_formula(C))
-        if is_regular_at_infinity(C).is_field:
+        if inf.is_field:
             pic0 = NValue("exact", g, "regular-completion")
         elif g == 0:
             pic0 = NValue("exact", 0, "zero-upper-bound")
         else:
             pic0 = NValue("upper_bound", g)
+    r = _residue_level(X, inf)
+    point = find_rational_point(X, search_bound)
+    if point is not None:
+        m_X = NValue("exact", 1, "rational-point")
+    else:
+        m_X = NValue("upper_bound", p ** r.value)
     quotient = None
     if m_X.is_exact and r.is_exact:
         quotient = (p ** r.value, m_X.value)
@@ -312,10 +314,3 @@ def invariant_report(X, options: Optional[ReportOptions] = None) -> InvariantRep
         assertions=tuple(assertions),
         flags=tuple(flags),
     )
-
-
-def verify_paper_examples() -> list:
-    """Run the worked-example catalogue; failures come back as data."""
-    from .catalogue import run_catalogue
-
-    return run_catalogue()

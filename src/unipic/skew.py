@@ -54,10 +54,6 @@ class SkewPoly:
             return self.coeffs[i]
         return self.field.zero()
 
-    def is_unit(self) -> bool:
-        """Units of k<F> are the nonzero constants of k."""
-        return self.degree == 0
-
     def constant_coeff(self) -> RatFunc:
         return self.coeff(0)
 
@@ -127,16 +123,6 @@ class SkewPoly:
 
     def __repr__(self) -> str:
         return f"SkewPoly({self})"
-
-
-def skew_arith(op: str, f: SkewPoly, g: SkewPoly) -> SkewPoly:
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    raise ValueError(f"unknown op {op!r}")
 
 
 def right_divmod(f: SkewPoly, g: SkewPoly) -> tuple[SkewPoly, SkewPoly]:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .field import FieldDesc, RatFunc, power_level
-from .forms import FormPresentation, PlaneModel, Torsor, _unpack
+from .forms import PlaneModel, Torsor, _unpack
 from .linalg import RowSpace
 
 
@@ -55,9 +55,6 @@ class WeightedCurve:
     def a(self) -> int:
         """The single non-unit weight (1 when n = m)."""
         return max(self.weights)
-
-    def term_dict(self) -> dict[tuple[int, int, int], RatFunc]:
-        return dict(self.terms)
 
     def __str__(self) -> str:
         parts = []

@@ -1,6 +1,7 @@
 """Command line interface: parsing, rendering, JSON schema, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +12,6 @@ from unipic.cli import (
     NotAdditive,
     NotPrime,
     ParseError,
-    format_equation,
     main,
     parse_field_spec,
     parse_form_equation,
@@ -101,15 +101,15 @@ def test_format_round_trip_canonical():
     ]
     for s in corpus:
         ast = parse_form_equation(s, F3TU)
-        assert format_equation(ast.build()) == s
-        assert parse_form_equation(format_equation(ast.build()), F3TU) == ast
+        assert ast.build().equation_str() == s
+        assert parse_form_equation(ast.build().equation_str(), F3TU) == ast
 
 
 def test_format_round_trip_non_canonical():
     # non-canonical inputs normalize, so compare built objects instead
     s = "y^9 = 2*x + t*x^3"
     X = parse_form_equation(s, F3TU).build()
-    assert parse_form_equation(format_equation(X), F3TU).build() == X
+    assert parse_form_equation(X.equation_str(), F3TU).build() == X
 
 
 # ----------------------------------------------------------------- rendering
@@ -243,10 +243,22 @@ def test_exit_code_trivial_completion(capsys):
     assert "error:" in err
 
 
+# full analyze output, text and JSON, pinned byte for byte; together the
+# inputs reach every certificate the text prints, and the oracle line
+GOLDEN = json.loads(Path(__file__).with_name("golden_analyze.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda c: " ".join(
+    a for a in c["argv"][1:] if a not in ("--field", "--eq")))
+def test_analyze_output_pinned(capsys, case):
+    assert main(case["argv"]) == 0
+    assert capsys.readouterr().out == case["stdout"]
+
+
 def test_paper_examples_failure_exit(monkeypatch, capsys):
     import unipic.cli as cli_mod
     fake = [CatalogueResult("demo", "d", False, "boom")]
-    monkeypatch.setattr(cli_mod, "verify_paper_examples", lambda: fake)
+    monkeypatch.setattr(cli_mod, "run_catalogue", lambda: fake)
     code, out, _ = run_cli(capsys, "paper-examples")
     assert code == 1
     assert "FAIL demo" in out

@@ -1,5 +1,8 @@
 """Forms of the additive group: presentations, levels, points, plane models."""
 
+import itertools
+import random
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -7,8 +10,10 @@ from hypothesis import given, settings
 from unipic import (
     FieldDesc,
     FieldMismatch,
+    MPoly,
     NValue,
     NotSeparable,
+    RatFunc,
     SkewPoly,
     VariableClash,
     equation_holds,
@@ -160,6 +165,33 @@ def test_two_variable_levels():
     g = form_over(F2TU, 2, {0: F2TU.one(), 1: t, 2: u})
     assert splitting_field_degree(g) == 16
     assert splitting_level(g) == NValue("exact", 2, "coefficient-not-pth-power")
+
+
+def _power_coeff(rng, field, n):
+    """c^(p^j) for a random nonconstant fraction c and j in 0..n."""
+    while True:
+        num = {tuple(rng.randint(0, 2) for _ in field.vars): rng.randint(1, field.p - 1)
+               for _ in range(rng.randint(1, 2))}
+        den = {tuple(rng.randint(0, 1) for _ in field.vars): 1}
+        c = RatFunc(MPoly.make(field, num), MPoly.make(field, den))
+        if not c.is_constant():
+            return c.frobenius(rng.randint(0, n))
+
+
+def test_split_certificate_matches_tower_degree():
+    # the p^n-th-power test of splitting_level against the dense root tower
+    rng = random.Random(0)
+    certificates = set()
+    for p, r, n in itertools.product((2, 3, 5), (1, 2), (0, 1, 2)):
+        field = FieldDesc(p, ("t", "u")[:r])
+        for _ in range(4):
+            twists = [_power_coeff(rng, field, n) for _ in range(rng.randint(1, 2))]
+            G = make_form(n, SkewPoly(field, [field.one()] + twists))
+            level = splitting_level(G)
+            assert (level.certificate == "split") == (splitting_field_degree(G) == 1), G
+            certificates.add(level.certificate)
+    # the split, exact and bound branches all occur
+    assert certificates == {"split", "coefficient-not-pth-power", None}
 
 
 # ------------------------------------------------------------- point search

@@ -2,6 +2,9 @@
 
 import pytest
 
+import unipic.forms
+import unipic.picard
+import unipic.wproj
 from unipic import (
     FieldDesc,
     NValue,
@@ -11,8 +14,10 @@ from unipic import (
     exact_sequence_data,
     generic_fiber_torsor,
     invariant_report,
+    is_regular_at_infinity,
     make_form,
     make_torsor,
+    naive_completion,
     pic_p1_complement,
     torsion_bound,
     torsion_bound_unipotent,
@@ -46,13 +51,17 @@ def test_torsion_bound_unipotent():
 
 # ------------------------------------------------------------ residue levels
 
+def _boundary(X):
+    return is_regular_at_infinity(naive_completion(X))
+
+
 def test_residue_level_certificates():
-    assert _residue_level(SPLIT) == NValue("exact", 0, "trivial-presentation")
-    assert _residue_level(CONIC) == NValue("exact", 1, "regular-completion")
-    assert _residue_level(TOWER) == NValue("exact", 2, "plane-model-residue")
+    assert _residue_level(SPLIT, None) == NValue("exact", 0, "trivial-presentation")
+    assert _residue_level(CONIC, _boundary(CONIC)) == NValue("exact", 1, "regular-completion")
+    assert _residue_level(TOWER, _boundary(TOWER)) == NValue("exact", 2, "plane-model-residue")
     # reducible presentation: completion not regular, no rewrite applies
     g = make_form(1, SkewPoly(F2T, [ONE, T, T * T]))
-    assert _residue_level(g) == NValue("upper_bound", 1)
+    assert _residue_level(g, _boundary(g)) == NValue("upper_bound", 1)
 
 
 # --------------------------------------------------------------- exact seq
@@ -176,6 +185,36 @@ def test_report_pointless_torsor():
     assert rep.point is None
     assert rep.pic_group is None
     assert rep.pic_nontrivial is None
+
+
+def _count_calls(monkeypatch, name):
+    """Record every call of `name` made through the report's modules."""
+    calls = []
+    for mod in (unipic.forms, unipic.picard, unipic.wproj):
+        original = getattr(mod, name, None)
+        if original is None:
+            continue
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(args)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("X", [
+    TOWER,
+    make_form(1, SkewPoly(F3T, [F3T.one(), F3T.var("t")])),
+    make_torsor(CONIC, ONE / T),
+], ids=["p2-form", "p3-form", "torsor"])
+def test_report_builds_tower_and_completion_once(monkeypatch, X):
+    towers = _count_calls(monkeypatch, "compositum_degree")
+    completions = _count_calls(monkeypatch, "naive_completion")
+    invariant_report(X)
+    assert len(towers) == 1
+    # one build, plus the source guard inside is_regular_at_infinity
+    assert len(completions) <= 2
 
 
 def test_report_generic_fiber():
