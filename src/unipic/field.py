@@ -11,7 +11,7 @@ structural.
 Elements of the root tower k^(1/p^N) are represented over an auxiliary
 rational function field in variables u_j subject to u_j^(p^N) = t_j.  The
 tower is free of rank p^(r*N) over k, which gives exact linear algebra for
-subfield membership and compositum degrees.
+the compositum degrees that the p-basis rules leave open.
 """
 
 from __future__ import annotations
@@ -764,8 +764,8 @@ def tower_root(a: RatFunc, n: int, level: int) -> RootTowerElem:
     return RootTowerElem(base, level, a.embed(aux, images))
 
 
-def _decompose(x: RootTowerElem) -> dict[tuple[int, ...], RatFunc]:
-    """Coordinates of x in the k-basis {u^e : 0 <= e_j < p^level}.
+def _coords(x: RootTowerElem) -> dict[int, RatFunc]:
+    """Coordinates of x in the k-basis {u^e : 0 <= e_j < p^level}, e read in base p^level.
 
     Inverses are cleared via 1/h = h^(p^N - 1) / h^(p^N); the denominator
     is then a p^N-th power of polynomials, i.e. an element of k.
@@ -776,29 +776,14 @@ def _decompose(x: RootTowerElem) -> dict[tuple[int, ...], RatFunc]:
     if not den.is_one():
         num = num * den ** (q - 1)
         den = den.scale_exponents(q)
-    den_k = MPoly(base, {tuple(e // q for e in exp): c for exp, c in den.terms.items()})
-    dk = RatFunc.from_poly(den_k)
-    coords: dict[tuple[int, ...], dict] = {}
+    dk = RatFunc.from_poly(MPoly(base, {tuple(d // q for d in e): c for e, c in den.terms.items()}))
+    coords: dict[int, dict] = {}
     for e, c in num.terms.items():
-        res = tuple(x_ % q for x_ in e)
-        quo = tuple(x_ // q for x_ in e)
-        coords.setdefault(res, {})[quo] = c
-    out = {}
-    for res, terms in coords.items():
-        out[res] = RatFunc.from_poly(MPoly(base, terms)) / dk
-    return out
-
-
-def _coords(x: RootTowerElem) -> dict[int, RatFunc]:
-    """Coordinates of x keyed by the index of u^e, e read in base p^level."""
-    q = x.base.p ** x.level
-    out = {}
-    for e, c in _decompose(x).items():
         idx = 0
         for d in e:
-            idx = idx * q + d
-        out[idx] = c
-    return out
+            idx = idx * q + d % q
+        coords.setdefault(idx, {})[tuple(d // q for d in e)] = c
+    return {idx: RatFunc.from_poly(MPoly(base, terms)) / dk for idx, terms in coords.items()}
 
 
 def _check_basis(base: FieldDesc, level: int, cap: int) -> None:
@@ -808,72 +793,53 @@ def _check_basis(base: FieldDesc, level: int, cap: int) -> None:
         raise BasisTooLarge(f"dense tower basis p^(r*N) = {size} exceeds cap {cap}")
 
 
-def _exponent_over(x: RootTowerElem) -> int:
-    """Smallest e with x^(p^e) in k."""
-    for e in range(x.level + 1):
-        if x.power(e).in_base() is not None:
-            return e
-    raise AssertionError("tower element must descend at its own level")
-
-
-def _span_products(
-    base: FieldDesc, level: int, gens: Sequence[tuple[RootTowerElem, int]]
-) -> list[RootTowerElem]:
-    """Products of generators with exponents below each one's ladder level.
-
-    These span k(gens) as a k-vector space inside the root tower.
-    """
-    aux_one = RatFunc.from_poly(MPoly.one(tower_field(base, level)))
-    stack = [RootTowerElem(base, level, aux_one)]
-    for g, e in gens:
-        nxt = []
-        for acc in stack:
-            pw = aux_one
-            for d in range(base.p ** e):
-                nxt.append(RootTowerElem(base, level, acc.value * pw))
-                pw = pw * g.value
-        stack = nxt
-    return stack
-
-
 def _span_space(
     base: FieldDesc, level: int, ladder: Sequence[tuple[RootTowerElem, int]]
 ) -> RowSpace:
-    """Echelon basis of k(ladder) in tower coordinates, from its power products."""
+    """Echelon basis of k(ladder) in tower coordinates.
+
+    It is spanned by the products of generators with exponents below each
+    one's ladder level.
+    """
+    aux_one = RatFunc.from_poly(MPoly.one(tower_field(base, level)))
+    products = [aux_one]
+    for g, e in ladder:
+        powers = [aux_one]
+        for _ in range(base.p ** e - 1):
+            powers.append(powers[-1] * g.value)
+        products = [acc * pw for acc in products for pw in powers]
     space = RowSpace()
-    for prod in _span_products(base, level, ladder):
-        space.insert(_coords(prod))
+    for prod in products:
+        space.insert(_coords(RootTowerElem(base, level, prod)))
     return space
 
 
-def subfield_membership(
-    x: RootTowerElem, gens: Sequence[RootTowerElem], cap: Optional[int] = None
-) -> bool:
-    """Decide x in k(gens) by exact linear algebra over k in the tower basis."""
-    if cap is None:
-        cap = basis_cap()
-    level = x.level
-    for g in gens:
-        if g.level != level or g.base != x.base:
-            raise LevelMismatch("all elements must share base field and level")
-    _check_basis(x.base, level, cap)
-    ladder: list[tuple[RootTowerElem, int]] = []
-    for g in gens:
-        if not g.value:
-            raise ZeroInput("zero generator")
-        e = _exponent_over(g)
-        if e:
-            ladder.append((g, e))
-    return _span_space(x.base, level, ladder).reduces_to_zero(_coords(x))
+def _jacobian_rank(gens: Sequence[RatFunc]) -> int:
+    """Rank over k of (db_i/dt_j): p^rank = [k^p(gens) : k^p] (Matsumura, section 26)."""
+    space = RowSpace()
+    for b in gens:
+        space.insert({j: b.partial(name) for j, name in enumerate(b.field.vars)})
+    return space.rank
 
 
 def compositum_degree(
     pairs: Sequence[tuple[RatFunc, int]], cap: Optional[int] = None
 ) -> int:
-    """Degree [k(a_1^(1/p^(n_1)), ..., a_s^(1/p^(n_s))) : k].
+    """Degree [k' : k] of k' = k(a_1^(1/p^(n_1)), ..., a_s^(1/p^(n_s))).
 
-    Generators are adjoined one at a time; each contributes p^e where e is
-    its inseparability exponent over the field built so far.
+    Write a_i = b_i^(p^(v_i)) with v_i the power level of a_i, so the i-th
+    root is b_i^(1/p^(e_i)) with e_i = n_i - v_i; let e = max e_i.  Then
+    k' lies in k^(1/p^e), and three exact rules, from p-bases and the
+    differential criterion (Matsumura, Commutative Ring Theory, section 26),
+    settle most inputs:
+
+    - sandwich: p^e <= [k':k] <= min(p^(r*e), prod p^(e_i)); the degree is
+      p^e when the bounds meet, which always happens for r = 1;
+    - exponent one: if e = 1 the degree is p^rank J, J = (db_i/dt_j);
+    - full rank: if the b_i with e_i = e have Jacobian rank r they form a
+      p-basis of k, so k' = k^(1/p^e) and the degree is p^(r*e).
+
+    Only the remainder builds the dense root-tower basis, refused above `cap`.
     """
     if cap is None:
         cap = basis_cap()
@@ -886,6 +852,31 @@ def compositum_degree(
     for a, _ in pairs:
         if a.field != base:
             raise FieldMismatch("generators over different fields")
+    roots = []
+    for a, n in pairs:
+        v = power_level(a, n)
+        if v < n:
+            roots.append((pn_power_test(a, v), n - v))
+    if not roots:
+        return 1
+    e = max(ei for _, ei in roots)
+    if min(base.r * e, sum(ei for _, ei in roots)) == e:
+        return base.p ** e
+    rank = _jacobian_rank([b for b, ei in roots if ei == e])
+    if e == 1:
+        return base.p ** rank
+    if rank == base.r:
+        return base.p ** (base.r * e)
+    return _dense_degree(pairs, cap)
+
+
+def _dense_degree(pairs: Sequence[tuple[RatFunc, int]], cap: int) -> int:
+    """[k' : k] by linear algebra in the dense tower basis of size p^(r*N).
+
+    Generators are adjoined one at a time; each contributes p^e where e is
+    its inseparability exponent over the field built so far.
+    """
+    base = pairs[0][0].field
     level = max(n for _, n in pairs)
     if level == 0:
         return 1

@@ -243,6 +243,19 @@ def test_exit_code_trivial_completion(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("field,eq,extra,degree", [
+    ("GF(2)(t,u)", "y^128 = x + t*x^2", (), 128),
+    ("GF(5)(t,u)", "y^25 = x + (t+u)*x^5 + (t*u+1)*x^25", ("--search-bound", "0"), 625),
+    ("GF(7)(t,u)", "y^49 = x + (t+u)*x^7 + (t*u+1)*x^49", ("--search-bound", "0"), 2401),
+])
+def test_analyze_large_splitting_degree(capsys, field, eq, extra, degree):
+    # one generator (sandwich) and two p-independent ones (full rank):
+    # the p-basis rules settle dense towers of 2^14, 5^4 and 7^4 unknowns
+    code, out, _ = run_cli(capsys, "analyze", "--field", field, "--eq", eq, *extra)
+    assert code == 0
+    assert f"[k':k] = {degree}\n" in out
+
+
 # full analyze output, text and JSON, pinned byte for byte; together the
 # inputs reach every certificate the text prints, and the oracle line
 GOLDEN = json.loads(Path(__file__).with_name("golden_analyze.json").read_text())

@@ -1,10 +1,13 @@
 """Exact rational function field arithmetic, p-power tests and root towers."""
 
+import random
+
 import hypothesis.strategies as st
 import pytest
 import sympy
 from hypothesis import given, settings
 
+from unipic import field as field_mod
 from unipic import (
     BasisTooLarge,
     DivisionByZero,
@@ -21,12 +24,12 @@ from unipic import (
     poly_gcd,
     power_level,
     root_field_degree,
-    subfield_membership,
     tower_field,
     tower_root,
 )
 
 from conftest import F2T, F2TU, F3T, mpoly_strategy, ratfunc_strategy
+from tower_reference import subfield_membership
 
 
 # ---------------------------------------------------------------- arithmetic
@@ -257,7 +260,7 @@ def test_subfield_membership():
 def test_level_mismatch():
     t = F2T.var("t")
     with pytest.raises(LevelMismatch):
-        subfield_membership(tower_root(t, 1, 1), [tower_root(t, 1, 2)])
+        tower_root(t, 2, 1)
 
 
 def test_basis_cap_env(monkeypatch):
@@ -268,6 +271,54 @@ def test_basis_cap_env(monkeypatch):
 
 
 def test_basis_cap_enforced():
+    # no rule settles this input: the sandwich gives 4..8 and the top
+    # Jacobian rank is 1 < 2, so the dense tower (degree 8) is needed
     t, u = F2TU.var("t"), F2TU.var("u")
+    assert field_mod._dense_degree([(t, 2), (u, 1)], cap=64) == 8
     with pytest.raises(BasisTooLarge):
-        compositum_degree([(t, 1), (u, 1)], cap=2)
+        compositum_degree([(t, 2), (u, 1)], cap=2)
+
+
+def _random_coeff(rng, field):
+    """A polynomial, a quarter of the time inverted, raised to the p^j-th power."""
+    terms = {tuple(rng.randint(0, 2) for _ in field.vars): rng.randint(1, field.p - 1)
+             for _ in range(rng.randint(1, 3))}
+    f = RatFunc.from_poly(MPoly(field, terms))
+    f = f.inverse() if rng.random() < 0.25 else f
+    return f.frobenius(rng.randint(0, 2))
+
+
+def test_rules_match_dense_oracle(monkeypatch):
+    # the dense side costs about p^(r*N) rows times a (p^N - 1)-th power of
+    # each denominator, so both stay small: basis <= 81 and p^N <= 27
+    dense = field_mod._dense_degree
+    remainder = []
+    monkeypatch.setattr(field_mod, "_dense_degree",
+                        lambda pairs, cap: remainder.append(pairs) or dense(pairs, cap))
+    rng = random.Random(2016)
+    seen = {}
+    while len(seen) < 250:
+        p, r = rng.choice((2, 3, 5, 7)), rng.randint(1, 3)
+        top = max(N for N in range(4) if p ** (r * N) <= 81 and p ** N <= 27)
+        if top == 0:
+            continue
+        k = FieldDesc(p, ("t", "u", "w")[:r])
+        pairs = tuple((_random_coeff(rng, k), rng.randint(1, top))
+                      for _ in range(rng.randint(1, 3)))
+        if pairs in seen:
+            continue
+        remainder.clear()
+        assert compositum_degree(pairs) == dense(pairs, 81), pairs
+        exps = [n - power_level(a, n) for a, n in pairs]
+        e = max(exps)
+        if e == 0:
+            branch = "split"
+        elif min(r * e, sum(exps)) == e:
+            branch = "sandwich"
+        elif e == 1:
+            branch = "exponent one"
+        else:
+            branch = "remainder" if remainder else "full rank"
+        assert not remainder or branch == "remainder", pairs
+        seen[pairs] = branch
+    assert {"sandwich", "exponent one", "full rank", "remainder"} <= set(seen.values())

@@ -2,7 +2,7 @@
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from unipic import (
     SkewDivisionError,
@@ -48,6 +48,9 @@ def test_zero_and_degree():
     assert SkewPoly(F2T, [F2T.zero(), F2T.one()]).degree == 1
 
 
+# a product of three degree-2 F_3(t) skew polynomials can take 0.3 s,
+# over Hypothesis's 200 ms default deadline
+@settings(deadline=1000)
 @given(skew_strategy(F3T), skew_strategy(F3T), skew_strategy(F3T))
 def test_ring_axioms(f, g, h):
     assert (f * g) * h == f * (g * h)
