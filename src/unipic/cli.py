@@ -10,6 +10,7 @@ for fixed inputs.  Exit codes: 0 success, 1 failing example catalogue,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -455,11 +456,11 @@ def _cmd_genus(args) -> int:
     except TrivialTau:
         print("genus = 0 (completion is the projective line)")
         return 0
-    g = genus_from_formula(C)
-    print(f"genus = {int(g)}")
-    if args.oracle:
-        dim, stab = cech_h1_dim(C, args.pole_bound)
-        print(f"cech h1 = {dim} (stabilized: {str(stab).lower()})")
+    # the oracle can reject its pole bound, so it runs before any output
+    oracle = cech_h1_dim(C, args.pole_bound) if args.oracle else None
+    print(f"genus = {int(genus_from_formula(C))}")
+    if oracle:
+        print(f"cech h1 = {oracle[0]} (stabilized: {str(oracle[1]).lower()})")
     return 0
 
 
@@ -505,6 +506,7 @@ def _cmd_paper_examples(args) -> int:
     return 1 if failures else 0
 
 
+@functools.cache  # one parser per process: parsing leaves it unchanged
 def _make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="unipic",

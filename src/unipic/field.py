@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from operator import add
 from typing import Optional, Sequence
 
 from .linalg import RowSpace
@@ -238,15 +239,12 @@ class MPoly:
         if len(a) > len(b):
             a, b = b, a
         out: dict = {}
+        get = out.get  # sums stay unreduced; reduce and drop zeros once at the end
         for ea, ca in a.items():
             for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                s = (out.get(e, 0) + ca * cb) % p
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-        return MPoly(self.field, out)
+                e = tuple(map(add, ea, eb))
+                out[e] = get(e, 0) + ca * cb
+        return MPoly(self.field, {e: s for e, c in out.items() if (s := c % p)})
 
     def scale(self, c: int) -> "MPoly":
         c %= self.field.p

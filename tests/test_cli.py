@@ -12,6 +12,7 @@ from unipic.cli import (
     NotAdditive,
     NotPrime,
     ParseError,
+    _make_parser,
     main,
     parse_field_spec,
     parse_form_equation,
@@ -236,6 +237,15 @@ def test_exit_code_parse_errors(capsys):
     assert "not a power of 2" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "genus"])
+def test_rejected_pole_bound_prints_nothing(capsys, command):
+    code, out, err = run_cli(capsys, command, "--field", "GF(2)(t)",
+                             "--eq", "y^4 = x + t*x^2", "--oracle", "--pole-bound", "1")
+    assert code == 2
+    assert out == ""
+    assert "error: pole_bound must be at least 2" in err
+
+
 def test_exit_code_trivial_completion(capsys):
     code, _, err = run_cli(capsys, "p1-complement", "--field", "GF(2)(t)",
                            "--e", "1", "--c", "t^2")
@@ -266,6 +276,28 @@ GOLDEN = json.loads(Path(__file__).with_name("golden_analyze.json").read_text())
 def test_analyze_output_pinned(capsys, case):
     assert main(case["argv"]) == 0
     assert capsys.readouterr().out == case["stdout"]
+
+
+def test_reused_parser_keeps_no_state(capsys):
+    # main() reuses one parser per process; a freshly built parser is the oracle
+    assert _make_parser() is _make_parser()
+    fresh = _make_parser.__wrapped__()
+    for case in GOLDEN:
+        assert vars(_make_parser().parse_args(case["argv"])) == vars(fresh.parse_args(case["argv"]))
+
+    def run_all(cases):
+        for case in cases:
+            assert main(case["argv"]) == 0
+            assert capsys.readouterr().out == case["stdout"]
+
+    run_all(GOLDEN)
+    for argv, status in ((["analyze", "--field", "GF(2)(t)", "--bogus"], 2),
+                         (["analyze", "--help"], 0)):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == status
+        capsys.readouterr()
+    run_all(reversed(GOLDEN))
 
 
 def test_paper_examples_failure_exit(monkeypatch, capsys):

@@ -29,6 +29,7 @@ from unipic import (
 )
 
 from conftest import F2T, F2TU, F3T, mpoly_strategy, ratfunc_strategy
+from mul_reference import mul_reference
 from tower_reference import subfield_membership
 
 
@@ -103,6 +104,53 @@ def test_frobenius_is_additive_and_multiplicative(a, b):
     assert (a + b).frobenius(1) == a.frobenius(1) + b.frobenius(1)
     assert (a * b).frobenius(1) == a.frobenius(1) * b.frobenius(1)
     assert a.frobenius(1) == a * a
+
+
+def _cancelling_pairs(field, poly):
+    """Operand pairs whose products lose terms to cancellation mod p.
+
+    Over F_2, f*f drops every cross term.  For any p,
+    (u - v) * (u^(p-1) + u^(p-2) v + ... + v^(p-1)) = u^p - v^p drops
+    every middle term; the second factor is built with the reference.
+    """
+    f = poly()
+    yield f, f
+    u, v = poly(), poly()
+    g = MPoly.zero(field)
+    for i in range(field.p):
+        term = MPoly.one(field)
+        for _ in range(i):
+            term = mul_reference(term, u)
+        for _ in range(field.p - 1 - i):
+            term = mul_reference(term, v)
+        g = g + term
+    yield u - v, g
+    yield MPoly.zero(field), f
+
+
+def test_mul_matches_reference():
+    # the product accumulates unreduced sums and reduces them once; the
+    # reference reduces and deletes zeros at every step
+    rng = random.Random(2016)
+    for p in (2, 3, 5):
+        for r in (1, 2, 3):
+            k = FieldDesc(p, ("t", "u", "w")[:r])
+            cancelled = 0
+
+            def poly():
+                return MPoly.make(k, {tuple(rng.randint(0, 3) for _ in range(r)):
+                                      rng.randint(1, p - 1)
+                                      for _ in range(rng.randint(1, 8))})
+
+            pairs = [(poly(), poly()) for _ in range(30)]
+            pairs += list(_cancelling_pairs(k, poly))
+            for f, g in pairs:
+                got, want = f * g, mul_reference(f, g)
+                assert got.terms == want.terms, (f, g)
+                assert all(0 < c < p for c in got.terms.values()), (f, g)
+                sums = {tuple(a + b for a, b in zip(ea, eb)) for ea in f.terms for eb in g.terms}
+                cancelled += len(sums) > len(got.terms)
+            assert cancelled, (p, r)  # some products lost terms to cancellation
 
 
 def test_field_operators():
