@@ -8,10 +8,11 @@ are sparse maps from exponent vectors to nonzero residues mod p; rational
 functions are kept in a canonical reduced form so that equality is
 structural.
 
-Elements of the root tower k^(1/p^N) are represented over an auxiliary
-rational function field in variables u_j subject to u_j^(p^N) = t_j.  The
-tower is free of rank p^(r*N) over k, which gives exact linear algebra for
-the compositum degrees that the p-basis rules leave open.
+The root tower k^(1/p^N) is read through Frobenius: its q-th power map,
+q = p^N, carries it onto k, and a subfield k(S^(1/p^N)) onto k^q(S).  So k
+over k^q, free of rank p^(r*N) on the monomials t^e with 0 <= e_j < q,
+gives exact linear algebra for the compositum degrees that the p-basis
+rules leave open, in plain polynomial arithmetic over k.
 """
 
 from __future__ import annotations
@@ -41,10 +42,6 @@ class UnknownVariable(ValueError):
 
 class ZeroInput(ValueError):
     """Zero was passed where a nonzero element is required."""
-
-
-class LevelMismatch(ValueError):
-    """Root-tower elements at different levels were combined."""
 
 
 class BasisTooLarge(ValueError):
@@ -318,8 +315,8 @@ class MPoly:
     def embed(self, target: FieldDesc, var_images: Sequence[tuple[int, int]]) -> "MPoly":
         """Monomial substitution t_i -> (target var at index j)^s.
 
-        var_images[i] = (j, s).  Supports both field enlargement and the
-        tower rewrite t -> u^(p^N).
+        var_images[i] = (j, s).  Serves field enlargement and the twist
+        rewrite t -> u^p.
         """
         if len(var_images) != self.field.r:
             raise ValueError("need one image per source variable")
@@ -704,84 +701,22 @@ def root_field_degree(a: RatFunc, n: int) -> int:
     return a.field.p ** (n - power_level(a, n))
 
 
-# -- root towers -------------------------------------------------------
+# -- the root tower, read through Frobenius -----------------------------
 
 
-def tower_field(base: FieldDesc, level: int) -> FieldDesc:
-    """Auxiliary field F_p(u_1, ..., u_r) with u_j standing for t_j^(1/p^level)."""
-    return FieldDesc(base.p, tuple(f"{v}#{level}" for v in base.vars))
+def _coords(f: MPoly, q: int) -> dict[int, RatFunc]:
+    """Coordinates of f over k^q in the basis {t^e : 0 <= e_j < q}, each read as its q-th root.
 
-
-@dataclass(frozen=True)
-class RootTowerElem:
-    """An element of k^(1/p^level), stored over the auxiliary root field."""
-
-    base: FieldDesc
-    level: int
-    value: RatFunc
-
-    def __post_init__(self) -> None:
-        if self.value.field != tower_field(self.base, self.level):
-            raise LevelMismatch("value not over the auxiliary field of this level")
-
-    def power(self, e: int) -> "RootTowerElem":
-        """Raise to the p^e-th power."""
-        return RootTowerElem(self.base, self.level, self.value.frobenius(e))
-
-    def in_base(self) -> Optional[RatFunc]:
-        """Rewrite as an element of k when all root exponents cancel."""
-        q = self.base.p ** self.level
-
-        def down(f: MPoly) -> Optional[MPoly]:
-            out = {}
-            for e, c in f.terms.items():
-                if any(x % q for x in e):
-                    return None
-                out[tuple(x // q for x in e)] = c
-            return MPoly(self.base, out)
-
-        rn = down(self.value.num)
-        if rn is None:
-            return None
-        rd = down(self.value.den)
-        if rd is None:
-            return None
-        return RatFunc(rn, rd)
-
-
-def tower_root(a: RatFunc, n: int, level: int) -> RootTowerElem:
-    """a^(1/p^n) as a level-`level` tower element (requires level >= n)."""
-    if not a:
-        raise ZeroInput("cannot take roots of zero")
-    if level < n:
-        raise LevelMismatch(f"level {level} cannot hold a p^{n}-th root")
-    base = a.field
-    aux = tower_field(base, level)
-    scale = base.p ** (level - n)
-    images = [(j, scale) for j in range(base.r)]
-    return RootTowerElem(base, level, a.embed(aux, images))
-
-
-def _coords(x: RootTowerElem) -> dict[int, RatFunc]:
-    """Coordinates of x in the k-basis {u^e : 0 <= e_j < p^level}, e read in base p^level.
-
-    Inverses are cleared via 1/h = h^(p^N - 1) / h^(p^N); the denominator
-    is then a p^N-th power of polynomials, i.e. an element of k.
+    Exponents split as q*d + (e mod q), with e mod q read in base q as the
+    index; the coordinate sum of c*t^(q*d) is the q-th power of sum of c*t^d.
     """
-    base = x.base
-    q = base.p ** x.level
-    num, den = x.value.num, x.value.den
-    if not den.is_one():
-        num = num * den ** (q - 1)
-        den = den.scale_exponents(q)
-    dk = RatFunc.from_poly(MPoly(base, {tuple(d // q for d in e): c for e, c in den.terms.items()}))
     coords: dict[int, dict] = {}
-    for e, c in num.terms.items():
+    for e, c in f.terms.items():
         idx = 0
         for d in e:
             idx = idx * q + d % q
         coords.setdefault(idx, {})[tuple(d // q for d in e)] = c
-    return {idx: RatFunc.from_poly(MPoly(base, terms)) / dk for idx, terms in coords.items()}
+    return {idx: RatFunc.from_poly(MPoly(f.field, terms)) for idx, terms in coords.items()}
 
 
 def _check_basis(base: FieldDesc, level: int, cap: int) -> None:
@@ -791,24 +726,22 @@ def _check_basis(base: FieldDesc, level: int, cap: int) -> None:
         raise BasisTooLarge(f"dense tower basis p^(r*N) = {size} exceeds cap {cap}")
 
 
-def _span_space(
-    base: FieldDesc, level: int, ladder: Sequence[tuple[RootTowerElem, int]]
-) -> RowSpace:
-    """Echelon basis of k(ladder) in tower coordinates.
+def _span_space(base: FieldDesc, q: int, ladder: Sequence[tuple[MPoly, int]]) -> RowSpace:
+    """Echelon basis of k^q(ladder) in the coordinates of `_coords`.
 
     It is spanned by the products of generators with exponents below each
     one's ladder level.
     """
-    aux_one = RatFunc.from_poly(MPoly.one(tower_field(base, level)))
-    products = [aux_one]
-    for g, e in ladder:
-        powers = [aux_one]
+    one = MPoly.one(base)
+    products = [one]
+    for x, e in ladder:
+        powers = [one]
         for _ in range(base.p ** e - 1):
-            powers.append(powers[-1] * g.value)
+            powers.append(powers[-1] * x)
         products = [acc * pw for acc in products for pw in powers]
     space = RowSpace()
     for prod in products:
-        space.insert(_coords(RootTowerElem(base, level, prod)))
+        space.insert(_coords(prod, q))
     return space
 
 
@@ -869,28 +802,35 @@ def compositum_degree(
 
 
 def _dense_degree(pairs: Sequence[tuple[RatFunc, int]], cap: int) -> int:
-    """[k' : k] by linear algebra in the dense tower basis of size p^(r*N).
+    """[k' : k] by linear algebra over k^q, q = p^N, in the basis of size p^(r*N).
 
-    Generators are adjoined one at a time; each contributes p^e where e is
-    its inseparability exponent over the field built so far.
+    The q-th power map carries k' onto k^q(a_i^(s_i)) with s_i = p^(N - n_i),
+    and for a_i = num/den the polynomial x_i = num^(s_i) * den^(q - s_i)
+    = a_i^(s_i) * den^q generates the same field over k^q.  As
+    k^q(x) = k^q(1/x), the side of larger total degree takes the num role,
+    which keeps the power of the other small.  Each generator contributes
+    p^e, e its inseparability exponent over the field built so far.
     """
     base = pairs[0][0].field
     level = max(n for _, n in pairs)
     if level == 0:
         return 1
     _check_basis(base, level, cap)
-    ladder: list[tuple[RootTowerElem, int]] = []
+    q = base.p ** level
+    ladder: list[tuple[MPoly, int]] = []
     degree = 1
-    space = _span_space(base, level, ladder)
+    space = _span_space(base, q, ladder)
     for a, n in pairs:
-        x = tower_root(a, n, level)
-        # e = n always stops the loop: x^(p^n) = a lies in k
+        num, den = a.num, a.den
+        if sum(den.leading()[0]) > sum(num.leading()[0]):
+            num, den = den, num
+        x = (num * den ** (base.p ** n - 1)).scale_exponents(q // base.p ** n)
+        # e = n always stops the loop: x^(p^n) lies in k^q, and the span holds 1
         for e in range(n + 1):
-            xe = x.power(e)
-            if xe.in_base() is not None or space.reduces_to_zero(_coords(xe)):
+            if space.reduces_to_zero(_coords(x.frobenius(e), q)):
                 break
         if e:
             ladder.append((x, e))
             degree *= base.p ** e
-            space = _span_space(base, level, ladder)
+            space = _span_space(base, q, ladder)
     return degree

@@ -257,10 +257,13 @@ def test_exit_code_trivial_completion(capsys):
     ("GF(2)(t,u)", "y^128 = x + t*x^2", (), 128),
     ("GF(5)(t,u)", "y^25 = x + (t+u)*x^5 + (t*u+1)*x^25", ("--search-bound", "0"), 625),
     ("GF(7)(t,u)", "y^49 = x + (t+u)*x^7 + (t*u+1)*x^49", ("--search-bound", "0"), 2401),
+    ("GF(5)(t,u)", "y^25 = x + t^5*x^5 + 1/(t+u+1)*x^25", ("--search-bound", "0"), 125),
 ])
 def test_analyze_large_splitting_degree(capsys, field, eq, extra, degree):
-    # one generator (sandwich) and two p-independent ones (full rank):
-    # the p-basis rules settle dense towers of 2^14, 5^4 and 7^4 unknowns
+    # one generator (sandwich) and two p-independent ones (full rank): the
+    # p-basis rules settle dense bases of 2^14, 5^4 and 7^4 unknowns; the
+    # last input is a remainder that no rule settles, with a denominator
+    # that the dense path takes as its generator's num side
     code, out, _ = run_cli(capsys, "analyze", "--field", field, "--eq", eq, *extra)
     assert code == 0
     assert f"[k':k] = {degree}\n" in out

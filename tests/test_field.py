@@ -13,7 +13,6 @@ from unipic import (
     DivisionByZero,
     FieldDesc,
     FieldMismatch,
-    LevelMismatch,
     MPoly,
     RatFunc,
     UnknownVariable,
@@ -24,13 +23,17 @@ from unipic import (
     poly_gcd,
     power_level,
     root_field_degree,
-    tower_field,
-    tower_root,
 )
 
 from conftest import F2T, F2TU, F3T, mpoly_strategy, ratfunc_strategy
 from mul_reference import mul_reference
-from tower_reference import subfield_membership
+from tower_reference import (
+    LevelMismatch,
+    dense_degree_reference,
+    subfield_membership,
+    tower_field,
+    tower_root,
+)
 
 
 # ---------------------------------------------------------------- arithmetic
@@ -320,30 +323,36 @@ def test_basis_cap_env(monkeypatch):
 
 def test_basis_cap_enforced():
     # no rule settles this input: the sandwich gives 4..8 and the top
-    # Jacobian rank is 1 < 2, so the dense tower (degree 8) is needed
+    # Jacobian rank is 1 < 2, so the dense basis (degree 8) is needed
     t, u = F2TU.var("t"), F2TU.var("u")
     assert field_mod._dense_degree([(t, 2), (u, 1)], cap=64) == 8
     with pytest.raises(BasisTooLarge):
         compositum_degree([(t, 2), (u, 1)], cap=2)
 
 
-def _random_coeff(rng, field):
-    """A polynomial, a quarter of the time inverted, raised to the p^j-th power."""
+def _random_coeff(rng, field, den_rng):
+    """A polynomial, a quarter of the time inverted and a quarter of the time
+    divided by a monomial drawn from den_rng, raised to the p^j-th power."""
     terms = {tuple(rng.randint(0, 2) for _ in field.vars): rng.randint(1, field.p - 1)
              for _ in range(rng.randint(1, 3))}
     f = RatFunc.from_poly(MPoly(field, terms))
-    f = f.inverse() if rng.random() < 0.25 else f
+    roll = rng.random()
+    if roll < 0.25:
+        f = f.inverse()
+    elif roll < 0.5:
+        f = f / RatFunc.from_poly(MPoly(field, {tuple(den_rng.randint(0, 2) for _ in field.vars): 1}))
     return f.frobenius(rng.randint(0, 2))
 
 
 def test_rules_match_dense_oracle(monkeypatch):
-    # the dense side costs about p^(r*N) rows times a (p^N - 1)-th power of
-    # each denominator, so both stay small: basis <= 81 and p^N <= 27
+    # the auxiliary-field oracle costs about p^(r*N) rows times a (p^N - 1)-th
+    # power of each denominator, so both stay small: basis <= 81 and p^N <= 27;
+    # it checks the p-basis rules and the Frobenius-side dense path alike
     dense = field_mod._dense_degree
     remainder = []
     monkeypatch.setattr(field_mod, "_dense_degree",
                         lambda pairs, cap: remainder.append(pairs) or dense(pairs, cap))
-    rng = random.Random(2016)
+    rng, den_rng = random.Random(2016), random.Random(2017)
     seen = {}
     while len(seen) < 250:
         p, r = rng.choice((2, 3, 5, 7)), rng.randint(1, 3)
@@ -351,12 +360,14 @@ def test_rules_match_dense_oracle(monkeypatch):
         if top == 0:
             continue
         k = FieldDesc(p, ("t", "u", "w")[:r])
-        pairs = tuple((_random_coeff(rng, k), rng.randint(1, top))
+        pairs = tuple((_random_coeff(rng, k, den_rng), rng.randint(1, top))
                       for _ in range(rng.randint(1, 3)))
         if pairs in seen:
             continue
         remainder.clear()
-        assert compositum_degree(pairs) == dense(pairs, 81), pairs
+        want = dense_degree_reference(pairs, 81)
+        assert compositum_degree(pairs) == want, pairs
+        assert dense(pairs, 81) == want, pairs
         exps = [n - power_level(a, n) for a, n in pairs]
         e = max(exps)
         if e == 0:
@@ -370,3 +381,19 @@ def test_rules_match_dense_oracle(monkeypatch):
         assert not remainder or branch == "remainder", pairs
         seen[pairs] = branch
     assert {"sandwich", "exponent one", "full rank", "remainder"} <= set(seen.values())
+    # the remainder meets a denominator and both sides of the num/den choice
+    rest = [a for pairs, branch in seen.items() if branch == "remainder" for a, _ in pairs]
+    assert any(not a.num.is_constant() and not a.den.is_constant() for a in rest)
+    assert any(sum(a.den.leading()[0]) > sum(a.num.leading()[0]) for a in rest)
+
+
+def test_public_surface():
+    import unipic
+
+    for name in unipic.__all__:
+        getattr(unipic, name)
+    assert len(set(unipic.__all__)) == len(unipic.__all__)
+    # the auxiliary-field tower lives on only in tests/tower_reference.py
+    for name in ("tower_field", "tower_root", "RootTowerElem", "LevelMismatch"):
+        assert name not in unipic.__all__
+        assert not hasattr(field_mod, name)

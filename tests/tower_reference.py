@@ -1,22 +1,158 @@
-"""Subfield membership in the dense root tower, kept for the tests.
+"""The auxiliary-field root tower, kept for the tests as the oracle.
 
-`subfield_membership(x, gens)` decides x in k(gens) by exact linear
-algebra over k in the tower basis of size p^(r*N), with the same span
-and coordinates as `unipic.field._dense_degree`, the oracle for the
-p-basis rules of `compositum_degree`.
+This is the dense path of `unipic.field` as it stood before it was read
+through Frobenius: elements of k^(1/p^N) live over an auxiliary field
+F_p(u_1, ..., u_r) with u_j^(p^N) = t_j, and coordinates over k clear each
+denominator with a (p^N - 1)-th power.  `dense_degree_reference` is the old
+`_dense_degree`, the oracle for both the p-basis rules of
+`compositum_degree` and the Frobenius-side `unipic.field._dense_degree`.
+`subfield_membership(x, gens)` decides x in k(gens) on the same basis.
 """
 
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from unipic.field import (
-    LevelMismatch,
-    RootTowerElem,
+    FieldDesc,
+    MPoly,
+    RatFunc,
     ZeroInput,
     _check_basis,
-    _coords,
-    _span_space,
     basis_cap,
 )
+from unipic.linalg import RowSpace
+
+
+class LevelMismatch(ValueError):
+    """Root-tower elements at different levels were combined."""
+
+
+def tower_field(base: FieldDesc, level: int) -> FieldDesc:
+    """Auxiliary field F_p(u_1, ..., u_r) with u_j standing for t_j^(1/p^level)."""
+    return FieldDesc(base.p, tuple(f"{v}#{level}" for v in base.vars))
+
+
+@dataclass(frozen=True)
+class RootTowerElem:
+    """An element of k^(1/p^level), stored over the auxiliary root field."""
+
+    base: FieldDesc
+    level: int
+    value: RatFunc
+
+    def __post_init__(self) -> None:
+        if self.value.field != tower_field(self.base, self.level):
+            raise LevelMismatch("value not over the auxiliary field of this level")
+
+    def power(self, e: int) -> "RootTowerElem":
+        """Raise to the p^e-th power."""
+        return RootTowerElem(self.base, self.level, self.value.frobenius(e))
+
+    def in_base(self) -> Optional[RatFunc]:
+        """Rewrite as an element of k when all root exponents cancel."""
+        q = self.base.p ** self.level
+
+        def down(f: MPoly) -> Optional[MPoly]:
+            out = {}
+            for e, c in f.terms.items():
+                if any(x % q for x in e):
+                    return None
+                out[tuple(x // q for x in e)] = c
+            return MPoly(self.base, out)
+
+        rn = down(self.value.num)
+        if rn is None:
+            return None
+        rd = down(self.value.den)
+        if rd is None:
+            return None
+        return RatFunc(rn, rd)
+
+
+def tower_root(a: RatFunc, n: int, level: int) -> RootTowerElem:
+    """a^(1/p^n) as a level-`level` tower element (requires level >= n)."""
+    if not a:
+        raise ZeroInput("cannot take roots of zero")
+    if level < n:
+        raise LevelMismatch(f"level {level} cannot hold a p^{n}-th root")
+    base = a.field
+    aux = tower_field(base, level)
+    scale = base.p ** (level - n)
+    images = [(j, scale) for j in range(base.r)]
+    return RootTowerElem(base, level, a.embed(aux, images))
+
+
+def _coords(x: RootTowerElem) -> dict[int, RatFunc]:
+    """Coordinates of x in the k-basis {u^e : 0 <= e_j < p^level}, e read in base p^level.
+
+    Inverses are cleared via 1/h = h^(p^N - 1) / h^(p^N); the denominator
+    is then a p^N-th power of polynomials, i.e. an element of k.
+    """
+    base = x.base
+    q = base.p ** x.level
+    num, den = x.value.num, x.value.den
+    if not den.is_one():
+        num = num * den ** (q - 1)
+        den = den.scale_exponents(q)
+    dk = RatFunc.from_poly(MPoly(base, {tuple(d // q for d in e): c for e, c in den.terms.items()}))
+    coords: dict[int, dict] = {}
+    for e, c in num.terms.items():
+        idx = 0
+        for d in e:
+            idx = idx * q + d % q
+        coords.setdefault(idx, {})[tuple(d // q for d in e)] = c
+    return {idx: RatFunc.from_poly(MPoly(base, terms)) / dk for idx, terms in coords.items()}
+
+
+
+def _span_space(
+    base: FieldDesc, level: int, ladder: Sequence[tuple[RootTowerElem, int]]
+) -> RowSpace:
+    """Echelon basis of k(ladder) in tower coordinates.
+
+    It is spanned by the products of generators with exponents below each
+    one's ladder level.
+    """
+    aux_one = RatFunc.from_poly(MPoly.one(tower_field(base, level)))
+    products = [aux_one]
+    for g, e in ladder:
+        powers = [aux_one]
+        for _ in range(base.p ** e - 1):
+            powers.append(powers[-1] * g.value)
+        products = [acc * pw for acc in products for pw in powers]
+    space = RowSpace()
+    for prod in products:
+        space.insert(_coords(RootTowerElem(base, level, prod)))
+    return space
+
+
+
+def dense_degree_reference(pairs: Sequence[tuple[RatFunc, int]], cap: int) -> int:
+    """[k' : k] by linear algebra in the dense tower basis of size p^(r*N).
+
+    Generators are adjoined one at a time; each contributes p^e where e is
+    its inseparability exponent over the field built so far.
+    """
+    base = pairs[0][0].field
+    level = max(n for _, n in pairs)
+    if level == 0:
+        return 1
+    _check_basis(base, level, cap)
+    ladder: list[tuple[RootTowerElem, int]] = []
+    degree = 1
+    space = _span_space(base, level, ladder)
+    for a, n in pairs:
+        x = tower_root(a, n, level)
+        # e = n always stops the loop: x^(p^n) = a lies in k
+        for e in range(n + 1):
+            xe = x.power(e)
+            if xe.in_base() is not None or space.reduces_to_zero(_coords(xe)):
+                break
+        if e:
+            ladder.append((x, e))
+            degree *= base.p ** e
+            space = _span_space(base, level, ladder)
+    return degree
 
 
 def _exponent_over(x: RootTowerElem) -> int:
