@@ -265,14 +265,13 @@ class MPoly:
     def __pow__(self, n: int) -> "MPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = MPoly.one(self.field)
-        base = self
+        result, base = None, self  # the first factor is taken as is, not times one
         while n:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if n > 1 else base
             n >>= 1
-        return result
+        return MPoly.one(self.field) if result is None else result
 
     # -- char-p structure ----------------------------------------------
 
@@ -555,6 +554,8 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.den.is_one() and o.den.is_one():
+            return RatFunc(self.num + o.num, self.den, reduced=True)
         return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
@@ -578,6 +579,8 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.den.is_one() and o.den.is_one():
+            return RatFunc(self.num * o.num, self.den, reduced=True)
         return RatFunc(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
@@ -604,7 +607,7 @@ class RatFunc:
     def __pow__(self, n: int) -> "RatFunc":
         if n < 0:
             return self.inverse() ** (-n)
-        return RatFunc(self.num ** n, self.den ** n)
+        return RatFunc(self.num ** n, self.den ** n, reduced=True)  # coprime, den stays monic
 
     # -- char-p structure ----------------------------------------------
 

@@ -419,12 +419,14 @@ def _search(field, n, coeffs, b, max_deg) -> Optional[tuple[int, int]]:
     """First (gidx, hidx) in counting order whose x = g/h is a point, or None.
 
     With L the common denominator, b = B/L and a_i = C_i/L, the point
-    equation holds at x = g/h exactly when N * E is a p^n-th power, where
-    N = B h^(p^m) + sum_i C_i g^(p^i) h^(p^m - p^i) and E = (L h^(p^m))^(q-1)
-    (E = 1 when L h^(p^m) is already a q-th power).  Over F_p a polynomial
-    is a q-th power iff no exponent is off the lattice q*Z^r, and
-    g -> g^(p^i) is additive and fixes F_p, so for fixed monic h the test
-    is one affine system over F_p in the K base-p digits of g.
+    equation holds at x = g/h exactly when N D^(q-1) is a q-th power, q = p^n,
+    where N = B h^(p^m) + sum_i C_i g^(p^i) h^(p^m - p^i) and D = L h^(p^m).
+    A nonzero q-th power factor never changes that, so D^(q-1) is reduced
+    mod q to E = L^(q-1) prod_{j=m}^{n-1} (h^(p-1))^(p^j), with no h-part for
+    m >= n.  Over F_p a polynomial is a q-th power iff no exponent is off
+    the lattice q*Z^r, and g -> g^(p^i) is additive and fixes F_p, so for
+    fixed monic h the test is one affine system over F_p in the K base-p
+    digits of g.
     """
     if not b:
         return 0, 1  # x = 0 lies on every form
@@ -432,11 +434,11 @@ def _search(field, n, coeffs, b, max_deg) -> Optional[tuple[int, int]]:
     m = len(coeffs) - 1
     q = p ** n
     L, B, C = _clear_denominators(field, coeffs, b)
+    Lq = L ** (q - 1)  # the L-part of E, the same for every h
+    B, C = B * Lq, [c * Lq for c in C]
     monos = _monomials_up_to(field.r, max_deg)
     K = len(monos)
     one = MPoly.one(field)
-    L_perfect = m >= n and all(x % q == 0 for e in L.terms for x in e)
-    Lq = one if L_perfect else L ** (q - 1)
 
     def split(f: MPoly) -> dict:
         """Terms of f grouped by their exponent residue mod q."""
@@ -445,40 +447,38 @@ def _search(field, n, coeffs, b, max_deg) -> Optional[tuple[int, int]]:
             out.setdefault(tuple(x % q for x in e), []).append((e, c))
         return out
 
-    def shift(e: tuple[int, ...], i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Residue mod q and exponent of the monomial e^(p^i)."""
-        e = tuple(p ** i * x for x in e)
-        return tuple(x % q for x in e), e
-
-    shifts = [[shift(e, i) for e in monos] for i in range(m + 1)]
+    # residue mod q and exponent of each monomial raised to the p^i
+    shifts = [[(tuple(p ** i * x % q for x in e), tuple(p ** i * x for x in e)) for e in monos]
+              for i in range(m + 1)]
     good = (0,) * field.r
+    cols: dict = {}  # (i, residue) -> the columns (k, shift) that leave the q-lattice
 
     for top in range(K):
         # monic h: leading digit 1 at position top, anything below
         for hidx in range(p ** top, 2 * p ** top):
             h = _poly_at(field, monos, hidx)
             hp1 = h ** (p - 1)
-            E = Lq
-            if not L_perfect:
-                for j in range(m, m + n):
-                    E = E * hp1.frobenius(j)
-            const = split(B * h.frobenius(m) * E)
+            R = one  # the h-part of E, then h^(p^m - p^i) times it for i = m down to 0
+            for j in range(m, n):
+                R = R * hp1.frobenius(j)
+            const = split(B * (h.frobenius(m) * R))
             const.pop(good, None)
             if not const:
                 return 0, hidx
             # one equation per bad exponent: K digit coefficients, then the right side
             rows = {e: [0] * K + [-c] for terms in const.values() for e, c in terms}
-            R = one  # h^(p^m - p^i), for i from m down to 0
             for i in range(m, -1, -1):
                 if i < m:
                     R = R * hp1.frobenius(i)
                 if not C[i]:
                     continue
                 # column k gets C_i h^(p^m - p^i) E times monos[k]^(p^i)
-                for res, terms in split(C[i] * R * E).items():
-                    for k, (s_res, s) in enumerate(shifts[i]):
-                        if all((x + y) % q == 0 for x, y in zip(res, s_res)):
-                            continue
+                for res, terms in split(C[i] * R).items():
+                    ks = cols.get((i, res))
+                    if ks is None:
+                        ks = cols[i, res] = [(k, s) for k, (s_res, s) in enumerate(shifts[i])
+                                             if any((x + y) % q for x, y in zip(res, s_res))]
+                    for k, s in ks:
                         for e, c in terms:
                             e = tuple(map(add, e, s))
                             row = rows.get(e)

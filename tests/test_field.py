@@ -156,6 +156,38 @@ def test_mul_matches_reference():
             assert cancelled, (p, r)  # some products lost terms to cancellation
 
 
+def test_fast_paths_match_unreduced_constructor():
+    # sums and products of two polynomials skip the gcd, and a power keeps
+    # its base's reduced form; each must equal what RatFunc(num, den) reduces
+    rng = random.Random(2018)
+    for p in (2, 3, 5):
+        for r in (1, 2):
+            k = FieldDesc(p, ("t", "u")[:r])
+
+            def poly():
+                return MPoly.make(k, {tuple(rng.randint(0, 2) for _ in range(r)):
+                                      rng.randint(1, p - 1)
+                                      for _ in range(rng.randint(1, 3))})
+
+            def operand():
+                return RatFunc(poly(), poly() if rng.random() < 0.5 else MPoly.one(k))
+
+            kinds = set()
+            for _ in range(25):
+                f, g = operand(), operand()
+                for a, b in ((f, g), (f, -f)):
+                    assert a + b == RatFunc(a.num * b.den + b.num * a.den, a.den * b.den), (a, b)
+                    assert a * b == RatFunc(a.num * b.num, a.den * b.den), (a, b)
+                    kinds.add((a.is_polynomial(), b.is_polynomial()))
+                e = rng.randint(0, 6)
+                num, den = MPoly.one(k), MPoly.one(k)
+                for _ in range(e):
+                    num, den = num * f.num, den * f.den
+                assert f.num ** e == num and f.den ** e == den, (f, e)
+                assert f ** e == RatFunc(num, den), (f, e)
+            assert kinds == {(True, True), (True, False), (False, True), (False, False)}, (p, r)
+
+
 def test_field_operators():
     t = F2T.var("t")
     one = F2T.one()

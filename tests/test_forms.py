@@ -27,10 +27,10 @@ from unipic import (
     splitting_field_degree,
     splitting_level,
 )
-from unipic.forms import _search, _unpack
+from unipic.forms import _clear_denominators, _monomials_up_to, _search, _unpack
 
 from conftest import F2T, F2TU, F3T, ratfunc_strategy
-from search_reference import brute_force_search
+from search_reference import brute_force_search, linear_search_reference
 
 F5T = FieldDesc(5, ("t",))
 SEARCH_FIELDS = [FieldDesc(p, names) for p in (2, 3, 5) for names in (("t",), ("t", "u"))]
@@ -247,6 +247,59 @@ def search_torsors(draw):
 @given(search_torsors())
 def test_search_engines_agree(T):
     assert _search(*_unpack(T), 1) == brute_force_search(T, 1)
+
+
+def _search_oracle_inputs():
+    """Seeded torsors over GF(p)(t[,u]), p in {2, 3, 5}, with 1 <= n, m <= 3.
+
+    Per (p, r, n, m) the denominators of the a_i are q-th powers (q = p^n)
+    or not, and b is planted (b = y0^q - tau(x0) for x0 = g0/h0 in the
+    search range) or drawn at random.  The bound is 1 where the brute force
+    and the earlier engine stay cheap, else 0.
+    """
+    rng = random.Random(1610)
+    for p, r, n, m in itertools.product((2, 3, 5), (1, 2), (1, 2, 3), (1, 2, 3)):
+        field = FieldDesc(p, ("t", "u")[:r])
+        t = field.var("t")
+        q, max_deg = p ** n, int(p ** (n + m + 2 * r) <= 3 ** 7)
+        monos = _monomials_up_to(r, max_deg)
+
+        def poly(k=2):
+            picked = rng.sample(monos, min(k, len(monos)))
+            return MPoly.make(field, {e: rng.randint(1, p - 1) for e in picked})
+
+        for perfect in (True, False):
+            dens = [field.one(), t ** q, (t + 1) ** q] if perfect else [t, t + 1]
+
+            def coeff():
+                return RatFunc.from_poly(poly(1)) / rng.choice(dens)
+
+            tau = [field.one()] + [coeff() if i == m or rng.random() < 0.5 else field.zero()
+                                   for i in range(1, m + 1)]
+            G = make_form(n, SkewPoly(field, tau))
+            top = rng.randrange(len(monos))  # a monic h0 in counting order
+            h0 = MPoly.make(field, {**{e: rng.randrange(p) for e in monos[:top]}, monos[top]: 1})
+            x0 = RatFunc(poly(), h0)
+            y0 = RatFunc.from_poly(poly(1))
+            b_hit = y0 ** q - sum((c * x0.frobenius(i) for i, c in enumerate(G.tau.coeffs)), field.zero())
+            for b in (b_hit, coeff()):
+                yield make_torsor(G, b), max_deg
+
+
+def test_search_matches_references():
+    # the engine against the earlier linear engine and the brute force, on
+    # both sides of m < n, with and without q-th-power denominators
+    classes = set()
+    for T, max_deg in _search_oracle_inputs():
+        field, n, coeffs, b = args = _unpack(T)
+        got = _search(*args, max_deg)
+        assert got == linear_search_reference(*args, max_deg), T
+        assert got == brute_force_search(T, max_deg), T
+        L = _clear_denominators(field, coeffs, b)[0]
+        perfect = all(x % field.p ** n == 0 for e in L.terms for x in e)
+        classes.add((T.m < n, perfect, None if got is None else got[1] > 1))
+    # misses, and hits over h = 1 and over a later h, in every (m < n, perfect) cell
+    assert classes == set(itertools.product((True, False), (True, False), (None, False, True)))
 
 
 def test_point_over_second_denominator_f3():
