@@ -14,7 +14,7 @@ import functools
 import json
 import sys
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .catalogue import run_catalogue
 from .field import FieldDesc, RatFunc, is_prime
@@ -61,8 +61,7 @@ class BadExponent(ParseError):
 _SYMBOLS = set("()+-*/^=,")
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str  # "int", "name", or the symbol itself
     text: str
     pos: int
@@ -277,7 +276,7 @@ def parse_form_equation(s: str, field_spec: Union[FieldSpecAST, FieldDesc]) -> E
         if xexp is None:
             b = b + coeff
         else:
-            coeffs[xexp] = coeffs.get(xexp, field.zero()) + coeff
+            coeffs[xexp] = coeffs[xexp] + coeff if xexp in coeffs else coeff
         t = cur.next()
         if t.kind == "end":
             break

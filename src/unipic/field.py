@@ -182,7 +182,7 @@ class MPoly:
         return self.terms == {(0,) * self.field.r: 1}
 
     def is_constant(self) -> bool:
-        return not self.terms or set(self.terms) == {(0,) * self.field.r}
+        return not self.terms or (len(self.terms) == 1 and (0,) * self.field.r in self.terms)
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
@@ -482,11 +482,35 @@ def poly_gcd(f: MPoly, g: MPoly) -> MPoly:
     return _gcd_rec(f, g, f.field.r - 1)
 
 
+def _monic_den(num: MPoly, den: MPoly) -> tuple[MPoly, MPoly]:
+    """num and den scaled so that den has leading coefficient 1."""
+    inv = pow(den.leading()[1], -1, den.field.p)
+    return num.scale(inv), den.scale(inv)
+
+
+def _cancel(x: MPoly, y: MPoly) -> tuple[MPoly, MPoly]:
+    """x and y divided by their gcd, which is not taken when a side is constant."""
+    if x.is_constant() or y.is_constant():
+        return x, y
+    g = poly_gcd(x, y)
+    if g.is_one():
+        return x, y
+    return x.exact_div(g), y.exact_div(g)
+
+
 class RatFunc:
     """Canonical rational function num/den over F_p(vars).
 
     Canonical form: gcd(num, den) = 1 and the graded-lex leading coefficient
     of den is 1.  Equality and hashing are structural.
+
+    Arithmetic on reduced a/b and c/d takes no gcd of a full cross product
+    (Henrici; Knuth, TAOCP 4.5.1).  x + 0 is x; (a + c b)/b is coprime as
+    gcd(a, b) = 1; with g = gcd(b, d) = 1, (a d + c b)/(b d) is too, else
+    only gcd(t, g) with t = a (d/g) + c (b/g) can cancel.  Products and
+    quotients divide out the cross gcds, gcd(a, d) and gcd(c, b) (gcd(a, c)
+    and gcd(d, b) for a quotient), skipped when a side is constant.  The
+    canonical form is unique, so each result equals the constructor's.
     """
 
     __slots__ = ("num", "den", "_hash")
@@ -504,11 +528,7 @@ class RatFunc:
                 if not g.is_one():
                     num = num.exact_div(g)
                     den = den.exact_div(g)
-            _, lc = den.leading()
-            if lc != 1:
-                inv = pow(lc, -1, den.field.p)
-                num = num.scale(inv)
-                den = den.scale(inv)
+            num, den = _monic_den(num, den)
         self.num = num
         self.den = den
         self._hash = None
@@ -554,9 +574,23 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.den.is_one() and o.den.is_one():
-            return RatFunc(self.num + o.num, self.den, reduced=True)
-        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
+        if not o.num:
+            return self
+        if not self.num:
+            return o
+        (a, b), (c, d) = (self.num, self.den), (o.num, o.den)
+        if b.is_one() and d.is_one():
+            return RatFunc(a + c, b, reduced=True)
+        if d.is_one():
+            return RatFunc(a + c * b, b, reduced=True)
+        if b.is_one() or (g := poly_gcd(b, d)).is_one():
+            return RatFunc(a * d + c * b, b * d, reduced=True)
+        b1, d1 = b.exact_div(g), d.exact_div(g)
+        t = a * d1 + c * b1
+        h = poly_gcd(t, g)  # t = 0 only when b = d = g, and then h = g leaves 0/1
+        if not h.is_one():
+            t, d = t.exact_div(h), d.exact_div(h)
+        return RatFunc(t, b1 * d, reduced=True)
 
     __radd__ = __add__
 
@@ -581,7 +615,11 @@ class RatFunc:
             return NotImplemented
         if self.den.is_one() and o.den.is_one():
             return RatFunc(self.num * o.num, self.den, reduced=True)
-        return RatFunc(self.num * o.num, self.den * o.den)
+        if not self.num or not o.num:
+            return self.field.zero()
+        a, d = _cancel(self.num, o.den)
+        c, b = _cancel(o.num, self.den)
+        return RatFunc(a * c, b * d, reduced=True)
 
     __rmul__ = __mul__
 
@@ -591,7 +629,11 @@ class RatFunc:
             return NotImplemented
         if not o.num:
             raise DivisionByZero("division by zero rational function")
-        return RatFunc(self.num * o.den, self.den * o.num)
+        if not self.num:
+            return self
+        a, c = _cancel(self.num, o.num)
+        d, b = _cancel(o.den, self.den)
+        return RatFunc(*_monic_den(a * d, b * c), reduced=True)
 
     def __rtruediv__(self, other) -> "RatFunc":
         o = self._coerce(other)
@@ -602,7 +644,7 @@ class RatFunc:
     def inverse(self) -> "RatFunc":
         if not self.num:
             raise DivisionByZero("inverse of zero")
-        return RatFunc(self.den, self.num)
+        return RatFunc(*_monic_den(self.den, self.num), reduced=True)
 
     def __pow__(self, n: int) -> "RatFunc":
         if n < 0:

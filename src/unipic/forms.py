@@ -570,16 +570,10 @@ def rewrite_plane_model(T, alpha: RatFunc, s: int) -> PlaneModel:
     if s < 0:
         raise InvalidSubstitution("s must be nonnegative")
     inv = alpha.inverse()
-    wc: dict[int, RatFunc] = {}
-    yc: dict[int, RatFunc] = {}
-    for i, c in enumerate(coeffs):
-        if not c:
-            continue
-        scaled = c * inv.frobenius(i)
-        wc[i] = wc.get(i, field.zero()) + scaled
-        yc[s + i] = yc.get(s + i, field.zero()) + scaled
+    wc = {i: c * inv.frobenius(i) for i, c in enumerate(coeffs) if c}
+    yc = {s + i: c for i, c in wc.items()}
     yc[n] = yc.get(n, field.zero()) - field.one()
-    wt = tuple((i, c) for i, c in sorted(wc.items()) if c)
+    wt = tuple(sorted(wc.items()))
     yt = tuple((j, c) for j, c in sorted(yc.items()) if c)
     return PlaneModel(
         field,
@@ -608,8 +602,7 @@ def plane_model_residual(T, model: PlaneModel) -> dict:
     def bump(key, c) -> None:
         if not c:
             return
-        cur = acc.get(key, field.zero())
-        nxt = cur + c
+        nxt = acc[key] + c if key in acc else c
         if nxt:
             acc[key] = nxt
         elif key in acc:

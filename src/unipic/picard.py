@@ -27,6 +27,7 @@ from .forms import (
 )
 from .wproj import (
     InfinityData,
+    WeightedCurve,
     cech_h1_dim,
     genus_from_formula,
     is_regular_at_infinity,
@@ -184,11 +185,16 @@ def exact_sequence_data(X, search_bound: int = 2) -> ExactSeqData:
     completion is regular and an upper bound otherwise.  The completion
     and its boundary data are built once and serve both r and Pic0.
     """
+    return _sequence_and_completion(X, search_bound)[0]
+
+
+def _sequence_and_completion(X, search_bound: int) -> tuple[ExactSeqData, Optional[WeightedCurve]]:
+    """exact_sequence_data, with the naive completion it built (None for m = 0)."""
     field, n, coeffs, b = _unpack(X)
     p = field.p
     m = len(coeffs) - 1
     if m == 0:
-        inf = None
+        C = inf = None
         pic0 = NValue("exact", 0, "projective-line")
     else:
         C = naive_completion(X)
@@ -214,7 +220,7 @@ def exact_sequence_data(X, search_bound: int = 2) -> ExactSeqData:
         desc = f"m*Z/{p ** r.value}Z with m | {p ** r.value}"
     else:
         desc = f"m*Z/p^rZ with r <= {r.value} and m | p^r"
-    return ExactSeqData(r, m_X, pic0, quotient, desc, point)
+    return ExactSeqData(r, m_X, pic0, quotient, desc, point), C
 
 
 def invariant_report(X, options: Optional[ReportOptions] = None) -> InvariantReport:
@@ -234,7 +240,7 @@ def invariant_report(X, options: Optional[ReportOptions] = None) -> InvariantRep
     n = splitting_level(G)
     deg = splitting_field_degree(G)
     nontrivial = deg > 1
-    seq = exact_sequence_data(X, options.search_bound)
+    seq, C = _sequence_and_completion(X, options.search_bound)
     point = seq.point
     if not is_torsor or point is not None:
         n_prime = rationality_level(G)
@@ -245,8 +251,8 @@ def invariant_report(X, options: Optional[ReportOptions] = None) -> InvariantRep
         flags.append("torsion-bound-on-bound")
     genus = seq.pic0_dim
     genus_oracle = None
-    if options.run_oracle and G.m >= 1:
-        genus_oracle = cech_h1_dim(naive_completion(X), options.pole_bound)
+    if options.run_oracle and C is not None:
+        genus_oracle = cech_h1_dim(C, options.pole_bound)
         if not genus_oracle[1]:
             flags.append("cech-not-stabilized")
     pic_nontrivial: Optional[tuple[bool, str]] = None

@@ -11,7 +11,7 @@ two-chart cover.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Optional
 
@@ -42,6 +42,8 @@ class WeightedCurve:
     degree: int
     height: int
     source: Torsor
+    # True only on what naive_completion returns; replace() resets it
+    _built: bool = dc_field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         wx, wy, wz = self.weights
@@ -94,33 +96,27 @@ def naive_completion(T) -> WeightedCurve:
     m = len(coeffs) - 1
     if m == 0:
         raise TrivialTau("tau has no twist term; the completion is a projective line")
-    terms: dict[tuple[int, int, int], RatFunc] = {}
-    if n <= m:
-        a = p ** (m - n)
-        weights = (1, a, 1)
-        d = p ** m
-        terms[(0, p ** n, 0)] = -field.one()
-        for i, c in enumerate(coeffs):
-            if c:
-                terms[(p ** i, 0, d - p ** i)] = terms.get((p ** i, 0, d - p ** i), field.zero()) + c
-        if b:
-            terms[(0, 0, d)] = b
-    else:
-        a = p ** (n - m)
-        weights = (a, 1, 1)
-        d = p ** n
-        terms[(0, d, 0)] = -field.one()
-        for i, c in enumerate(coeffs):
-            if c:
-                ez = d - a * (p ** i)
-                terms[(p ** i, 0, ez)] = terms.get((p ** i, 0, ez), field.zero()) + c
-        if b:
-            terms[(0, 0, d)] = b
-    tt = tuple(sorted((e, c) for e, c in terms.items() if c))
-    return WeightedCurve(field, weights, tt, d, p ** min(n, m), src)
+    a = p ** abs(m - n)
+    weights = (1, a, 1) if n <= m else (a, 1, 1)
+    d = p ** max(n, m)
+    # x^(p^i) z^(d - wx p^i), y^(p^n) and z^d are distinct monomials
+    terms = {(p ** i, 0, d - weights[0] * p ** i): c for i, c in enumerate(coeffs) if c}
+    terms[(0, p ** n, 0)] = -field.one()
+    if b:
+        terms[(0, 0, d)] = b
+    C = WeightedCurve(field, weights, tuple(sorted(terms.items())), d, p ** min(n, m), src)
+    object.__setattr__(C, "_built", True)
+    return C
 
 
 def _check_source(C: WeightedCurve) -> None:
+    """Reject a curve that is not the naive completion of its source.
+
+    A curve that naive_completion returned is trusted; any other, built by
+    hand or a dataclasses.replace copy, is compared with a fresh one.
+    """
+    if C._built:
+        return
     rebuilt = naive_completion(C.source)
     if rebuilt.terms != C.terms or rebuilt.weights != C.weights:
         raise NotANaiveCompletion("curve does not match the completion of its source")
@@ -133,11 +129,11 @@ def is_regular_at_infinity(C: WeightedCurve) -> InfinityData:
     k[s]/(s^(p^e) - u) with u built from the top coefficient a_m.  This is
     a field precisely when a_m is not a p-th power, and then the boundary
     is a single regular point whose residue field is purely inseparable
-    of the recorded exponent.
+    of the recorded exponent.  A curve that naive_completion did not
+    return is first rebuilt from its source and compared.
     """
     _check_source(C)
     field, n, coeffs, b = _unpack(C.source)
-    p = field.p
     m = len(coeffs) - 1
     am = coeffs[m]
     if n <= m:
@@ -146,18 +142,19 @@ def is_regular_at_infinity(C: WeightedCurve) -> InfinityData:
     else:
         # chart y = 1: residue ring k[x]/(x^(p^m) - 1/a_m)
         e, u = m, am.inverse()
+    return _residue_ring(u, e, "u")
+
+
+def _residue_ring(u: RatFunc, e: int, name: str) -> InfinityData:
+    """The boundary ring k[s]/(s^(p^e) - u), with u shown as `name`."""
     v = power_level(u, e)
-    deg = p ** e
+    deg = u.field.p ** e
     if v == 0 and e > 0:
-        return InfinityData(True, f"k[s]/(s^{deg} - u), u not a p-th power", deg, e)
+        return InfinityData(True, f"k[s]/(s^{deg} - {name}), {name} not a p-th power", deg, e)
     if e == 0:
         return InfinityData(True, "k", 1, 0)
-    return InfinityData(
-        False,
-        f"k[s]/(s^{deg} - u) with u a p^{v}-th power; nilpotents present",
-        deg,
-        e - v,
-    )
+    return InfinityData(False, f"k[s]/(s^{deg} - {name}) with {name} a p^{v}-th power; nilpotents present",
+                        deg, e - v)
 
 
 def genus_from_formula(C: WeightedCurve) -> int:
@@ -190,6 +187,18 @@ def hilbert_dim(a: int, delta: int, mode: str = "formula") -> int:
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def _unit_column(e: int, j: int, a: int, low: bool) -> bool:
+    """Whether x^e y^j is a unit row's column: e >= 0, or a j <= -e (n <= m) or j <= -a e (n > m)."""
+    return e >= 0 or (a * j <= -e if low else j <= -a * e)
+
+
+def _unit_count(N: int, pn: int, a: int, low: bool) -> int:
+    """Number of unit columns with -N <= e <= N and 0 <= j < p^n, in closed form."""
+    if low:
+        return (N + 1) * pn + sum(max(0, N + 1 - max(a * j, 1)) for j in range(pn))
+    return (N + 1) * pn + sum(min(a * l + 1, pn) for l in range(1, N + 1))
+
+
 def _h1_dim_window(C: WeightedCurve, N: int, powers: list[dict[int, RatFunc]]) -> int:
     """Cech H1 of {z != 0, x != 0} truncated to x-exponents in [-N, N].
 
@@ -203,34 +212,21 @@ def _h1_dim_window(C: WeightedCurve, N: int, powers: list[dict[int, RatFunc]]) -
 
     A unit row only marks its column: reducing the other rows by unit
     vectors deletes those columns and leaves the rank unchanged.  So unit
-    columns are collected in a set, and only the reduced rows, with those
-    columns dropped, go through elimination.
+    columns are counted in closed form (`_unit_count`), not collected, and
+    only the reduced rows, with the columns that `_unit_column` accepts
+    dropped, go through elimination; for n <= m there are none.
     """
     field, n, coeffs, _ = _unpack(C.source)
-    p = field.p
-    m = len(coeffs) - 1
-    pn = p ** n
-
-    def col(e: int, j: int) -> int:
-        return (e + N) * pn + j
-
-    a = C.a
-    units = {col(e, j) for e in range(0, N + 1) for j in range(pn)}
+    pn, a = field.p ** n, C.a
+    low = n <= len(coeffs) - 1
     space = RowSpace()
-    if n <= m:
-        units.update(col(e, j) for j in range(pn) for e in range(-N, min(-a * j, 0) + 1))
-    else:
-        units.update(col(-l, rho) for l in range(N + 1) for rho in range(min(a * l + 1, pn)))
+    if not low:
         for l in range(N + 1):
             for i in range(pn, a * l + 1):
                 q, rho = divmod(i, pn)
-                row = {}
-                for e, v in powers[q].items():
-                    c = col(e - l, rho)
-                    if -N <= e - l <= N and c not in units:
-                        row[c] = v
-                space.insert(row)
-    return (2 * N + 1) * pn - len(units) - space.rank
+                space.insert({(e - l + N) * pn + rho: v for e, v in powers[q].items()
+                              if -N <= e - l and not _unit_column(e - l, rho, a, False)})
+    return (2 * N + 1) * pn - _unit_count(N, pn, a, low) - space.rank
 
 
 def cech_h1_dim(C: WeightedCurve, pole_bound: Optional[int] = None) -> tuple[int, bool]:
@@ -258,7 +254,8 @@ def cech_h1_dim(C: WeightedCurve, pole_bound: Optional[int] = None) -> tuple[int
             nxt: dict[int, RatFunc] = {}
             for e1, c1 in powers[-1].items():
                 for e2, c2 in f.items():
-                    nxt[e1 + e2] = nxt.get(e1 + e2, field.zero()) + c1 * c2
+                    e, c = e1 + e2, c1 * c2
+                    nxt[e] = nxt[e] + c if e in nxt else c
             powers.append({e: c for e, c in nxt.items() if c})
     d_prev = _h1_dim_window(C, pole_bound - 1, powers)
     d_cur = _h1_dim_window(C, pole_bound, powers)
@@ -279,17 +276,4 @@ def residue_from_plane_model(model: PlaneModel) -> Optional[InfinityData]:
     J, cy = model.ycoeffs[-1]
     if I != J:
         return None
-    rho = -(cy / cw)
-    p = model.field.p
-    v = power_level(rho, I)
-    deg = p ** I
-    if v == 0 and I > 0:
-        return InfinityData(True, f"k[s]/(s^{deg} - rho), rho not a p-th power", deg, I)
-    if I == 0:
-        return InfinityData(True, "k", 1, 0)
-    return InfinityData(
-        False,
-        f"k[s]/(s^{deg} - rho) with rho a p^{v}-th power; nilpotents present",
-        deg,
-        I - v,
-    )
+    return _residue_ring(-(cy / cw), I, "rho")

@@ -188,6 +188,88 @@ def test_fast_paths_match_unreduced_constructor():
             assert kinds == {(True, True), (True, False), (False, True), (False, False)}, (p, r)
 
 
+def _arith_pairs(k, rng, poly):
+    """Operand pairs that reach every branch of RatFunc's reduced-form arithmetic."""
+    def nonconst():
+        while (f := poly() + MPoly.var(k, rng.choice(k.vars))).is_constant():
+            pass
+        return f
+
+    def operand():
+        return RatFunc(poly(), nonconst() if rng.random() < 0.6 else MPoly.one(k))
+
+    zero, c = k.zero(), k.const(rng.randint(1, k.p - 1))
+    for _ in range(10):
+        f, g = operand(), operand()
+        yield f, g
+        yield f, -f
+    for _ in range(4):
+        f = operand()
+        yield f, zero
+        yield zero, f
+        yield c, f
+        yield f, c
+        # shared denominator factor h*j, and a sum t = h*w that cancels h
+        h, j, d1, a, w = nonconst(), nonconst(), nonconst(), poly(), poly()
+        yield RatFunc(a, h * j), RatFunc(h * w - a * d1, h * j * d1)
+        # both cross gcds of a product nontrivial
+        yield RatFunc(h * a, j * d1), RatFunc(j * w, h * nonconst())
+        x = MPoly.var(k, rng.choice(k.vars))
+        yield RatFunc(x * a, x + MPoly.one(k)), RatFunc((x + MPoly.one(k)) * w, x)
+        yield RatFunc(a, x), RatFunc(w, x * x)  # shares x; t = a x + w keeps it unless x | w
+
+
+def _sum_kind(f, g):
+    if not f or not g:
+        return "zero"
+    if f.is_polynomial() or g.is_polynomial():
+        return {(True, True): "poly+poly", (True, False): "poly+frac", (False, True): "frac+poly"}[
+            (f.is_polynomial(), g.is_polynomial())]
+    if not f + g:
+        return "cancels to 0"
+    gd = poly_gcd(f.den, g.den)
+    if gd.is_one():
+        return "coprime"
+    t = f.num * g.den.exact_div(gd) + g.num * f.den.exact_div(gd)
+    return "shared" if poly_gcd(t, gd).is_one() else "shared, partly cancelled"
+
+
+def test_reduced_form_arithmetic_matches_unreduced_constructor():
+    # +, -, * and / work on reduced operands and take only the small gcds;
+    # each result must equal what RatFunc(num, den) reduces from the
+    # unreduced cross products
+    rng = random.Random(1956)
+    for p in (2, 3, 5):
+        for r in (1, 2):
+            k = FieldDesc(p, ("t", "u")[:r])
+
+            def poly():
+                return MPoly.make(k, {tuple(rng.randint(0, 2) for _ in range(r)):
+                                      rng.randint(1, p - 1)
+                                      for _ in range(rng.randint(1, 3))})
+
+            kinds = set()
+            for f, g in _arith_pairs(k, rng, poly):
+                (a, b), (c, d) = (f.num, f.den), (g.num, g.den)
+                assert f + g == RatFunc(a * d + c * b, b * d), (f, g)
+                assert f - g == RatFunc(a * d - c * b, b * d), (f, g)
+                assert f * g == RatFunc(a * c, b * d), (f, g)
+                kinds.add(_sum_kind(f, g))
+                if f.is_constant() or g.is_constant():
+                    kinds.add("constant")
+                if not (poly_gcd(a, d).is_one() or poly_gcd(c, b).is_one()):
+                    kinds.add("both cross gcds")
+                if g:
+                    assert f / g == RatFunc(a * d, b * c), (f, g)
+                    if not g.is_polynomial() and c.leading()[1] != 1:
+                        kinds.add("non-monic divisor")
+            want = {"zero", "poly+poly", "poly+frac", "frac+poly", "cancels to 0", "coprime", "shared",
+                    "shared, partly cancelled", "constant", "both cross gcds"}
+            if p > 2:
+                want.add("non-monic divisor")
+            assert want <= kinds, (p, r, want - kinds)
+
+
 def test_field_operators():
     t = F2T.var("t")
     one = F2T.one()

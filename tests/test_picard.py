@@ -203,18 +203,33 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-@pytest.mark.parametrize("X", [
+_ONCE_CASES = [
     TOWER,
     make_form(1, SkewPoly(F3T, [F3T.one(), F3T.var("t")])),
     make_torsor(CONIC, ONE / T),
-], ids=["p2-form", "p3-form", "torsor"])
+]
+_ONCE_IDS = ["p2-form", "p3-form", "torsor"]
+
+
+@pytest.mark.parametrize("X", _ONCE_CASES, ids=_ONCE_IDS)
 def test_report_builds_tower_and_completion_once(monkeypatch, X):
     towers = _count_calls(monkeypatch, "compositum_degree")
     completions = _count_calls(monkeypatch, "naive_completion")
     invariant_report(X)
     assert len(towers) == 1
-    # one build, plus the source guard inside is_regular_at_infinity
-    assert len(completions) <= 2
+    # the source guard of is_regular_at_infinity trusts the curve that
+    # naive_completion built
+    assert len(completions) == 1
+
+
+@pytest.mark.parametrize("X", _ONCE_CASES, ids=_ONCE_IDS)
+def test_report_with_oracle_builds_completion_once(monkeypatch, X):
+    # the Cech oracle reuses the report's completion, and its source guard
+    # does not rebuild it
+    completions = _count_calls(monkeypatch, "naive_completion")
+    rep = invariant_report(X, ReportOptions(run_oracle=True))
+    assert rep.genus_oracle is not None
+    assert len(completions) == 1
 
 
 def test_report_generic_fiber():

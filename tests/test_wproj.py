@@ -26,6 +26,8 @@ from unipic import (
     rewrite_plane_model,
 )
 
+from unipic.wproj import _unit_column, _unit_count
+
 from cech_reference import h1_dim_window
 from conftest import F2T, F3T
 
@@ -95,6 +97,21 @@ def test_tampered_curve_rejected():
         C, terms=tuple((e, c if c != T else T + ONE) for e, c in C.terms))
     with pytest.raises(NotANaiveCompletion):
         is_regular_at_infinity(fake)
+
+
+def test_hand_built_curves_checked_by_both_guards():
+    # only a curve that naive_completion returned skips the rebuild
+    C = naive_completion(CONIC)
+    terms = tuple((e, c if c != T else T + ONE) for e, c in C.terms)
+    fake = WeightedCurve(C.field, C.weights, terms, C.degree, C.height, C.source)
+    for check in (is_regular_at_infinity, cech_h1_dim):
+        with pytest.raises(NotANaiveCompletion):
+            check(fake)
+        with pytest.raises(NotANaiveCompletion):
+            check(dataclasses.replace(C, terms=terms))
+    copy = WeightedCurve(C.field, C.weights, C.terms, C.degree, C.height, C.source)
+    assert cech_h1_dim(copy) == cech_h1_dim(C)
+    assert is_regular_at_infinity(copy) == is_regular_at_infinity(C)
 
 
 # ---------------------------------------------------------------- regularity
@@ -200,6 +217,30 @@ def test_cech_matches_row_by_row_reference(p, n, m, cases):
         ref = {N: h1_dim_window(C, N) for N in range(1, top + 1)}
         for bound in range(2, top + 1):
             assert cech_h1_dim(C, bound) == (ref[bound], ref[bound] == ref[bound - 1])
+
+
+def _explicit_unit_columns(N, pn, a, low):
+    """The unit columns (e, j) of one window as the window once collected them."""
+    units = {(e, j) for e in range(0, N + 1) for j in range(pn)}
+    if low:
+        units.update((e, j) for j in range(pn) for e in range(-N, min(-a * j, 0) + 1))
+    else:
+        units.update((-l, rho) for l in range(N + 1) for rho in range(min(a * l + 1, pn)))
+    return units
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_unit_columns_match_explicit_set(p):
+    # the window counts its unit columns in closed form and recognises them
+    # by inequality; both must pick exactly the columns of the explicit set
+    for n in (1, 2, 3):
+        for m in (1, 2, 3):
+            pn, a, low = p ** n, p ** abs(m - n), n <= m
+            for N in range(1, 9):
+                want = _explicit_unit_columns(N, pn, a, low)
+                assert _unit_count(N, pn, a, low) == len(want), (n, m, N)
+                got = {(e, j) for e in range(-N, N + 1) for j in range(pn) if _unit_column(e, j, a, low)}
+                assert got == want, (n, m, N)
 
 
 def test_genus_grid_script_level_3():
