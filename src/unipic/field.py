@@ -11,8 +11,8 @@ structural.
 The root tower k^(1/p^N) is read through Frobenius: its q-th power map,
 q = p^N, carries it onto k, and a subfield k(S^(1/p^N)) onto k^q(S).  So k
 over k^q, free of rank p^(r*N) on the monomials t^e with 0 <= e_j < q,
-gives exact linear algebra for the compositum degrees that the p-basis
-rules leave open, in plain polynomial arithmetic over k.
+gives exact linear algebra for the compositum degrees that the Frobenius
+chain bounds leave open, in plain polynomial arithmetic over k.
 """
 
 from __future__ import annotations
@@ -100,18 +100,16 @@ class FieldDesc:
             raise UnknownVariable(f"{name!r} is not a variable of {self}") from None
 
     def zero(self) -> "RatFunc":
-        return RatFunc(MPoly.zero(self), MPoly.one(self))
+        return RatFunc.from_poly(MPoly.zero(self))
 
     def one(self) -> "RatFunc":
-        return RatFunc(MPoly.one(self), MPoly.one(self))
+        return RatFunc.from_poly(MPoly.one(self))
 
     def const(self, c: int) -> "RatFunc":
-        return RatFunc(MPoly.const(self, c), MPoly.one(self))
+        return RatFunc.from_poly(MPoly.const(self, c))
 
     def var(self, name: str) -> "RatFunc":
-        i = self.var_index(name)
-        e = tuple(1 if j == i else 0 for j in range(self.r))
-        return RatFunc(MPoly(self, {e: 1}), MPoly.one(self))
+        return RatFunc.from_poly(MPoly.var(self, name))
 
     def generators(self) -> tuple["RatFunc", ...]:
         return tuple(self.var(v) for v in self.vars)
@@ -739,13 +737,6 @@ def power_level(a: RatFunc, n: int) -> int:
     return v
 
 
-def root_field_degree(a: RatFunc, n: int) -> int:
-    """Degree [k(a^(1/p^n)) : k] = p^(n - v) with v the power level of a."""
-    if not a:
-        raise ZeroInput("cannot adjoin a root of zero")
-    return a.field.p ** (n - power_level(a, n))
-
-
 # -- the root tower, read through Frobenius -----------------------------
 
 
@@ -790,12 +781,36 @@ def _span_space(base: FieldDesc, q: int, ladder: Sequence[tuple[MPoly, int]]) ->
     return space
 
 
-def _jacobian_rank(gens: Sequence[RatFunc]) -> int:
-    """Rank over k of (db_i/dt_j): p^rank = [k^p(gens) : k^p] (Matsumura, section 26)."""
-    space = RowSpace()
-    for b in gens:
-        space.insert({j: b.partial(name) for j, name in enumerate(b.field.vars)})
-    return space.rank
+def _degree_bounds(roots: Sequence[tuple[RatFunc, int]]) -> tuple[int, int]:
+    """lo <= [k':k] <= hi for k' = k(b_i^(1/p^(e_i))), each b_i outside k^p and e_i >= 1.
+
+    Let S_j = {b_i : e_i >= j} and k_j = k(b_i^(1/p^min(j, e_i))), so k' is
+    k_e, e = max e_i.  F^(j-1) carries step j, [k_j : k_(j-1)], onto
+    [M(S_j^(1/p)) : M] for a field M in k, so the step is at least
+    [k(S_j^(1/p)) : k] = p^rank J(S_j), J the Jacobian (db/dt_v) over k
+    (Matsumura, Commutative Ring Theory, section 26); step 1 is exactly
+    that.  A step adjoins |S_j| p-th roots to a field of p-degree r, so it
+    is at most p^min(r, |S_j|).  And k' lies in k(t_v^(1/p^(eps_v))), eps_v
+    the largest e_i over the b_i whose num or den involves t_v.  The bounds
+    free of J come first; when they meet at p^e no Jacobian is formed.
+    """
+    base = roots[0][0].field
+    p, r = base.p, base.r
+    roots = sorted(roots, key=lambda root: -root[1])
+    e = roots[0][1]
+    sizes = [sum(1 for _, ei in roots if ei >= j) for j in range(1, e + 1)]
+    eps = [max((ei for b, ei in roots if b.num.degree_in(v) > 0 or b.den.degree_in(v) > 0),
+               default=0) for v in range(r)]
+    top = min(sum(min(r, s) for s in sizes), sum(eps))
+    if top == e:
+        return p ** e, p ** e
+    space, ranks, done = RowSpace(), [], 0
+    for size in reversed(sizes):  # S_e in ... in S_1, so one echelon pass gives every rank
+        for b, _ in roots[done:size]:
+            space.insert({v: b.partial(name) for v, name in enumerate(base.vars)})
+        done = size
+        ranks.append(space.rank)
+    return p ** sum(ranks), p ** min(top, ranks[-1] + sum(min(r, s) for s in sizes[1:]))
 
 
 def compositum_degree(
@@ -804,46 +819,24 @@ def compositum_degree(
     """Degree [k' : k] of k' = k(a_1^(1/p^(n_1)), ..., a_s^(1/p^(n_s))).
 
     Write a_i = b_i^(p^(v_i)) with v_i the power level of a_i, so the i-th
-    root is b_i^(1/p^(e_i)) with e_i = n_i - v_i; let e = max e_i.  Then
-    k' lies in k^(1/p^e), and three exact rules, from p-bases and the
-    differential criterion (Matsumura, Commutative Ring Theory, section 26),
-    settle most inputs:
-
-    - sandwich: p^e <= [k':k] <= min(p^(r*e), prod p^(e_i)); the degree is
-      p^e when the bounds meet, which always happens for r = 1;
-    - exponent one: if e = 1 the degree is p^rank J, J = (db_i/dt_j);
-    - full rank: if the b_i with e_i = e have Jacobian rank r they form a
-      p-basis of k, so k' = k^(1/p^e) and the degree is p^(r*e).
-
-    Only the remainder builds the dense root-tower basis, refused above `cap`.
+    root is b_i^(1/p^(e_i)) with e_i = n_i - v_i.  One chain of Frobenius
+    bounds, `_degree_bounds`, gives lo <= [k':k] <= hi, and they meet on
+    most inputs: always for r = 1, a single root, or e_i <= 1, and whenever
+    the b_i with the largest e_i form a p-basis of k.  Only when lo < hi is
+    the dense root-tower basis built, and it is refused above `cap`.
     """
     if cap is None:
         cap = basis_cap()
-    if not pairs:
-        return 1
     for a, _ in pairs:
         if not a:
             raise ZeroInput("cannot adjoin roots of zero")
-    base = pairs[0][0].field
-    for a, _ in pairs:
-        if a.field != base:
+        if a.field != pairs[0][0].field:
             raise FieldMismatch("generators over different fields")
-    roots = []
-    for a, n in pairs:
-        v = power_level(a, n)
-        if v < n:
-            roots.append((pn_power_test(a, v), n - v))
+    roots = [(pn_power_test(a, v), n - v) for a, n in pairs if (v := power_level(a, n)) < n]
     if not roots:
         return 1
-    e = max(ei for _, ei in roots)
-    if min(base.r * e, sum(ei for _, ei in roots)) == e:
-        return base.p ** e
-    rank = _jacobian_rank([b for b, ei in roots if ei == e])
-    if e == 1:
-        return base.p ** rank
-    if rank == base.r:
-        return base.p ** (base.r * e)
-    return _dense_degree(pairs, cap)
+    lo, hi = _degree_bounds(roots)
+    return lo if lo == hi else _dense_degree(pairs, cap)
 
 
 def _dense_degree(pairs: Sequence[tuple[RatFunc, int]], cap: int) -> int:

@@ -106,13 +106,6 @@ def torsion_bound(X) -> int:
     return G.field.p ** splitting_level(G).value
 
 
-def torsion_bound_unipotent(p: int, d: int, n: int) -> int:
-    """p^(d n) kills Pic of a d-dimensional unipotent group of level n."""
-    if d < 1 or n < 0:
-        raise ValueError("need d >= 1 and n >= 0")
-    return p ** (d * n)
-
-
 def pic_p1_complement(e: int, c: RatFunc) -> P1ComplementData:
     """Pic of the projective line minus the point x^(p^e) = c.
 

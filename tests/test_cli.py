@@ -258,12 +258,17 @@ def test_exit_code_trivial_completion(capsys):
     ("GF(5)(t,u)", "y^25 = x + (t+u)*x^5 + (t*u+1)*x^25", ("--search-bound", "0"), 625),
     ("GF(7)(t,u)", "y^49 = x + (t+u)*x^7 + (t*u+1)*x^49", ("--search-bound", "0"), 2401),
     ("GF(5)(t,u)", "y^25 = x + t^5*x^5 + 1/(t+u+1)*x^25", ("--search-bound", "0"), 125),
+    ("GF(5)(t,u)", "y^25 = x + (t/(t+u))^5*x^5 + u/(t^2+u+1)*x^25", ("--search-bound", "0"), 125),
+    ("GF(5)(t,u)", "y^25 = x + (t+1)^5/(u^2+t)^5*x^5 + (u+t)/(t^2*u+1)*x^25",
+     ("--search-bound", "0"), 125),
+    ("GF(5)(t,u)", "y^25 = x + u^5*x^5 + t/(t+u)*x^25 + (t/(t+u) + u^5/(t^2+1)^5)*x^125",
+     ("--search-bound", "0"), 125),
 ])
 def test_analyze_large_splitting_degree(capsys, field, eq, extra, degree):
-    # one generator (sandwich) and two p-independent ones (full rank): the
-    # p-basis rules settle dense bases of 2^14, 5^4 and 7^4 unknowns; the
-    # last input is a remainder that no rule settles, with a denominator
-    # that the dense path takes as its generator's num side
+    # the Frobenius chain bounds settle the first six without a dense basis
+    # of 2^14, 5^4 or 7^4 unknowns; the fifth and sixth once ran past 100 s
+    # on that basis.  The last is left open at 125 <= [k':k] <= 625, so the
+    # dense basis of 5^4 unknowns decides it
     code, out, _ = run_cli(capsys, "analyze", "--field", field, "--eq", eq, *extra)
     assert code == 0
     assert f"[k':k] = {degree}\n" in out

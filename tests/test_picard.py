@@ -20,7 +20,6 @@ from unipic import (
     naive_completion,
     pic_p1_complement,
     torsion_bound,
-    torsion_bound_unipotent,
 )
 from unipic.picard import _residue_level
 
@@ -41,12 +40,6 @@ def test_torsion_bounds():
     assert torsion_bound(CONIC) == 2
     assert torsion_bound(TOWER) == 8
     assert torsion_bound(make_torsor(CONIC, T)) == 2
-
-
-def test_torsion_bound_unipotent():
-    assert torsion_bound_unipotent(2, 2, 1) == 4
-    assert torsion_bound_unipotent(3, 2, 2) == 81
-    assert torsion_bound_unipotent(2, 1, 3) == 8
 
 
 # ------------------------------------------------------------ residue levels

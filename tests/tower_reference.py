@@ -4,7 +4,7 @@ This is the dense path of `unipic.field` as it stood before it was read
 through Frobenius: elements of k^(1/p^N) live over an auxiliary field
 F_p(u_1, ..., u_r) with u_j^(p^N) = t_j, and coordinates over k clear each
 denominator with a (p^N - 1)-th power.  `dense_degree_reference` is the old
-`_dense_degree`, the oracle for both the p-basis rules of
+`_dense_degree`, the oracle for both the chain bounds of
 `compositum_degree` and the Frobenius-side `unipic.field._dense_degree`.
 `subfield_membership(x, gens)` decides x in k(gens) on the same basis.
 """
