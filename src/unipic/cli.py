@@ -121,16 +121,7 @@ class _Cursor:
 # -- field specs --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FieldSpecAST:
-    p: int
-    vars: tuple[str, ...]
-
-    def to_field(self) -> FieldDesc:
-        return FieldDesc(self.p, self.vars)
-
-
-def parse_field_spec(s: str) -> FieldSpecAST:
+def parse_field_spec(s: str) -> FieldDesc:
     """Grammar: "GF(" prime ")" ( "(" name ("," name)* ")" )?"""
     cur = _Cursor(_tokenize(s))
     head = cur.expect("name")
@@ -155,7 +146,7 @@ def parse_field_spec(s: str) -> FieldSpecAST:
     cur.expect("end")
     if len(set(names)) != len(names):
         raise ParseError("duplicate variable name", 0)
-    return FieldSpecAST(p, names)
+    return FieldDesc(p, names)
 
 
 # -- coefficient expressions --------------------------------------------
@@ -247,14 +238,13 @@ def _p_log(value: int, p: int, tok: _Tok, exc: type) -> int:
     return e
 
 
-def parse_form_equation(s: str, field_spec: Union[FieldSpecAST, FieldDesc]) -> EquationAST:
+def parse_form_equation(s: str, field: FieldDesc) -> EquationAST:
     """Parse y^(p^n) = sum of terms c*x^(p^i) plus constants.
 
     The right side must be additive: every x-exponent a power of p, no y.
     Integer coefficients reduce mod p; constants fold into the translation
     term.  The linear term in x must be present with nonzero coefficient.
     """
-    field = field_spec.to_field() if isinstance(field_spec, FieldSpecAST) else field_spec
     p = field.p
     cur = _Cursor(_tokenize(s))
     lhs = cur.expect("name")
@@ -428,9 +418,7 @@ def render_report_text(rep: InvariantReport) -> str:
 
 
 def _build_target(args) -> Union[FormPresentation, Torsor]:
-    spec = parse_field_spec(args.field)
-    ast = parse_form_equation(args.eq, spec)
-    return ast.build()
+    return parse_form_equation(args.eq, parse_field_spec(args.field)).build()
 
 
 def _cmd_analyze(args) -> int:
@@ -479,8 +467,7 @@ def _cmd_points(args) -> int:
 
 
 def _cmd_p1_complement(args) -> int:
-    spec = parse_field_spec(args.field)
-    field = spec.to_field()
+    field = parse_field_spec(args.field)
     cur = _Cursor(_tokenize(args.c))
     c = _parse_expr(cur, field)
     cur.expect("end")

@@ -24,7 +24,6 @@ from .field import (
     FieldMismatch,
     MPoly,
     RatFunc,
-    compositum_degree,
     pn_power_test,
     poly_gcd,
 )
@@ -200,12 +199,6 @@ def generic_fiber_torsor(G: FormPresentation, var_name: str = "T") -> Torsor:
     return Torsor(form, ext.var(var_name), generic_fiber=True)
 
 
-def splitting_field_degree(G: FormPresentation) -> int:
-    """Degree over k of k' = k(a_1^(1/p^n), ..., a_m^(1/p^n))."""
-    pairs = [(c, G.n) for _, c in G.twist_coeffs()]
-    return compositum_degree(pairs)
-
-
 def splitting_level(G: FormPresentation) -> NValue:
     """The level of the smallest Frobenius twist trivializing the group.
 
@@ -340,23 +333,19 @@ def _unpack(T) -> tuple[FieldDesc, int, list[RatFunc], RatFunc]:
     return G.field, G.n, coeffs, b
 
 
-def equation_holds(T, x: RatFunc, y: RatFunc) -> bool:
-    """Check y^(p^n) = b + tau(x) exactly."""
-    field, n, coeffs, b = _unpack(T)
-    rhs = b
+def _rhs_at(T, x: RatFunc) -> tuple[int, RatFunc]:
+    """n and the right side b + tau(x) of the equation of T at x."""
+    _, n, coeffs, rhs = _unpack(T)
     for i, c in enumerate(coeffs):
         if c:
             rhs = rhs + c * x.frobenius(i)
+    return n, rhs
+
+
+def equation_holds(T, x: RatFunc, y: RatFunc) -> bool:
+    """Check y^(p^n) = b + tau(x) exactly."""
+    n, rhs = _rhs_at(T, x)
     return y.frobenius(n) == rhs
-
-
-def _recover_y(T, x: RatFunc) -> Optional[RatFunc]:
-    field, n, coeffs, b = _unpack(T)
-    v = b
-    for i, c in enumerate(coeffs):
-        if c:
-            v = v + c * x.frobenius(i)
-    return pn_power_test(v, n)
 
 
 def _clear_denominators(field, coeffs, b):
@@ -510,8 +499,9 @@ def find_rational_point(T, max_deg: int) -> Optional[tuple[RatFunc, RatFunc]]:
         return None
     monos = _monomials_up_to(field.r, max_deg)
     x = RatFunc(_poly_at(field, monos, hit[0]), _poly_at(field, monos, hit[1]))
-    y = _recover_y(T, x)
-    if y is None or not equation_holds(T, x, y):
+    _, rhs = _rhs_at(T, x)
+    y = pn_power_test(rhs, n)
+    if y is None or y.frobenius(n) != rhs:
         raise AssertionError("search engine returned a bogus candidate")
     return x, y
 

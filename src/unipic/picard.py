@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .field import RatFunc, pn_power_test
+from .field import RatFunc, compositum_degree, pn_power_test
 from .forms import (
     FormPresentation,
     NValue,
@@ -22,7 +22,6 @@ from .forms import (
     find_rational_point,
     rationality_level,
     rewrite_plane_model,
-    splitting_field_degree,
     splitting_level,
 )
 from .wproj import (
@@ -231,7 +230,7 @@ def invariant_report(X, options: Optional[ReportOptions] = None) -> InvariantRep
     field = G.field
     p = field.p
     n = splitting_level(G)
-    deg = splitting_field_degree(G)
+    deg = compositum_degree([(c, G.n) for _, c in G.twist_coeffs()])
     nontrivial = deg > 1
     seq, C = _sequence_and_completion(X, options.search_bound)
     point = seq.point

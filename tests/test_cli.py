@@ -26,10 +26,10 @@ F3TU = FieldDesc(3, ("t", "u"))
 # ------------------------------------------------------------------- parsing
 
 def test_parse_field_spec():
-    assert parse_field_spec("GF(2)(t)").to_field() == FieldDesc(2, ("t",))
-    assert parse_field_spec("GF(3)(t,u)").to_field() == F3TU
-    assert parse_field_spec("GF(5)").to_field() == FieldDesc(5)
-    assert parse_field_spec(" GF( 2 )( t )").to_field() == FieldDesc(2, ("t",))
+    assert parse_field_spec("GF(2)(t)") == FieldDesc(2, ("t",))
+    assert parse_field_spec("GF(3)(t,u)") == F3TU
+    assert parse_field_spec("GF(5)") == FieldDesc(5)
+    assert parse_field_spec(" GF( 2 )( t )") == FieldDesc(2, ("t",))
 
 
 def test_parse_field_spec_errors():

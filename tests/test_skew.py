@@ -1,18 +1,23 @@
-"""Skew polynomial ring k<F> with F a = a^p F, and additive polynomials."""
+"""Skew polynomial ring k{F} with F a = a^p F, and additive polynomials.
+
+The ring lives in tests/skew_reference.py; the last two tests use it as
+the oracle for `make_form` and `equation_holds`.
+"""
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from unipic import (
+from unipic import equation_holds, make_form, make_torsor
+
+from conftest import F2T, F2TU, F3T, nonzero_ratfunc_strategy, ratfunc_strategy
+from skew_reference import (
     SkewDivisionError,
     SkewPoly,
     eval_additive,
     right_divmod,
     to_additive,
 )
-
-from conftest import F2T, F3T, ratfunc_strategy
 
 
 def skew_strategy(field, max_deg=2):
@@ -105,3 +110,33 @@ def test_eval_additive_is_additive(f, x, y):
 def test_eval_of_product_is_composition(f, g, x):
     prod = f * g
     assert eval_additive(prod, x) == eval_additive(f, eval_additive(g, x))
+
+
+def tau_strategy(field, max_deg=2):
+    """tau = c0 + a_1 F + ... with c0 != 0, the shape `make_form` accepts."""
+    rest = st.lists(ratfunc_strategy(field), max_size=max_deg)
+    return st.builds(lambda c0, cs: SkewPoly(field, [c0] + cs), nonzero_ratfunc_strategy(field), rest)
+
+
+@pytest.mark.parametrize("field", [F2T, F3T, F2TU], ids=str)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_make_form_is_right_multiplication_by_a_constant(field, data):
+    tau = data.draw(tau_strategy(field))
+    n = data.draw(st.integers(0, 2))
+    # (sum a_i F^i) * mu = sum a_i mu^(p^i) F^i for mu = c0^(-1)
+    mu = SkewPoly(field, [tau.constant_coeff().inverse()])
+    assert make_form(n, tau).tau == tau * mu
+
+
+@pytest.mark.parametrize("field", [F2T, F3T, F2TU], ids=str)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_equation_holds_applies_tau_additively(field, data):
+    G = make_form(data.draw(st.integers(0, 2)), data.draw(tau_strategy(field)))
+    x, y0, y = (data.draw(ratfunc_strategy(field)) for _ in range(3))
+    b = y0.frobenius(G.n) - eval_additive(G.tau, x)
+    for T, tb in ((G, field.zero()), (make_torsor(G, b), b)):
+        for v in (y0, y):
+            assert equation_holds(T, x, v) == (v.frobenius(G.n) == tb + eval_additive(G.tau, x))
+    assert equation_holds(make_torsor(G, b), x, y0)
