@@ -178,6 +178,26 @@ def test_genus_with_oracle(capsys):
     assert "cech h1 = 9 (stabilized: true)" in out
 
 
+# a window of P = 2000 and a level n = 4: the oracle costs O(p^n + P)
+@pytest.mark.parametrize("eq,extra,h1", [
+    ("y^9 = x + t*x^3", ("--pole-bound", "2000"), 7),
+    ("y^81 = x + t*x^3", (), 79),
+])
+def test_genus_oracle_large_window(capsys, eq, extra, h1):
+    code, out, _ = run_cli(capsys, "genus", "--field", "GF(3)(t)",
+                           "--eq", eq, "--oracle", *extra)
+    assert code == 0
+    assert f"genus = {h1}" in out
+    assert f"cech h1 = {h1} (stabilized: true)" in out
+
+
+def test_analyze_oracle_large_window(capsys):
+    code, out, _ = run_cli(capsys, "analyze", "--field", "GF(3)(t)",
+                           "--eq", "y^9 = x + t*x^3", "--oracle", "--pole-bound", "2000")
+    assert code == 0
+    assert "genus oracle = 7 (stabilized: true)" in out
+
+
 def test_genus_trivial_completion(capsys):
     code, out, _ = run_cli(capsys, "genus", "--field", "GF(2)(t)",
                            "--eq", "y^2 = x")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib.util
+import random
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -11,7 +12,9 @@ from hypothesis import given, settings
 from unipic import (
     BoundTooSmall,
     FieldDesc,
+    MPoly,
     NotANaiveCompletion,
+    RatFunc,
     SkewPoly,
     TrivialTau,
     WeightedCurve,
@@ -26,9 +29,9 @@ from unipic import (
     rewrite_plane_model,
 )
 
-from unipic.wproj import _unit_column, _unit_count
+from unipic.wproj import _unit_count
 
-from cech_reference import h1_dim_window
+from cech_reference import _explicit_unit_columns, _unit_column, h1_dim_window, window_rows
 from conftest import F2T, F3T
 
 T = F2T.var("t")
@@ -202,31 +205,59 @@ def test_cech_p3_n3_m1_pinned():
 
 
 _ALL_CASES = [(torsor, binomial) for torsor in (False, True) for binomial in (False, True)]
-# The reference costs about 1 s per case on the two n > m cells with the
-# most rows, so those run one case each.
-_CECH_CELLS = [(p, n, m, _ALL_CASES) for p in (2, 3) for n in (1, 2) for m in (1, 2) if (p, n, m) != (3, 2, 1)]
-_CECH_CELLS += [(3, 2, 1, [(True, True)]), (2, 3, 1, [(False, False)])]
 
 
-@pytest.mark.parametrize("p,n,m,cases", _CECH_CELLS, ids=[f"p{p}-n{n}-m{m}" for p, n, m, _ in _CECH_CELLS])
-def test_cech_matches_row_by_row_reference(p, n, m, cases):
-    k = {2: F2T, 3: F3T}[p]
-    for torsor, binomial in cases:
-        C = naive_completion(_cech_case(k, n, m, torsor, binomial))
-        top = 2 * C.degree + 1
-        ref = {N: h1_dim_window(C, N) for N in range(1, top + 1)}
-        for bound in range(2, top + 1):
+def _fixed_sources(cases):
+    return lambda k, n, m: [_cech_case(k, n, m, torsor, binomial) for torsor, binomial in cases]
+
+
+def _random_rational(rng, k):
+    """A quotient of two random nonzero polynomials of degree <= 2 in each variable."""
+    def poly():
+        terms = {tuple(rng.randint(0, 2) for _ in k.vars): rng.randint(1, k.p - 1)
+                 for _ in range(rng.randint(1, 3))}
+        return RatFunc.from_poly(MPoly(k, terms))
+    return poly() / poly()
+
+
+def _random_sources(k, n, m):
+    """Two forms and two torsors with b != 0, all with seeded random rational coefficients."""
+    rng = random.Random(100 * k.p + 10 * n + m)
+    out = []
+    for _ in range(2):
+        X = make_form(n, SkewPoly(k, [_random_rational(rng, k) for _ in range(m + 1)]))
+        out += [X, make_torsor(X, _random_rational(rng, k))]
+    return out
+
+
+# Fixed cells run every pole bound P from 2 to 2 * degree + 1; the two
+# n > m cells with the most reference rows run one case each.
+_CECH_CELLS = [(f"p{p}-n{n}-m{m}", FieldDesc(p, ("t",)), n, m, _fixed_sources(_ALL_CASES), None)
+               for p in (2, 3) for n in (1, 2) for m in (1, 2) if (p, n, m) != (3, 2, 1)]
+_CECH_CELLS += [("p3-n2-m1", F3T, 2, 1, _fixed_sources([(True, True)]), None),
+                ("p2-n3-m1", F2T, 3, 1, _fixed_sources([(False, False)]), None)]
+# Random cells over GF(p)(t, u) run P from 2 to p^m + 2: for n > m the rows
+# built from f^q with q >= 1 start at window N = p^m, and the reference
+# stays cheap.
+_RANDOM_CELLS = {2: [(2, 1), (3, 1), (3, 2), (1, 1), (1, 2)],
+                 3: [(2, 1), (3, 1), (3, 2), (1, 1), (1, 2)],
+                 5: [(2, 1), (1, 1), (1, 2)]}
+_CECH_CELLS += [(f"random-p{p}-n{n}-m{m}", FieldDesc(p, ("t", "u")), n, m, _random_sources, p ** m + 2)
+                for p, cells in _RANDOM_CELLS.items() for n, m in cells]
+
+
+@pytest.mark.parametrize("k,n,m,sources,top", [cell[1:] for cell in _CECH_CELLS],
+                         ids=[cell[0] for cell in _CECH_CELLS])
+def test_cech_matches_row_by_row_reference(k, n, m, sources, top):
+    for X in sources(k, n, m):
+        C = naive_completion(X)
+        last = top or 2 * C.degree + 1
+        ref = {N: h1_dim_window(C, N) for N in range(1, last + 1)}
+        for bound in range(2, last + 1):
             assert cech_h1_dim(C, bound) == (ref[bound], ref[bound] == ref[bound - 1])
-
-
-def _explicit_unit_columns(N, pn, a, low):
-    """The unit columns (e, j) of one window as the window once collected them."""
-    units = {(e, j) for e in range(0, N + 1) for j in range(pn)}
-    if low:
-        units.update((e, j) for j in range(pn) for e in range(-N, min(-a * j, 0) + 1))
-    else:
-        units.update((-l, rho) for l in range(N + 1) for rho in range(min(a * l + 1, pn)))
-    return units
+        if n > m:
+            # the closed form rests on where the f^q rows land, so some must exist
+            assert any(q and row for q, row in window_rows(C, last)), (n, m, X)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -243,13 +274,13 @@ def test_unit_columns_match_explicit_set(p):
                 assert got == want, (n, m, N)
 
 
-def test_genus_grid_script_level_3():
+def test_genus_grid_script_level_4():
     path = Path(__file__).resolve().parents[1] / "scripts" / "genus_grid.py"
     spec = importlib.util.spec_from_file_location("genus_grid", path)
     grid = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(grid)
-    rows = grid.run_grid(grid.GridConfig((2, 3), 3))
-    assert len(rows) == 18
+    rows = grid.run_grid(grid.GridConfig((2, 3, 5), 4))
+    assert len(rows) == 48
     for p, n, m, genus, dim, stable, regular in rows:
         assert stable and dim == genus, (p, n, m)
 
