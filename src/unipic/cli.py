@@ -137,7 +137,10 @@ def parse_field_spec(s: str) -> FieldDesc:
     if cur.peek().kind == "(":
         cur.next()
         while True:
-            names = names + (cur.expect("name").text,)
+            name = cur.expect("name")
+            if name.text in ("x", "y"):
+                raise ParseError(f"{name.text!r} is a curve variable, not a field variable", name.pos)
+            names = names + (name.text,)
             t = cur.next()
             if t.kind == ")":
                 break

@@ -16,7 +16,6 @@ a sound criterion applies and as honest upper bounds otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
 from typing import Optional
 
 from .field import (
@@ -404,75 +403,101 @@ def _least_solution(rows, K: int, p: int) -> Optional[int]:
     return sum(d * p ** k for k, d in enumerate(x))
 
 
+def _pmul(f: dict, g: dict, p: int) -> dict:
+    """Product of two polynomials over F_p whose exponents are packed ints."""
+    out: dict = {}
+    for e, c in f.items():
+        for d, c2 in g.items():
+            out[e + d] = out.get(e + d, 0) + c * c2
+    return {e: v for e, c in out.items() if (v := c % p)}
+
+
 def _search(field, n, coeffs, b, max_deg) -> Optional[tuple[int, int]]:
     """First (gidx, hidx) in counting order whose x = g/h is a point, or None.
 
     With L the common denominator, b = B/L and a_i = C_i/L, the point
     equation holds at x = g/h exactly when N D^(q-1) is a q-th power, q = p^n,
     where N = B h^(p^m) + sum_i C_i g^(p^i) h^(p^m - p^i) and D = L h^(p^m).
-    A nonzero q-th power factor never changes that, so D^(q-1) is reduced
-    mod q to E = L^(q-1) prod_{j=m}^{n-1} (h^(p-1))^(p^j), with no h-part for
-    m >= n.  Over F_p a polynomial is a q-th power iff no exponent is off
-    the lattice q*Z^r, and g -> g^(p^i) is additive and fixes F_p, so for
-    fixed monic h the test is one affine system over F_p in the K base-p
-    digits of g.
+    A nonzero q-th power factor never changes that, so with B and the C_i
+    multiplied by L^(q-1) and P = p^max(m, n), the test is on
+    N E = B h^P + sum_i C_i h^(P - p^i) g^(p^i).  Over F_p a polynomial is
+    a q-th power iff no exponent is off the lattice q*Z^r, and g -> g^(p^i)
+    is additive and fixes F_p, so for fixed monic h the test is one affine
+    system over F_p in the K base-p digits of g.  As q divides P, h^P is a
+    q-th power: the constant rows are pi(B) h^P, pi keeping the off-lattice
+    terms, so pi(B) = 0 makes x = 0 a point; and a column with i >= n is
+    pi(C_i) h^(P - p^i) in every digit, with no residue split.
+
+    Exponents are packed as sum_j e_j S^j, so a monomial product is one
+    addition and h^(p^i) multiplies each exponent by p^i.  No coordinate
+    formed exceeds the top coordinate of B and the C_i plus P * max_deg,
+    and S is the next multiple of q above that: no sum carries into the
+    next slot, and (e // S^j) % q is the residue of coordinate j itself.
     """
     if not b:
         return 0, 1  # x = 0 lies on every form
-    p = field.p
-    m = len(coeffs) - 1
-    q = p ** n
+    p, r, m = field.p, field.r, len(coeffs) - 1
+    M = max(m, n)
+    q, P = p ** n, p ** M
     L, B, C = _clear_denominators(field, coeffs, b)
     Lq = L ** (q - 1)  # the L-part of E, the same for every h
     B, C = B * Lq, [c * Lq for c in C]
-    monos = _monomials_up_to(field.r, max_deg)
+    deg = max((x for f in [B] + C for e in f.terms for x in e), default=0)
+    pows = [((deg + P * max_deg) // q * q + q) ** j for j in range(r)]
+
+    def res(e: int) -> tuple:
+        return tuple([e // s % q for s in pows])
+
+    def pack(f: MPoly, whole: bool = True) -> dict:
+        """f with packed exponents, only its off-lattice terms unless whole."""
+        out = {sum(x * s for x, s in zip(e, pows)): c for e, c in f.terms.items()}
+        return out if whole else {e: c for e, c in out.items() if any(res(e))}
+
+    B = pack(B, False)
+    if not B:
+        return 0, 1  # b is a q-th power: x = 0 over h = 1
+    C = [pack(c, i < n) for i, c in enumerate(C)]
+    monos = _monomials_up_to(r, max_deg)
     K = len(monos)
-    one = MPoly.one(field)
-
-    def split(f: MPoly) -> dict:
-        """Terms of f grouped by their exponent residue mod q."""
-        out: dict = {}
-        for e, c in f.terms.items():
-            out.setdefault(tuple(x % q for x in e), []).append((e, c))
-        return out
-
-    # residue mod q and exponent of each monomial raised to the p^i
-    shifts = [[(tuple(p ** i * x % q for x in e), tuple(p ** i * x for x in e)) for e in monos]
+    # the packed exponent of each monomial raised to the p^i, with its digit
+    shifts = [[(k, sum(x * s for x, s in zip(e, pows)) * p ** i) for k, e in enumerate(monos)]
               for i in range(m + 1)]
-    good = (0,) * field.r
-    cols: dict = {}  # (i, residue) -> the columns (k, shift) that leave the q-lattice
+    cols: dict = {}  # (i, residue) -> the columns (k, shift) that leave the q-lattice, i < n
 
     for top in range(K):
         # monic h: leading digit 1 at position top, anything below
         for hidx in range(p ** top, 2 * p ** top):
-            h = _poly_at(field, monos, hidx)
-            hp1 = h ** (p - 1)
-            R = one  # the h-part of E, then h^(p^m - p^i) times it for i = m down to 0
-            for j in range(m, n):
-                R = R * hp1.frobenius(j)
-            const = split(B * (h.frobenius(m) * R))
-            const.pop(good, None)
-            if not const:
-                return 0, hidx
-            # one equation per bad exponent: K digit coefficients, then the right side
-            rows = {e: [0] * K + [-c] for terms in const.values() for e, c in terms}
-            for i in range(m, -1, -1):
-                if i < m:
-                    R = R * hp1.frobenius(i)
-                if not C[i]:
+            h = hp1 = pack(_poly_at(field, monos, hidx))
+            for _ in range(p - 2):
+                hp1 = _pmul(hp1, h, p)
+            # one equation per off-lattice exponent: K digit coefficients, then the right side
+            rows = {e: [0] * K + [-c] for e, c in _pmul(B, {e * P: c for e, c in h.items()}, p).items()}
+            R = {0: 1}  # h^(P - p^i), for i from M down to 0
+            for i in range(M, -1, -1):
+                if i < M:
+                    R = _pmul(R, {e * p ** i: c for e, c in hp1.items()}, p)
+                if i > m or not C[i]:
                     continue
-                # column k gets C_i h^(p^m - p^i) E times monos[k]^(p^i)
-                for res, terms in split(C[i] * R).items():
-                    ks = cols.get((i, res))
-                    if ks is None:
-                        ks = cols[i, res] = [(k, s) for k, (s_res, s) in enumerate(shifts[i])
-                                             if any((x + y) % q for x, y in zip(res, s_res))]
+                # column k gets C_i h^(P - p^i) times monos[k]^(p^i)
+                W = _pmul(C[i], R, p)
+                if i >= n:
+                    groups = [(shifts[i], W.items())]
+                else:
+                    split: dict = {}
+                    for e, c in W.items():
+                        split.setdefault(res(e), []).append((e, c))
+                    groups = []
+                    for rs, terms in split.items():
+                        if (i, rs) not in cols:
+                            cols[i, rs] = [(k, s) for k, s in shifts[i]
+                                           if any((x + y) % q for x, y in zip(rs, res(s)))]
+                        groups.append((cols[i, rs], terms))
+                for ks, terms in groups:
                     for k, s in ks:
                         for e, c in terms:
-                            e = tuple(map(add, e, s))
-                            row = rows.get(e)
+                            row = rows.get(e + s)
                             if row is None:
-                                row = rows[e] = [0] * (K + 1)
+                                row = rows[e + s] = [0] * (K + 1)
                             row[k] += c
             gidx = _least_solution(rows.values(), K, p)
             if gidx is not None:
@@ -486,10 +511,11 @@ def find_rational_point(T, max_deg: int) -> Optional[tuple[RatFunc, RatFunc]]:
     Candidates are ordered denominators outer, numerators inner, both in
     base-p counting order over the graded monomial list, with h monic.
     For each h the numerators that give a point form an affine subspace
-    over F_p, so one linear system returns the least such g without
-    enumerating the p^K numerators.  The witness is the first candidate
-    in that order, so it is deterministic.  It is re-verified through
-    exact field arithmetic before being returned.
+    over F_p, so one linear system, built on packed integer exponents,
+    returns the least such g without enumerating the p^K numerators.  When
+    b is a p^n-th power, 0 included, x = 0 is returned before any h.  The
+    witness is the first candidate in that order, so it is deterministic.
+    It is re-verified through exact field arithmetic before being returned.
     """
     field, n, coeffs, b = _unpack(T)
     if max_deg < 0:

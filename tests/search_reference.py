@@ -3,8 +3,14 @@
 `brute_force_search` tests every candidate x = g/h in turn and shares no
 code with `unipic.forms._search`; only the counting order and the monic
 rule for h are the same.  `linear_search_reference` is the earlier form
-of the linear engine, kept as it was: unless m >= n and L is a q-th power
-it multiplies by the whole of D^(q-1) = (L h^(p^m))^(q-1) for every h.
+of the linear engine, kept as it was.  It shares `_clear_denominators`
+and `_least_solution` with the engine, but works on exponent tuples and
+`MPoly` products, and unless m >= n and L is a q-th power it multiplies
+by the whole of D^(q-1) = (L h^(p^m))^(q-1) for every h.  The engine
+instead packs exponents into integers, multiplies by L^(q-1) and
+h^(P - p^m) only, P = p^max(m, n), and keeps only the off-lattice terms
+of B, and of the C_i with i >= n; so the two agree only if that
+reduction is sound.
 """
 
 from itertools import product

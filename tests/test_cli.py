@@ -40,6 +40,10 @@ def test_parse_field_spec_errors():
     assert exc.value.pos is not None
     with pytest.raises(ParseError):
         parse_field_spec("GF(2)(t)x")
+    # x and y name the curve's variables, never the field's
+    for spec in ("GF(2)(x)", "GF(2)(y)", "GF(3)(t,x)"):
+        with pytest.raises(ParseError, match="curve variable"):
+            parse_field_spec(spec)
 
 
 def test_parse_form_equation():
@@ -232,11 +236,16 @@ def test_points_found_f3(capsys):
     assert out.strip() == "point: x = 1/t, y = t"
 
 
-def test_points_not_found_f3(capsys):
-    code, out, _ = run_cli(capsys, "points", "--field", "GF(3)(t)",
-                           "--eq", "y^3 = 1/t + x + t*x^3", "--max-deg", "1")
+@pytest.mark.parametrize("field, eq, bound", [
+    ("GF(3)(t)", "y^3 = 1/t + x + t*x^3", 1),
+    # a miss over all 3,906 monic denominators of degree <= 2 in t, u
+    ("GF(5)(t,u)", "y^5 = u + x + t*x^5", 2),
+], ids=["GF(3)(t)", "GF(5)(t,u)"])
+def test_points_not_found_f3(capsys, field, eq, bound):
+    code, out, _ = run_cli(capsys, "points", "--field", field,
+                           "--eq", eq, "--max-deg", str(bound))
     assert code == 0
-    assert out.strip() == "no point found (bound 1)"
+    assert out.strip() == f"no point found (bound {bound})"
 
 
 def test_p1_complement(capsys):

@@ -1,7 +1,9 @@
 """Forms of the additive group: presentations, levels, points, plane models."""
 
 import itertools
+import json
 import random
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -27,6 +29,7 @@ from unipic import (
     rewrite_plane_model,
     splitting_level,
 )
+from unipic.cli import parse_field_spec, parse_form_equation
 from unipic.forms import _clear_denominators, _monomials_up_to, _search, _unpack
 
 from conftest import F2T, F2TU, F3T, ratfunc_strategy
@@ -260,7 +263,11 @@ def _search_oracle_inputs():
     Per (p, r, n, m) the denominators of the a_i are q-th powers (q = p^n)
     or not, and b is planted (b = y0^q - tau(x0) for x0 = g0/h0 in the
     search range) or drawn at random.  The bound is 1 where the brute force
-    and the earlier engine stay cheap, else 0.
+    and the earlier engine stay cheap, else 0.  Then, at bound 1, the edge
+    cases of the packed exponents: no variable and three variables, a
+    coefficient of higher degree than P * max_deg (P = p^max(m, n)), which
+    sets the slot width and makes the t-slot overflow if it is one q too
+    narrow, b != 0 a q-th power, and m > n with on-lattice terms in C_m.
     """
     rng = random.Random(1610)
     for p, r, n, m in itertools.product((2, 3, 5), (1, 2), (1, 2, 3), (1, 2, 3)):
@@ -289,6 +296,27 @@ def _search_oracle_inputs():
             b_hit = y0 ** q - sum((c * x0.frobenius(i) for i, c in enumerate(G.tau.coeffs)), field.zero())
             for b in (b_hit, coeff()):
                 yield make_torsor(G, b), max_deg
+    for field, eq in (
+        ("GF(2)", "y^2 = 1 + x + x^2"),
+        ("GF(3)", "y^3 = 2 + x + 2*x^9"),
+        ("GF(5)", "y^25 = 3 + x + x^5"),
+        ("GF(2)(t,u,v)", "y^2 = (t*v)^2 + (u+1)/(t+v) + (t*u+v^2)*((u+1)/(t+v))^2 + x + (t*u+v^2)*x^2"),
+        ("GF(2)(t,u,v)", "y^2 = u/(t+v) + x + (t*u+v^2)*x^2"),
+        ("GF(2)(t,u,v)", "y^4 = (t*v)^4 + (u+1)/(t+v) + (t*u+v^2)*((u+1)/(t+v))^2 + x + (t*u+v^2)*x^2"),
+        ("GF(2)(t,u,v)", "y^4 = u/(t+v) + x + (t*u+v^2)*x^2"),
+        ("GF(3)(t,u,v)", "y^3 = (t*v)^3 - (u+1)/(t+v) - (t*u+v^3)*((u+1)/(t+v))^3 + x + (t*u+v^3)*x^3"),
+        ("GF(3)(t,u,v)", "y^3 = u/(t+v) + x + (t*u+v^3)*x^3"),
+        ("GF(2)(t,u)", "y^2 = t*u + t + x + t^3*x^2"),
+        ("GF(2)(t,u)", "y^2 = u^2 + (u+1)/t + t^5*u*((u+1)/t)^2 + x + t^5*u*x^2"),
+        ("GF(3)(t,u)", "y^3 = u + x + t^11*u*x^9"),
+        ("GF(3)(t,u)", "y^3 = t^3 - (u+1)/t - t^11*u*((u+1)/t)^9 + x + t^11*u*x^9"),
+        ("GF(2)(t,u)", "y^2 = t^2*u^2 + x + 1/(t+u)*x^2"),
+        ("GF(5)(t)", "y^5 = 1/t^5 + x + t*x^5"),
+        ("GF(3)(t,u)", "y^3 = u + x + (t^3 + u)*x^9"),
+        ("GF(3)(t,u)", "y^3 = t^3 - (u+1)/t - (t^3 + u)*((u+1)/t)^9 + x + (t^3 + u)*x^9"),
+        ("GF(2)(t,u)", "y^2 = t + x + (u^2 + t)*x^4"),
+    ):
+        yield parse_form_equation(eq, parse_field_spec(field)).build(), 1
 
 
 def test_search_matches_references():
@@ -300,11 +328,39 @@ def test_search_matches_references():
         got = _search(*args, max_deg)
         assert got == linear_search_reference(*args, max_deg), T
         assert got == brute_force_search(T, max_deg), T
-        L = _clear_denominators(field, coeffs, b)[0]
-        perfect = all(x % field.p ** n == 0 for e in L.terms for x in e)
+        q, P = field.p ** n, field.p ** max(T.m, n)
+        L, B, C = _clear_denominators(field, coeffs, b)
+        perfect = all(x % q == 0 for e in L.terms for x in e)
         classes.add((T.m < n, perfect, None if got is None else got[1] > 1))
-    # misses, and hits over h = 1 and over a later h, in every (m < n, perfect) cell
-    assert classes == set(itertools.product((True, False), (True, False), (None, False, True)))
+        classes.add(("r", field.r))
+        B, C = B * L ** (q - 1), [c * L ** (q - 1) for c in C]
+        on_lattice = [all(x % q == 0 for x in e) for f in [B, C[-1]] for e in f.terms]
+        if max_deg and max((x for f in [B] + C for e in f.terms for x in e), default=0) > P * max_deg:
+            classes.add("coefficient sets S")
+        if b and all(on_lattice[:len(B.terms)]):
+            classes.add("b a q-th power")
+        if T.m > n and any(on_lattice[len(B.terms):]):
+            classes.add("m > n, on-lattice C_m")
+    # misses, and hits over h = 1 and over a later h, in every (m < n, perfect)
+    # cell, and every edge case of the packed exponents
+    assert classes == set(itertools.product((True, False), (True, False), (None, False, True))) | {
+        ("r", 0), ("r", 1), ("r", 2), ("r", 3),
+        "coefficient sets S", "b a q-th power", "m > n, on-lattice C_m"}
+
+
+def test_search_matches_reference_on_golden_corpus():
+    # every distinct (field, equation, bound) of the benchmark corpora,
+    # read from its golden file, against the earlier linear engine
+    golden = json.loads((Path(__file__).parents[1] / "perfbench" / "golden.json").read_text())
+    cases = {(v["field"], v["eq"], v["bound"]) for slots in golden["workloads"].values()
+             for slot in slots for v in slot["variants"]}
+    hits = 0
+    for field, eq, bound in sorted(cases):
+        args = _unpack(parse_form_equation(eq, parse_field_spec(field)).build())
+        got = _search(*args, bound)
+        assert got == linear_search_reference(*args, bound), (field, eq, bound)
+        hits += got is not None and got[1] > 1
+    assert len(cases) > 1000 and hits
 
 
 def test_point_over_second_denominator_f3():
