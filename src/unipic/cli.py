@@ -79,9 +79,9 @@ def _tokenize(s: str) -> list[_Tok]:
             out.append(_Tok(ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # ASCII only: str.isdigit() also accepts '²'
             j = i
-            while j < len(s) and s[j].isdigit():
+            while j < len(s) and "0" <= s[j] <= "9":
                 j += 1
             out.append(_Tok("int", s[i:j], i))
             i = j

@@ -312,8 +312,8 @@ class MPoly:
     def embed(self, target: FieldDesc, var_images: Sequence[tuple[int, int]]) -> "MPoly":
         """Monomial substitution t_i -> (target var at index j)^s.
 
-        var_images[i] = (j, s).  Serves field enlargement and the twist
-        rewrite t -> u^p.
+        var_images[i] = (j, s).  Serves field enlargement, as for the
+        generic fiber over k(T).
         """
         if len(var_images) != self.field.r:
             raise ValueError("need one image per source variable")
@@ -832,7 +832,13 @@ def compositum_degree(
             raise ZeroInput("cannot adjoin roots of zero")
         if a.field != pairs[0][0].field:
             raise FieldMismatch("generators over different fields")
-    roots = [(pn_power_test(a, v), n - v) for a, n in pairs if (v := power_level(a, n)) < n]
+    roots = []
+    for a, n in pairs:
+        b, v = a, 0  # a = b^(p^v) throughout
+        while v < n and (root := b.pth_root()) is not None:
+            b, v = root, v + 1
+        if v < n:
+            roots.append((b, n - v))
     if not roots:
         return 1
     lo, hi = _degree_bounds(roots)

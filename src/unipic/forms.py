@@ -249,23 +249,11 @@ def _reduce_presentation(
                 roots = None
                 break
             roots[i] = rc
-        if roots is not None and n >= 1:
+        if roots is not None:
             a = roots
             n -= 1
             continue
         return n, a
-
-
-def _twist_once(K: FieldDesc, level: int, a: dict[int, RatFunc]) -> tuple[FieldDesc, dict[int, RatFunc]]:
-    """Base change to the field of p-th roots, K^(1/p).
-
-    Fresh variable names stand for p-th roots of the old generators, and
-    old elements are re-read through t -> u^p.
-    """
-    stem = [v.split("~")[0] for v in K.vars]
-    newK = FieldDesc(K.p, tuple(f"{v}~{level}" for v in stem))
-    images = [(i, K.p) for i in range(K.r)]
-    return newK, {i: c.embed(newK, images) for i, c in a.items()}
 
 
 def rationality_level(G: FormPresentation) -> NValue:
@@ -279,6 +267,11 @@ def rationality_level(G: FormPresentation) -> NValue:
     completion is a form of the projective line with a rational point.
     Every fully reduced non-terminal presentation has a completion of
     positive genus, so the first detection is the true level.
+
+    The twist stays inside k: read through k^(1/2) = k, u -> t, base change
+    to k^(1/2) followed by the square-root move is (n, a_i) -> (n - 1, a_i),
+    and the absorb tests at level n on a_i^2 are those at level n - 1 on a_i.
+    As n drops once per twist, the walk ends by n = 0, at j <= G.n.
     """
     p = G.field.p
     if p != 2:
@@ -286,9 +279,8 @@ def rationality_level(G: FormPresentation) -> NValue:
         if nv.is_exact:
             return NValue("exact", nv.value, "odd-characteristic-equality")
         return NValue("upper_bound", G.n)
-    K = G.field
     n = G.n
-    a = {i: c for i, c in G.twist_coeffs()}
+    a = dict(G.twist_coeffs())
     j = 0
     while True:
         n, a = _reduce_presentation(p, n, a)
@@ -296,10 +288,8 @@ def rationality_level(G: FormPresentation) -> NValue:
             return NValue("exact", j, "split" if j == 0 else "twist-chain")
         if n == 1 and max(a) == 1:
             return NValue("exact", j, "conic" if j == 0 else "twist-chain")
-        if j >= G.n:
-            return NValue("upper_bound", G.n)
         j += 1
-        K, a = _twist_once(K, j, a)
+        n -= 1
 
 
 # -- rational points ----------------------------------------------------
@@ -515,7 +505,8 @@ def find_rational_point(T, max_deg: int) -> Optional[tuple[RatFunc, RatFunc]]:
     returns the least such g without enumerating the p^K numerators.  When
     b is a p^n-th power, 0 included, x = 0 is returned before any h.  The
     witness is the first candidate in that order, so it is deterministic.
-    It is re-verified through exact field arithmetic before being returned.
+    It is re-verified through exact field arithmetic before being returned;
+    at x = 0 the right side is b itself, as tau is additive.
     """
     field, n, coeffs, b = _unpack(T)
     if max_deg < 0:
@@ -523,9 +514,12 @@ def find_rational_point(T, max_deg: int) -> Optional[tuple[RatFunc, RatFunc]]:
     hit = _search(field, n, coeffs, b, max_deg)
     if hit is None:
         return None
-    monos = _monomials_up_to(field.r, max_deg)
-    x = RatFunc(_poly_at(field, monos, hit[0]), _poly_at(field, monos, hit[1]))
-    _, rhs = _rhs_at(T, x)
+    if hit == (0, 1):
+        x, rhs = field.zero(), b
+    else:
+        monos = _monomials_up_to(field.r, max_deg)
+        x = RatFunc(_poly_at(field, monos, hit[0]), _poly_at(field, monos, hit[1]))
+        _, rhs = _rhs_at(T, x)
     y = pn_power_test(rhs, n)
     if y is None or y.frobenius(n) != rhs:
         raise AssertionError("search engine returned a bogus candidate")

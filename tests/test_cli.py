@@ -84,6 +84,7 @@ def test_parse_leading_sign():
     ("y^9 = x + t/x", NotAdditive, "denominators"),
     ("y^9 = x +", ParseError, "expected a term"),
     ("z^9 = x", ParseError, "left side"),
+    ("y^9 = x + t*x^²", ParseError, "unexpected character '²'"),
 ])
 def test_parse_equation_errors(bad, exc, fragment):
     with pytest.raises(exc) as info:

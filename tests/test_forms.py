@@ -22,18 +22,22 @@ from unipic import (
     equation_holds,
     find_rational_point,
     generic_fiber_torsor,
+    genus_from_formula,
     make_form,
     make_torsor,
+    naive_completion,
     plane_model_residual,
     rationality_level,
     rewrite_plane_model,
     splitting_level,
 )
+from unipic import forms
 from unipic.cli import parse_field_spec, parse_form_equation
 from unipic.forms import _clear_denominators, _monomials_up_to, _search, _unpack
 
 from conftest import F2T, F2TU, F3T, ratfunc_strategy
 from search_reference import brute_force_search, linear_search_reference
+from twist_reference import twist_chain_reference
 
 F5T = FieldDesc(5, ("t",))
 SEARCH_FIELDS = [FieldDesc(p, names) for p in (2, 3, 5) for names in (("t",), ("t", "u"))]
@@ -173,6 +177,43 @@ def test_two_variable_levels():
     g = form_over(F2TU, 2, {0: F2TU.one(), 1: t, 2: u})
     assert splitting_degree(g) == 16
     assert splitting_level(g) == NValue("exact", 2, "coefficient-not-pth-power")
+
+
+def _golden_variants():
+    """Every input variant of the benchmark corpora, read from their golden file."""
+    golden = json.loads((Path(__file__).parents[1] / "perfbench" / "golden.json").read_text())
+    return [v for slots in golden["workloads"].values() for slot in slots for v in slot["variants"]]
+
+
+def _golden_forms(p):
+    """The distinct forms of the golden inputs over GF(p)(...), torsors giving their form."""
+    cases = {(v["field"], v["eq"]) for v in _golden_variants() if v["field"].startswith(f"GF({p})")}
+    for field, eq in sorted(cases):
+        X = parse_form_equation(eq, parse_field_spec(field)).build()
+        yield getattr(X, "form", X)
+
+
+def test_rationality_chain_matches_twist_reference():
+    # the chain inside k against the renamed-field twist chain, on every
+    # p = 2 golden form and a seeded GF(2)(t,u) corpus with n <= 4
+    rng = random.Random(0)
+    seeded = []
+    for _ in range(400):
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        coeffs = {i: _power_coeff(rng, F2TU, n) for i in range(1, m + 1) if i == m or rng.random() < 0.6}
+        seeded.append(form_over(F2TU, n, {0: F2TU.one(), **coeffs}))
+    seen, passed = set(), 0
+    for G in itertools.chain(_golden_forms(2), seeded):
+        level, chain = twist_chain_reference(G)
+        assert rationality_level(G) == level, G
+        seen.add((level.certificate, min(level.value, 3)))
+        # the claim the first detection rests on: every reduced presentation
+        # the chain walks past has a completion of positive genus
+        for K, n, a in chain:
+            assert genus_from_formula(naive_completion(form_over(K, n, {0: K.one(), **a}))) > 0
+            passed += 1
+    assert seen == {("split", 0), ("conic", 0), ("twist-chain", 1), ("twist-chain", 2), ("twist-chain", 3)}
+    assert passed
 
 
 def _power_coeff(rng, field, n):
@@ -351,9 +392,7 @@ def test_search_matches_references():
 def test_search_matches_reference_on_golden_corpus():
     # every distinct (field, equation, bound) of the benchmark corpora,
     # read from its golden file, against the earlier linear engine
-    golden = json.loads((Path(__file__).parents[1] / "perfbench" / "golden.json").read_text())
-    cases = {(v["field"], v["eq"], v["bound"]) for slots in golden["workloads"].values()
-             for slot in slots for v in slot["variants"]}
+    cases = {(v["field"], v["eq"], v["bound"]) for v in _golden_variants()}
     hits = 0
     for field, eq, bound in sorted(cases):
         args = _unpack(parse_form_equation(eq, parse_field_spec(field)).build())
@@ -387,6 +426,15 @@ def test_least_witness_takes_low_digit_over_free_high_digit():
     g = form_over(F2T, 1, {0: F2T.one(), 1: t / (t ** 2 + F2T.one())})
     T = make_torsor(g, t ** 3 + t)
     assert find_rational_point(T, 2) == (t ** 2 + F2T.one(), t + F2T.one())
+
+
+@pytest.mark.parametrize("hit", [(0, 1), (1, 2)])
+def test_bogus_candidate_is_refused(conic, monkeypatch, hit):
+    # b = 1/t is not a square, so neither x = 0 nor x = 1/t (h = t) is a point
+    T = make_torsor(conic, F2T.one() / F2T.var("t"))
+    monkeypatch.setattr(forms, "_search", lambda *args: hit)
+    with pytest.raises(AssertionError, match="bogus candidate"):
+        find_rational_point(T, 1)
 
 
 @settings(max_examples=20, deadline=None)
