@@ -140,6 +140,8 @@ def parse_field_spec(s: str) -> FieldDesc:
             name = cur.expect("name")
             if name.text in ("x", "y"):
                 raise ParseError(f"{name.text!r} is a curve variable, not a field variable", name.pos)
+            if name.text in names:
+                raise ParseError(f"duplicate variable name {name.text!r}", name.pos)
             names = names + (name.text,)
             t = cur.next()
             if t.kind == ")":
@@ -147,8 +149,6 @@ def parse_field_spec(s: str) -> FieldDesc:
             if t.kind != ",":
                 raise ParseError(f"expected ',' or ')', found {t.text!r}", t.pos)
     cur.expect("end")
-    if len(set(names)) != len(names):
-        raise ParseError("duplicate variable name", 0)
     return FieldDesc(p, names)
 
 
@@ -378,22 +378,16 @@ def report_to_dict(rep: InvariantReport) -> dict:
     }
 
 
-def _fmt_nv(v: NValue) -> str:
-    if v.is_exact:
-        return f"{v.value} (exact: {v.certificate})"
-    return f"<= {v.value} (bound)"
-
-
 def render_report_text(rep: InvariantReport) -> str:
     lines = []
     kind = "torsor" if rep.is_torsor else "form"
     lines.append(f"{kind}: {rep.target.equation_str()} over {rep.target.field}")
-    lines.append(f"n(X)   = {_fmt_nv(rep.n)}")
-    lines.append(f"n'(X)  = {_fmt_nv(rep.n_prime)}")
-    lines.append(f"r(X)   = {_fmt_nv(rep.r)}")
-    lines.append(f"m(X)   = {_fmt_nv(rep.m_X)}")
+    lines.append(f"n(X)   = {rep.n}")
+    lines.append(f"n'(X)  = {rep.n_prime}")
+    lines.append(f"r(X)   = {rep.r}")
+    lines.append(f"m(X)   = {rep.m_X}")
     lines.append(f"[k':k] = {rep.splitting_degree}")
-    lines.append(f"genus  = {_fmt_nv(rep.genus)}")
+    lines.append(f"genus  = {rep.genus}")
     if rep.genus_oracle is not None:
         val, stab = rep.genus_oracle
         lines.append(f"genus oracle = {val} (stabilized: {str(stab).lower()})")

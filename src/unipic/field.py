@@ -63,6 +63,9 @@ def basis_cap() -> int:
 
 
 def is_prime(p: int) -> bool:
+    """Trial division, which would crawl from 2^31 up: there it raises ValueError."""
+    if p >= 2 ** 31:
+        raise ValueError(f"characteristic {p} is too large; it must be below 2^31")
     if p < 2:
         return False
     d = 2
@@ -711,30 +714,19 @@ class RatFunc:
         return f"RatFunc({self})"
 
 
-def pn_power_test(f: RatFunc, n: int) -> Optional[RatFunc]:
-    """Return g with g^(p^n) = f if f is a p^n-th power, else None."""
+def power_level(a: RatFunc, n: int) -> tuple[int, RatFunc]:
+    """(v, b) with a = b^(p^v) and v <= n as large as possible.
+
+    The one Frobenius ladder of the library: every question of how far
+    down k > k^p > k^(p^2) > ... an element sits is answered here, one
+    p-th root at a time.  Zero lies in every k^(p^v) and gives (n, 0).
+    """
     if n < 0:
         raise ValueError("level must be nonnegative")
-    g = f
-    for _ in range(n):
-        g = g.pth_root()
-        if g is None:
-            return None
-    return g
-
-
-def power_level(a: RatFunc, n: int) -> int:
-    """Largest v <= n with a in k^(p^v); a nonzero."""
-    if not a:
-        raise ZeroInput("power level of zero is undefined")
-    v = 0
-    g = a
-    while v < n:
-        g = g.pth_root()
-        if g is None:
-            break
-        v += 1
-    return v
+    v, b = 0, a
+    while v < n and (root := b.pth_root()) is not None:
+        v, b = v + 1, root
+    return v, b
 
 
 # -- the root tower, read through Frobenius -----------------------------
@@ -813,20 +805,17 @@ def _degree_bounds(roots: Sequence[tuple[RatFunc, int]]) -> tuple[int, int]:
     return p ** sum(ranks), p ** min(top, ranks[-1] + sum(min(r, s) for s in sizes[1:]))
 
 
-def compositum_degree(
-    pairs: Sequence[tuple[RatFunc, int]], cap: Optional[int] = None
-) -> int:
+def compositum_degree(pairs: Sequence[tuple[RatFunc, int]]) -> int:
     """Degree [k' : k] of k' = k(a_1^(1/p^(n_1)), ..., a_s^(1/p^(n_s))).
 
-    Write a_i = b_i^(p^(v_i)) with v_i the power level of a_i, so the i-th
-    root is b_i^(1/p^(e_i)) with e_i = n_i - v_i.  One chain of Frobenius
-    bounds, `_degree_bounds`, gives lo <= [k':k] <= hi, and they meet on
-    most inputs: always for r = 1, a single root, or e_i <= 1, and whenever
-    the b_i with the largest e_i form a p-basis of k.  Only when lo < hi is
-    the dense root-tower basis built, and it is refused above `cap`.
+    Write a_i = b_i^(p^(v_i)) with (v_i, b_i) = `power_level(a_i, n_i)`, so
+    the i-th root is b_i^(1/p^(e_i)) with e_i = n_i - v_i.  One chain of
+    Frobenius bounds, `_degree_bounds`, gives lo <= [k':k] <= hi, and they
+    meet on most inputs: always for r = 1, a single root, or e_i <= 1, and
+    whenever the b_i with the largest e_i form a p-basis of k.  Only when
+    lo < hi is the dense root-tower basis built, and it is refused above
+    `basis_cap()`.
     """
-    if cap is None:
-        cap = basis_cap()
     for a, _ in pairs:
         if not a:
             raise ZeroInput("cannot adjoin roots of zero")
@@ -834,18 +823,16 @@ def compositum_degree(
             raise FieldMismatch("generators over different fields")
     roots = []
     for a, n in pairs:
-        b, v = a, 0  # a = b^(p^v) throughout
-        while v < n and (root := b.pth_root()) is not None:
-            b, v = root, v + 1
+        v, b = power_level(a, n)
         if v < n:
             roots.append((b, n - v))
     if not roots:
         return 1
     lo, hi = _degree_bounds(roots)
-    return lo if lo == hi else _dense_degree(pairs, cap)
+    return lo if lo == hi else _dense_degree(pairs)
 
 
-def _dense_degree(pairs: Sequence[tuple[RatFunc, int]], cap: int) -> int:
+def _dense_degree(pairs: Sequence[tuple[RatFunc, int]]) -> int:
     """[k' : k] by linear algebra over k^q, q = p^N, in the basis of size p^(r*N).
 
     The q-th power map carries k' onto k^q(a_i^(s_i)) with s_i = p^(N - n_i),
@@ -859,7 +846,7 @@ def _dense_degree(pairs: Sequence[tuple[RatFunc, int]], cap: int) -> int:
     level = max(n for _, n in pairs)
     if level == 0:
         return 1
-    _check_basis(base, level, cap)
+    _check_basis(base, level, basis_cap())
     q = base.p ** level
     ladder: list[tuple[MPoly, int]] = []
     degree = 1

@@ -16,6 +16,7 @@ a sound criterion applies and as honest upper bounds otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional
 
 from .field import (
@@ -23,8 +24,8 @@ from .field import (
     FieldMismatch,
     MPoly,
     RatFunc,
-    pn_power_test,
     poly_gcd,
+    power_level,
 )
 from .skew import SkewPoly
 
@@ -68,7 +69,7 @@ class NValue:
     def __str__(self) -> str:
         if self.is_exact:
             return f"{self.value} (exact: {self.certificate})"
-        return f"<= {self.value}"
+        return f"<= {self.value} (bound)"
 
 
 @dataclass(frozen=True)
@@ -201,18 +202,19 @@ def generic_fiber_torsor(G: FormPresentation, var_name: str = "T") -> Torsor:
 def splitting_level(G: FormPresentation) -> NValue:
     """The level of the smallest Frobenius twist trivializing the group.
 
-    The presentation is split, certified level 0, when every a_i is a
-    p^n-th power: k' = k(a_i^(1/p^n)) equals k exactly then, so no root
-    tower is built.  If some a_i is not a p-th power, the supplied n is
-    minimal over every presentation: any presentation at level n0 forces
-    the minimal splitting field inside k^(1/p^n0), and here that field has
-    exponent exactly n.  Otherwise the supplied n is only an upper bound
-    and is reported as such.
+    One pass reads the power level v_i <= n of every a_i.  The
+    presentation is split, certified level 0, when every v_i = n, so every
+    a_i is a p^n-th power: k' = k(a_i^(1/p^n)) equals k exactly then, and
+    no root tower is built.  If some v_i = 0, so a_i is not a p-th power,
+    the supplied n is minimal over every presentation: any presentation at
+    level n0 forces the minimal splitting field inside k^(1/p^n0), and
+    here that field has exponent exactly n.  Otherwise the supplied n is
+    only an upper bound and is reported as such.
     """
-    coeffs = [c for _, c in G.twist_coeffs()]
-    if all(pn_power_test(c, G.n) is not None for c in coeffs):
+    levels = [power_level(c, G.n)[0] for _, c in G.twist_coeffs()]
+    if all(v == G.n for v in levels):
         return NValue("exact", 0, "split")
-    if any(c.pth_root() is None for c in coeffs):
+    if 0 in levels:
         return NValue("exact", G.n, "coefficient-not-pth-power")
     return NValue("upper_bound", G.n)
 
@@ -237,23 +239,13 @@ def _reduce_presentation(
         if not a or n == 0:
             return n, a
         m = max(a)
-        if m >= n:
-            c = pn_power_test(-a[m], n)
-            if c is not None:
-                del a[m]
-                continue
-        roots = {}
-        for i, c in a.items():
-            rc = c.pth_root()
-            if rc is None:
-                roots = None
-                break
-            roots[i] = rc
-        if roots is not None:
-            a = roots
-            n -= 1
+        if m >= n and power_level(-a[m], n)[0] == n:
+            del a[m]
             continue
-        return n, a
+        roots = {i: c.pth_root() for i, c in a.items()}
+        if any(rc is None for rc in roots.values()):
+            return n, a
+        a, n = roots, n - 1
 
 
 def rationality_level(G: FormPresentation) -> NValue:
@@ -297,18 +289,8 @@ def rationality_level(G: FormPresentation) -> NValue:
 
 def _monomials_up_to(r: int, d: int) -> list[tuple[int, ...]]:
     """Exponent tuples of total degree <= d, sorted by (degree, exponents)."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: list[int], left: int, pos: int) -> None:
-        if pos == r:
-            out.append(tuple(prefix))
-            return
-        for e in range(left + 1):
-            rec(prefix + [e], left - e, pos + 1)
-
-    rec([], d, 0)
-    out.sort(key=lambda e: (sum(e), e))
-    return out
+    return sorted((e for e in product(range(d + 1), repeat=r) if sum(e) <= d),
+                  key=lambda e: (sum(e), e))
 
 
 def _unpack(T) -> tuple[FieldDesc, int, list[RatFunc], RatFunc]:
@@ -520,8 +502,8 @@ def find_rational_point(T, max_deg: int) -> Optional[tuple[RatFunc, RatFunc]]:
         monos = _monomials_up_to(field.r, max_deg)
         x = RatFunc(_poly_at(field, monos, hit[0]), _poly_at(field, monos, hit[1]))
         _, rhs = _rhs_at(T, x)
-    y = pn_power_test(rhs, n)
-    if y is None or y.frobenius(n) != rhs:
+    v, y = power_level(rhs, n)
+    if v < n or y.frobenius(n) != rhs:
         raise AssertionError("search engine returned a bogus candidate")
     return x, y
 

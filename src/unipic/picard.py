@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .field import RatFunc, compositum_degree, pn_power_test
+from .field import RatFunc, compositum_degree, power_level
 from .forms import (
     FormPresentation,
     NValue,
@@ -159,8 +159,8 @@ def _residue_level(T, inf: Optional[InfinityData]) -> NValue:
     if inf.is_field:
         return NValue("exact", inf.exponent, "regular-completion")
     if n > m:
-        alpha = pn_power_test(coeffs[m], m)
-        if alpha is not None:
+        v, alpha = power_level(coeffs[m], m)
+        if v == m:
             model = rewrite_plane_model(T, alpha, n - m)
             res = residue_from_plane_model(model)
             if res is not None and res.is_field:
@@ -269,9 +269,8 @@ def invariant_report(X, options: Optional[ReportOptions] = None) -> InvariantRep
     if n.is_exact and n_prime.is_exact and seq.r.is_exact:
         if n.value < max(n_prime.value, seq.r.value):
             raise AssertionError("level inequality violated; invariant chain inconsistent")
-    if m_ := seq.m_X:
-        if m_.is_exact and seq.r.is_exact and (p ** seq.r.value) % m_.value != 0:
-            raise AssertionError("m(X) does not divide p^r; invariant chain inconsistent")
+    if seq.m_X.is_exact and seq.r.is_exact and (p ** seq.r.value) % seq.m_X.value != 0:
+        raise AssertionError("m(X) does not divide p^r; invariant chain inconsistent")
     assertions: list[tuple[str, str]] = [
         (
             "Pic0 of the completed curve is smooth, connected, unipotent, "

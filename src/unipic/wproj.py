@@ -80,7 +80,6 @@ class InfinityData:
     """The residue ring of the boundary section z = 0."""
 
     is_field: bool
-    description: str
     degree: int
     exponent: int
 
@@ -144,19 +143,20 @@ def is_regular_at_infinity(C: WeightedCurve) -> InfinityData:
     else:
         # chart y = 1: residue ring k[x]/(x^(p^m) - 1/a_m)
         e, u = m, am.inverse()
-    return _residue_ring(u, e, "u")
+    return _residue_ring(u, e)
 
 
-def _residue_ring(u: RatFunc, e: int, name: str) -> InfinityData:
-    """The boundary ring k[s]/(s^(p^e) - u), with u shown as `name`."""
-    v = power_level(u, e)
-    deg = u.field.p ** e
-    if v == 0 and e > 0:
-        return InfinityData(True, f"k[s]/(s^{deg} - {name}), {name} not a p-th power", deg, e)
-    if e == 0:
-        return InfinityData(True, "k", 1, 0)
-    return InfinityData(False, f"k[s]/(s^{deg} - {name}) with {name} a p^{v}-th power; nilpotents present",
-                        deg, e - v)
+def _residue_ring(u: RatFunc, e: int) -> InfinityData:
+    """The boundary ring k[s]/(s^(p^e) - u).
+
+    With u = b^(p^v), v <= e as large as possible, it is a field when
+    e = 0 or v = 0; otherwise nilpotents are present and the reduced
+    exponent is e - v.
+    """
+    v, _ = power_level(u, e)
+    if e == 0 or v == 0:
+        return InfinityData(True, u.field.p ** e, e)
+    return InfinityData(False, u.field.p ** e, e - v)
 
 
 def genus_from_formula(C: WeightedCurve) -> int:
@@ -254,4 +254,4 @@ def residue_from_plane_model(model: PlaneModel) -> Optional[InfinityData]:
     J, cy = model.ycoeffs[-1]
     if I != J:
         return None
-    return _residue_ring(-(cy / cw), I, "rho")
+    return _residue_ring(-(cy / cw), I)

@@ -44,6 +44,10 @@ def test_parse_field_spec_errors():
     for spec in ("GF(2)(x)", "GF(2)(y)", "GF(3)(t,x)"):
         with pytest.raises(ParseError, match="curve variable"):
             parse_field_spec(spec)
+    # a repeated name is reported where it repeats
+    with pytest.raises(ParseError, match="duplicate variable name 't'") as exc:
+        parse_field_spec("GF(2)(t,u,t)")
+    assert exc.value.pos == 10
 
 
 def test_parse_form_equation():
@@ -265,6 +269,11 @@ def test_exit_code_parse_errors(capsys):
                            "--eq", "y^2 = x^3")
     assert code == 2
     assert "not a power of 2" in err
+    # a characteristic from 2^31 up is refused instead of trial division
+    code, _, err = run_cli(capsys, "analyze", "--field", "GF(1000000000000000003)",
+                           "--eq", "y = x + t*x")
+    assert code == 2
+    assert "characteristic 1000000000000000003 is too large" in err
 
 
 @pytest.mark.parametrize("command", ["analyze", "genus"])

@@ -1,11 +1,12 @@
 """Exact rational function field arithmetic, p-power tests and root towers."""
 
 import random
+import time
 
 import hypothesis.strategies as st
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from unipic import field as field_mod
 from unipic import (
@@ -19,7 +20,6 @@ from unipic import (
     ZeroInput,
     basis_cap,
     compositum_degree,
-    pn_power_test,
     poly_gcd,
     power_level,
 )
@@ -67,6 +67,17 @@ def test_division_by_zero():
         t / F2T.zero()
     with pytest.raises(DivisionByZero):
         F2T.zero().inverse()
+
+
+def test_characteristic_limit():
+    # trial division stays fast below 2^31 and is refused from there on
+    start = time.perf_counter()
+    assert FieldDesc(2147483647).p == 2 ** 31 - 1
+    assert time.perf_counter() - start < 0.1
+    with pytest.raises(ValueError, match="2147483648"):
+        FieldDesc(2 ** 31)
+    with pytest.raises(ValueError, match="1000000000000000003"):
+        FieldDesc(1000000000000000003)
 
 
 def test_field_mismatch():
@@ -340,35 +351,38 @@ def test_pth_root_examples():
     assert (s + F3T.one()).pth_root() is None
 
 
-def test_pn_power_test_examples():
-    t = F2T.var("t")
-    assert pn_power_test(t ** 4, 2) == t
-    assert pn_power_test(t ** 4, 3) is None
-    assert pn_power_test(F2T.one(), 5) == F2T.one()
-
-    s = F3T.var("t")
-    assert pn_power_test(s ** 9, 2) == s
-    assert pn_power_test(s ** 3, 2) is None
-
-
-@given(ratfunc_strategy(F2T, nonzero=True), st.integers(1, 3))
-def test_pn_power_round_trip(f, n):
-    assert pn_power_test(f.frobenius(n), n) == f
-
-
 def test_power_level_examples():
-    t = F2T.var("t")
-    assert power_level(t, 3) == 0
-    assert power_level(t ** 4, 3) == 2
-    assert power_level(F2T.one(), 5) == 5
-    with pytest.raises(ZeroInput):
-        power_level(F2T.zero(), 2)
+    t, s = F2T.var("t"), F3T.var("t")
+    assert power_level(t, 3) == (0, t)
+    assert power_level(t ** 4, 2) == (2, t)
+    assert power_level(t ** 4, 3) == (2, t)
+    assert power_level(F2T.one(), 5) == (5, F2T.one())
+    assert power_level(s ** 9, 2) == (2, s)
+    assert power_level(s ** 3, 2) == (1, s)
+    # zero lies in every k^(p^v)
+    assert power_level(F2T.zero(), 2) == (2, F2T.zero())
+    with pytest.raises(ValueError):
+        power_level(t, -1)
+
+
+@given(st.sampled_from([F2T, F3T]).flatmap(ratfunc_strategy), st.integers(0, 3), st.integers(0, 3))
+@example(F2T.var("t"), 2, 2)
+@example(F2T.var("t"), 2, 3)
+@example(F2T.one(), 0, 5)
+@example(F3T.var("t"), 2, 2)
+@example(F3T.var("t"), 1, 2)
+def test_power_level_round_trip(f, j, n):
+    a = f.frobenius(j)
+    v, b = power_level(a, n)
+    assert b.frobenius(v) == a
+    assert min(j, n) <= v <= n
+    assert v == n or b.pth_root() is None
 
 
 @given(ratfunc_strategy(F3T, nonzero=True), st.integers(0, 2), st.integers(0, 2))
 def test_power_level_shifts_under_frobenius(f, j, extra):
     n = j + extra
-    assert power_level(f.frobenius(j), n) >= j
+    assert power_level(f.frobenius(j), n)[0] >= j
     assert compositum_degree([(f.frobenius(j), n)]) <= F3T.p ** extra
 
 
@@ -437,16 +451,18 @@ def test_basis_cap_env(monkeypatch):
     assert basis_cap() == 64
 
 
-def test_basis_cap_enforced():
+def test_basis_cap_enforced(monkeypatch):
     # the chain bounds leave this input open: d(t/u^2) = dt/u^2 in
     # characteristic 2, so lo = 2 * 2 and hi = 2^(1 + 2), and the dense
     # basis of 2^(2*2) = 16 decides the degree 8
     t, u = F2TU.var("t"), F2TU.var("u")
     pairs = [(t, 2), (t / u ** 2, 2)]
     assert field_mod._degree_bounds(pairs) == (4, 8)
-    assert field_mod._dense_degree(pairs, cap=16) == 8
+    monkeypatch.setenv("UNIPIC_BASIS_CAP", "16")
+    assert field_mod._dense_degree(pairs) == 8
+    monkeypatch.setenv("UNIPIC_BASIS_CAP", "2")
     with pytest.raises(BasisTooLarge):
-        compositum_degree(pairs, cap=2)
+        compositum_degree(pairs)
 
 
 def _random_coeff(rng, field, den_rng):
@@ -485,10 +501,10 @@ def test_rules_match_dense_oracle(monkeypatch):
     # the auxiliary-field oracle costs about p^(r*N) rows times a (p^N - 1)-th
     # power of each denominator, so both stay small: basis <= 81 and p^N <= 27;
     # it checks the chain bounds and the Frobenius-side dense path alike
+    monkeypatch.setenv("UNIPIC_BASIS_CAP", "81")
     dense = field_mod._dense_degree
     remainder = []
-    monkeypatch.setattr(field_mod, "_dense_degree",
-                        lambda pairs, cap: remainder.append(pairs) or dense(pairs, cap))
+    monkeypatch.setattr(field_mod, "_dense_degree", lambda pairs: remainder.append(pairs) or dense(pairs))
     rng, den_rng = random.Random(2016), random.Random(2017)
     corpus = []
     while len(corpus) < 250:
@@ -503,7 +519,7 @@ def test_rules_match_dense_oracle(monkeypatch):
             corpus.append(pairs)
 
     def bounds(pairs):
-        roots = [(pn_power_test(a, v), n - v) for a, n in pairs if (v := power_level(a, n)) < n]
+        roots = [(b, n - v) for a, n in pairs for v, b in [power_level(a, n)] if v < n]
         return field_mod._degree_bounds(roots) if roots else None
 
     # the draws above are all split or settled; several roots at n = 2 over
@@ -520,7 +536,7 @@ def test_rules_match_dense_oracle(monkeypatch):
         remainder.clear()
         want = dense_degree_reference(pairs, 81)
         assert compositum_degree(pairs) == want, pairs
-        assert dense(pairs, 81) == want, pairs
+        assert dense(pairs) == want, pairs
         if b := bounds(pairs):
             lo, hi = b
             assert lo <= want <= hi, pairs
@@ -552,7 +568,7 @@ def test_public_surface():
     # the auxiliary-field tower lives on only in tests/tower_reference.py, and
     # exports without a library caller are gone
     for name in ("tower_field", "tower_root", "RootTowerElem", "LevelMismatch",
-                 "root_field_degree", "torsion_bound_unipotent"):
+                 "root_field_degree", "torsion_bound_unipotent", "pn_power_test"):
         assert name not in unipic.__all__
         assert not hasattr(unipic, name) and not hasattr(field_mod, name)
     # the ring k{F} lives on only in tests/skew_reference.py; the others had
@@ -561,4 +577,4 @@ def test_public_surface():
                  "to_additive", "splitting_field_degree", "RowSpace"):
         assert name not in unipic.__all__
         assert not hasattr(unipic, name)
-    assert len(unipic.__all__) == 52
+    assert len(unipic.__all__) == 51

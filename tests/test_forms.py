@@ -73,7 +73,7 @@ def tower_form():
 def test_nvalue_validation():
     v = NValue("exact", 1, "conic")
     assert str(v) == "1 (exact: conic)"
-    assert str(NValue("upper_bound", 2, "")) == "<= 2"
+    assert str(NValue("upper_bound", 2, "")) == "<= 2 (bound)"
     with pytest.raises(ValueError):
         NValue("bogus", 1, "x")
     with pytest.raises(ValueError):

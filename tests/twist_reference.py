@@ -7,7 +7,7 @@ coefficient through t -> u^p, and lets the next reduction take the p-th
 roots back out.  It shares no code with `unipic.forms` beyond `NValue`.
 """
 
-from unipic import FieldDesc, NValue, pn_power_test
+from unipic import FieldDesc, NValue, power_level
 
 
 def _reduce_presentation(p, n, a):
@@ -17,7 +17,7 @@ def _reduce_presentation(p, n, a):
         if not a or n == 0:
             return n, a
         m = max(a)
-        if m >= n and pn_power_test(-a[m], n) is not None:
+        if m >= n and power_level(-a[m], n)[0] == n:
             del a[m]
             continue
         roots = {i: c.pth_root() for i, c in a.items()}
