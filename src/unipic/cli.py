@@ -17,13 +17,14 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 from .catalogue import run_catalogue
-from .field import FieldDesc, RatFunc, is_prime
+from .field import FieldDesc, RatFunc, basis_cap, is_prime
 from .forms import (
     FormPresentation,
     NotSeparable,
     NValue,
     Torsor,
     find_rational_point,
+    local_obstruction,
     make_form,
     make_torsor,
 )
@@ -455,7 +456,8 @@ def _cmd_hilbert(args) -> int:
 
 def _cmd_points(args) -> int:
     X = _build_target(args)
-    pt = find_rational_point(X, args.max_deg)
+    obstructed = args.max_deg >= 0 and local_obstruction(X)  # a negative bound still raises
+    pt = None if obstructed else find_rational_point(X, args.max_deg)
     if pt is None:
         print(f"no point found (bound {args.max_deg})")
     else:
@@ -545,6 +547,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     ap = _make_parser()
     args = ap.parse_args(argv)
     try:
+        basis_cap()  # a malformed UNIPIC_BASIS_CAP fails every subcommand alike
         return args.fn(args)
     except (ParseError, NotSeparable, NotIrreducible, TrivialTau, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import gcd
 from typing import Optional
 
 from .field import (
@@ -506,6 +507,67 @@ def find_rational_point(T, max_deg: int) -> Optional[tuple[RatFunc, RatFunc]]:
     if v < n or y.frobenius(n) != rhs:
         raise AssertionError("search engine returned a bogus candidate")
     return x, y
+
+
+def local_obstruction(T) -> Optional[str]:
+    """A place t_j = 0 or oo of k where T has no point of degree prime to p.
+
+    Returns the place as a string such as "t = oo", or None (always for a
+    form, which has x = 0).  Over L/k of degree prime to p, some place of
+    L above t_j = 0 (or oo) has ramification e and residue degree f prime
+    to p, so its residue field is separable over kappa = F_p(the other
+    variables): its q-th powers (q = p^n) meet kappa in kappa^q, and the
+    valuation w(x) lies in (1/e)Z, inside Z_(p).  At an L-point of
+    y^q = b + sum_i a_i x^(p^i) with x != 0 the least of beta = v(b),
+    alpha_i + p^i w(x) (alpha_i = v(a_i)) and q w(y) is reached twice.
+    So w(x) is a breakpoint of the lower envelope of those lines, lying in
+    Z_(p), or the one dominant term ties with y^q.  For b, or a_i with
+    i >= n, that makes it a q-th power to leading order: q divides its
+    valuation and its leading coefficient lies in kappa^q (the unit between
+    the uniformizers enters as a q-th power).  For i < n it needs
+    p^i | alpha_i, counted as feasible.  x = 0 needs the test of b.  When
+    every piece fails, every closed point has degree divisible by p.  The
+    slopes p^m > ... > p > 1 > 0 make the envelope one convex-hull pass.
+    """
+    field, n, coeffs, b = _unpack(T)
+    if not b or n == 0:
+        return None
+    p, q = field.p, field.p ** n
+    twist = [(i, c) for i, c in enumerate(coeffs) if c][::-1]  # steepest line first
+    for (j, name), inf in product(enumerate(field.vars), (False, True)):
+        def edge(g: MPoly) -> int:  # the lowest t_j-degree of g, at infinity the highest
+            return (max if inf else min)(e[j] for e in g.terms)
+
+        def val(f: RatFunc) -> int:
+            d = edge(f.num) - edge(f.den)
+            return -d if inf else d
+
+        def lead(g: MPoly) -> MPoly:
+            d = edge(g)
+            return MPoly(field, {e[:j] + (0,) + e[j + 1:]: c for e, c in g.terms.items() if e[j] == d})
+
+        def fits(c: int, i: int) -> bool:
+            """Whether the term of line i (b for -1) can tie with y^q on its segment."""
+            if 0 <= i < n:
+                return c % p ** i == 0
+            f = b if i < 0 else coeffs[i]  # the q-th-power test only once q | c
+            return c % q == 0 and power_level(RatFunc(lead(f.num), lead(f.den)), n)[0] == n
+
+        beta = val(b)
+        if fits(beta, -1):
+            continue
+        hull: list = []  # (intercept, slope, i) on the lower envelope, left to right
+        for line in [(val(c), p ** i, i) for i, c in twist] + [(beta, 0, -1)]:
+            while len(hull) > 1 and ((line[0] - hull[-2][0]) * (hull[-2][1] - hull[-1][1])
+                                     <= (hull[-1][0] - hull[-2][0]) * (hull[-2][1] - line[1])):
+                hull.pop()
+            hull.append(line)
+        # a breakpoint xi = num/den lies in Z_(p) iff den / gcd(num, den) is prime to p
+        if any((s1 - s2) // gcd(c2 - c1, s1 - s2) % p for (c1, s1, _), (c2, s2, _) in zip(hull, hull[1:])):
+            continue
+        if not any(fits(c, i) for c, _, i in hull[:-1]):
+            return f"{name} = {'oo' if inf else 0}"
+    return None
 
 
 # -- plane models -------------------------------------------------------

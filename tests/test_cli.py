@@ -1,6 +1,7 @@
 """Command line interface: parsing, rendering, JSON schema, exit codes."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -243,14 +244,41 @@ def test_points_found_f3(capsys):
 
 @pytest.mark.parametrize("field, eq, bound", [
     ("GF(3)(t)", "y^3 = 1/t + x + t*x^3", 1),
-    # a miss over all 3,906 monic denominators of degree <= 2 in t, u
+    # obstructed at t = oo, so none of the 3,906 monic denominators of
+    # degree <= 2 in t, u (about 2.4e6 at degree <= 3) is searched
     ("GF(5)(t,u)", "y^5 = u + x + t*x^5", 2),
-], ids=["GF(3)(t)", "GF(5)(t,u)"])
+    ("GF(5)(t,u)", "y^5 = u + x + t*x^5", 3),
+], ids=["GF(3)(t)", "GF(5)(t,u)", "GF(5)(t,u) degree 3"])
 def test_points_not_found_f3(capsys, field, eq, bound):
     code, out, _ = run_cli(capsys, "points", "--field", field,
                            "--eq", eq, "--max-deg", str(bound))
     assert code == 0
     assert out.strip() == f"no point found (bound {bound})"
+
+
+def test_analyze_obstructed_without_search(capsys):
+    # at --search-bound 3 the search alone ran past 60 s; the obstruction
+    # at t = oo proves that no point has degree prime to 5, and r = 1
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "analyze", "--field", "GF(5)(t,u)",
+                           "--eq", "y^5 = u + x + t*x^5", "--search-bound", "3")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert "m(X)   = 5 (exact: local-obstruction)\n" in out
+    assert "M = 5*Z/5Z\n" in out
+
+
+@pytest.mark.parametrize("raw, message", [
+    ("abc", "UNIPIC_BASIS_CAP must be an integer, got 'abc'"),
+    ("0", "UNIPIC_BASIS_CAP must be positive, got 0"),
+])
+def test_malformed_basis_cap_fails_every_subcommand(capsys, monkeypatch, raw, message):
+    # refused up front, even where the input never builds a dense basis
+    monkeypatch.setenv("UNIPIC_BASIS_CAP", raw)
+    for argv in (("analyze", "--field", "GF(2)(t)", "--eq", "y^2 = x + t*x^2"),
+                 ("hilbert", "--a", "2", "--delta", "3")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_p1_complement(capsys):
