@@ -173,11 +173,13 @@ def exact_sequence_data(X, search_bound: int = 2) -> ExactSeqData:
     """Assemble the degree exact sequence for a form or torsor.
 
     m(X) = 1 is certified by a found rational point (the zero section
-    handles every form), and m(X) = p for r = 1 by a local obstruction,
-    which proves p | m(X) and skips the search.  The Pic0 dimension is
-    the completed curve's genus, exact when the naive completion is
-    regular and an upper bound otherwise.  The completion and its
-    boundary data are built once and serve both r and Pic0.
+    handles every form); without a point only m(X) | p^r is known.  A
+    local obstruction proves that no point of degree prime to p exists,
+    so it skips the search and gives the report a search that finds
+    nothing gives.  The Pic0 dimension is the completed curve's genus,
+    exact when the naive completion is regular and an upper bound
+    otherwise.  The completion and its boundary data are built once and
+    serve both r and Pic0.
     """
     return _sequence_and_completion(X, search_bound)[0]
 
@@ -201,12 +203,9 @@ def _sequence_and_completion(X, search_bound: int) -> tuple[ExactSeqData, Option
         else:
             pic0 = NValue("upper_bound", g)
     r = _residue_level(X, inf)
-    place = local_obstruction(X)
-    point = None if place else find_rational_point(X, search_bound)
+    point = None if local_obstruction(X) else find_rational_point(X, search_bound)
     if point is not None:
         m_X = NValue("exact", 1, "rational-point")
-    elif place and r.is_exact and r.value == 1:
-        m_X = NValue("exact", p, "local-obstruction")
     else:
         m_X = NValue("upper_bound", p ** r.value)
     quotient = None

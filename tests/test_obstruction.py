@@ -150,7 +150,9 @@ def _analyze_json(argv):
     return json.loads(out.getvalue())
 
 
-def test_output_changes_only_where_the_obstruction_fires(monkeypatch):
+def test_output_unchanged_where_the_obstruction_fires(monkeypatch):
+    # skipping the search is the whole effect: the report is the one a
+    # search that finds nothing gives, m(X) | p^r included
     fired = [argv for T, _, argv, _ in GOLDEN if local_obstruction(T)]
     assert fired
     for argv in fired:
@@ -158,11 +160,5 @@ def test_output_changes_only_where_the_obstruction_fires(monkeypatch):
             mp.setattr(unipic.picard, "local_obstruction", lambda T: None)
             before = _analyze_json(argv)
         after = _analyze_json(argv)
-        old, new = before.pop("m_X"), after.pop("m_X")
-        assert before["exact_sequence"].pop("m_X") == old and after["exact_sequence"].pop("m_X") == new
-        before["exact_sequence"].pop("quotient")
-        after["exact_sequence"].pop("quotient")
         assert before == after, argv
-        # a bound p^r turns exact p when r = 1, and is otherwise kept
-        assert old["kind"] == "bound" and new["value"] == old["value"]
-        assert (new["kind"] == "exact") == (after["r"] == {"kind": "exact", "value": 1}), argv
+        assert after["m_X"]["kind"] == "bound", argv

@@ -230,6 +230,5 @@ def test_report_generic_fiber():
     assert rep.pic_group == "0"
     assert rep.flags == ("pic-trivial-by-construction",)
     assert rep.point is None
-    # y^2 = T + x + t*x^2 has no point of odd degree (t = oo obstructs), and r = 1
-    assert rep.m_X == NValue("exact", 2, "local-obstruction")
+    assert rep.m_X == NValue("upper_bound", 2)
     assert rep.n_prime == NValue("upper_bound", 1)
