@@ -12,12 +12,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 from .catalogue import run_catalogue
-from .field import FieldDesc, RatFunc, basis_cap, is_prime
+from .field import FieldDesc, MPoly, RatFunc, _add_terms, _mul_terms, _pow_terms, basis_cap, is_prime
 from .forms import (
     FormPresentation,
     NotSeparable,
@@ -59,64 +60,130 @@ class BadExponent(ParseError):
 
 # -- tokenizer ----------------------------------------------------------
 
-_SYMBOLS = set("()+-*/^=,")
+# one token per match, after any whitespace: ASCII digits (str.isdigit also
+# takes '²'), a run of \w, a symbol, or any other character.  In str patterns
+# \s is str.isspace and \w is str.isalnum or '_'; a run of \w is a name
+# only when it starts with str.isalpha or '_'.
+_TOKEN = re.compile(r"\s*(?:([0-9]+)|(\w+)|([()+\-*/^=,])|(\S))")
 
 
-class _Tok(NamedTuple):
-    kind: str  # "int", "name", or the symbol itself
-    text: str
-    pos: int
-
-
-def _tokenize(s: str) -> list[_Tok]:
+def _tokenize(s: str) -> list[tuple[str, str, int]]:
+    """(kind, text, pos) triples, kind "int", "name", "end" or the symbol."""
     out = []
-    i = 0
-    while i < len(s):
-        ch = s[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _SYMBOLS:
-            out.append(_Tok(ch, ch, i))
-            i += 1
-            continue
-        if "0" <= ch <= "9":  # ASCII only: str.isdigit() also accepts '²'
-            j = i
-            while j < len(s) and "0" <= s[j] <= "9":
-                j += 1
-            out.append(_Tok("int", s[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(s) and (s[j].isalnum() or s[j] == "_"):
-                j += 1
-            out.append(_Tok("name", s[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    out.append(_Tok("end", "", len(s)))
+    for m in _TOKEN.finditer(s):
+        k = m.lastindex
+        text = m[k]
+        if k == 4 or k == 2 and not (text[0].isalpha() or text[0] == "_"):
+            raise ParseError(f"unexpected character {text[0]!r}", m.start(k))
+        out.append((text if k == 3 else "int" if k == 1 else "name", text, m.start(k)))
+    out.append(("end", "", len(s)))
     return out
 
 
-class _Cursor:
-    def __init__(self, toks: list[_Tok]):
-        self.toks = toks
-        self.i = 0
+class _Reader:
+    """Recursive descent over one string's tokens, on unreduced (num, den)
+    pairs of `MPoly` term dicts; the caller makes one `RatFunc` per additive
+    term, and its constructor takes the one gcd."""
 
-    def peek(self) -> _Tok:
-        return self.toks[self.i]
+    def __init__(self, s: str, field: Optional[FieldDesc] = None):
+        self.toks, self.i = _tokenize(s), 0
+        if field is not None:
+            r = field.r
+            self.p, self.r, self.origin = field.p, r, (0,) * r
+            self.one = {self.origin: 1}
+            self.units = {v: tuple(int(i == j) for j in range(r)) for i, v in enumerate(field.vars)}
 
-    def next(self) -> _Tok:
-        t = self.toks[self.i]
+    def take(self, kind: str) -> tuple[str, str, int]:
+        tok = self.toks[self.i]
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         self.i += 1
-        return t
+        return tok
 
-    def expect(self, kind: str) -> _Tok:
-        t = self.peek()
-        if t.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {t.text!r}", t.pos)
-        return self.next()
+    def expr(self) -> tuple[dict, dict]:
+        num, den, _ = self.product(False)
+        p = self.p
+        while (op := self.toks[self.i][0]) in ("+", "-"):
+            self.i += 1
+            c, d, _ = self.product(op == "-")
+            if not num:
+                num, den = c, d
+            elif d == den:
+                num = _add_terms(num, c, p)
+            elif c:
+                num = _add_terms(_mul_terms(num, d, p), _mul_terms(c, den, p), p)
+                den = _mul_terms(den, d, p)
+        return num, den
+
+    def product(self, negate: bool, top: bool = False) -> tuple[dict, dict, Optional[int]]:
+        """Factors joined by '*' and '/'; at the top, one additive term, which
+        may hold one power x^(p^i) of the curve variable (returned as i)."""
+        toks, p, one = self.toks, self.p, self.one
+        num, den, xexp, op, op_pos = one, one, None, None, 0
+        while True:
+            kind, text, pos = toks[self.i]
+            term = top and op != "/"  # a factor where the curve variable x may stand
+            if top and not term and text in ("x", "y"):
+                raise NotAdditive("curve variables cannot appear in denominators", op_pos)
+            if op is None or not term:
+                while kind == "-":  # unary minus chains
+                    self.i += 1
+                    negate = not negate
+                    kind, text, pos = toks[self.i]
+            if term and text == "y":
+                raise NotAdditive("y cannot appear on the right side", pos)
+            if term and text == "x":
+                self.i += 1
+                if xexp is not None:
+                    raise NotAdditive("only one x-power per term", pos)
+                xexp = 0
+                if toks[self.i][0] == "^":
+                    self.i += 1
+                    xexp = _p_log(self.take("int"), p, NotAdditive)
+                a = b = one
+            elif term and kind not in ("int", "name", "("):
+                raise ParseError(f"expected a term, found {text!r}", pos)
+            else:
+                a, b = self.atom()
+            if op == "/":
+                if not a:
+                    raise ParseError("division by zero constant", op_pos)
+                a, b = b, a
+            if a is not one:
+                num = _mul_terms(num, a, p)
+            if b is not one:
+                den = _mul_terms(den, b, p)
+            op, _, op_pos = toks[self.i]
+            if op not in ("*", "/"):
+                if negate:
+                    num = {e: p - c for e, c in num.items()}
+                return num, den, xexp
+            self.i += 1
+
+    def atom(self) -> tuple[dict, dict]:
+        kind, text, pos = self.toks[self.i]
+        self.i += 1
+        one = self.one
+        if kind == "int":
+            c = int(text) % self.p
+            num, den = {self.origin: c} if c else {}, one
+        elif kind == "name":
+            e = self.units.get(text)
+            if e is None:
+                raise ParseError(f"unknown variable {text!r}", pos)
+            num, den = {e: 1}, one
+        elif kind == "(":
+            num, den = self.expr()
+            self.take(")")
+        else:
+            raise ParseError(f"expected a value, found {text!r}", pos)
+        if self.toks[self.i][0] == "^":
+            self.i += 1
+            e = int(self.take("int")[1])
+            num = _pow_terms(num, e, self.p, self.r)
+            if den is not one:
+                den = _pow_terms(den, e, self.p, self.r)
+        return num, den
 
 
 # -- field specs --------------------------------------------------------
@@ -124,89 +191,33 @@ class _Cursor:
 
 def parse_field_spec(s: str) -> FieldDesc:
     """Grammar: "GF(" prime ")" ( "(" name ("," name)* ")" )?"""
-    cur = _Cursor(_tokenize(s))
-    head = cur.expect("name")
-    if head.text != "GF":
-        raise ParseError("field specs start with GF", head.pos)
-    cur.expect("(")
-    ptok = cur.expect("int")
-    p = int(ptok.text)
+    rd = _Reader(s)
+    head = rd.take("name")
+    if head[1] != "GF":
+        raise ParseError("field specs start with GF", head[2])
+    rd.take("(")
+    _, ptext, ppos = rd.take("int")
+    p = int(ptext)
     if not is_prime(p):
-        raise NotPrime(f"{p} is not prime", ptok.pos)
-    cur.expect(")")
+        raise NotPrime(f"{p} is not prime", ppos)
+    rd.take(")")
     names: tuple[str, ...] = ()
-    if cur.peek().kind == "(":
-        cur.next()
-        while True:
-            name = cur.expect("name")
-            if name.text in ("x", "y"):
-                raise ParseError(f"{name.text!r} is a curve variable, not a field variable", name.pos)
-            if name.text in names:
-                raise ParseError(f"duplicate variable name {name.text!r}", name.pos)
-            names = names + (name.text,)
-            t = cur.next()
-            if t.kind == ")":
-                break
-            if t.kind != ",":
-                raise ParseError(f"expected ',' or ')', found {t.text!r}", t.pos)
-    cur.expect("end")
+    if rd.toks[rd.i][0] == "(":
+        sep = ","
+        while sep == ",":
+            rd.i += 1
+            _, name, pos = rd.take("name")
+            if name in ("x", "y"):
+                raise ParseError(f"{name!r} is a curve variable, not a field variable", pos)
+            if name in names:
+                raise ParseError(f"duplicate variable name {name!r}", pos)
+            names = names + (name,)
+            sep, text, pos = rd.toks[rd.i]
+        if sep != ")":
+            raise ParseError(f"expected ',' or ')', found {text!r}", pos)
+        rd.i += 1
+    rd.take("end")
     return FieldDesc(p, names)
-
-
-# -- coefficient expressions --------------------------------------------
-
-
-def _parse_expr(cur: _Cursor, field: FieldDesc) -> RatFunc:
-    v = _parse_product(cur, field)
-    while cur.peek().kind in ("+", "-"):
-        op = cur.next().kind
-        w = _parse_product(cur, field)
-        v = v + w if op == "+" else v - w
-    return v
-
-
-def _parse_product(cur: _Cursor, field: FieldDesc) -> RatFunc:
-    v = _parse_unary(cur, field)
-    while cur.peek().kind in ("*", "/"):
-        op = cur.next()
-        w = _parse_unary(cur, field)
-        if op.kind == "/":
-            if not w:
-                raise ParseError("division by zero constant", op.pos)
-            v = v / w
-        else:
-            v = v * w
-    return v
-
-
-def _parse_unary(cur: _Cursor, field: FieldDesc) -> RatFunc:
-    if cur.peek().kind == "-":
-        cur.next()
-        return -_parse_unary(cur, field)
-    return _parse_atom(cur, field)
-
-
-def _parse_atom(cur: _Cursor, field: FieldDesc) -> RatFunc:
-    t = cur.next()
-    if t.kind == "int":
-        base = field.const(int(t.text))
-    elif t.kind == "name":
-        if t.text not in field.vars:
-            raise ParseError(f"unknown variable {t.text!r}", t.pos)
-        base = field.var(t.text)
-    elif t.kind == "(":
-        base = _parse_expr(cur, field)
-        cur.expect(")")
-    else:
-        raise ParseError(f"expected a value, found {t.text!r}", t.pos)
-    if cur.peek().kind == "^":
-        cur.next()
-        etok = cur.expect("int")
-        e = int(etok.text)
-        if e < 0:
-            raise BadExponent("negative exponent", etok.pos)
-        base = base ** e
-    return base
 
 
 # -- equations ----------------------------------------------------------
@@ -230,16 +241,26 @@ class EquationAST:
         return G
 
 
-def _p_log(value: int, p: int, tok: _Tok, exc: type) -> int:
+def _p_log(tok: tuple[str, str, int], p: int, exc: type) -> int:
+    _, text, pos = tok
+    value = int(text)
     if value < 1:
-        raise exc(f"exponent {value} must be a positive power of {p}", tok.pos)
+        raise exc(f"exponent {value} must be a positive power of {p}", pos)
     e = 0
     while value % p == 0:
         value //= p
         e += 1
     if value != 1:
-        raise exc(f"exponent {tok.text} is not a power of {p}", tok.pos)
+        raise exc(f"exponent {text} is not a power of {p}", pos)
     return e
+
+
+def _parse_value(s: str, field: FieldDesc) -> RatFunc:
+    """One coefficient expression in the field's variables."""
+    rd = _Reader(s, field)
+    num, den = rd.expr()
+    rd.take("end")
+    return RatFunc(MPoly(field, num), MPoly(field, den))
 
 
 def parse_form_equation(s: str, field: FieldDesc) -> EquationAST:
@@ -249,89 +270,36 @@ def parse_form_equation(s: str, field: FieldDesc) -> EquationAST:
     Integer coefficients reduce mod p; constants fold into the translation
     term.  The linear term in x must be present with nonzero coefficient.
     """
-    p = field.p
-    cur = _Cursor(_tokenize(s))
-    lhs = cur.expect("name")
-    if lhs.text != "y":
-        raise ParseError("left side must be y or a power of y", lhs.pos)
+    rd = _Reader(s, field)
+    lhs = rd.take("name")
+    if lhs[1] != "y":
+        raise ParseError("left side must be y or a power of y", lhs[2])
     n = 0
-    if cur.peek().kind == "^":
-        cur.next()
-        etok = cur.expect("int")
-        n = _p_log(int(etok.text), p, etok, BadExponent)
-    cur.expect("=")
+    if rd.toks[rd.i][0] == "^":
+        rd.i += 1
+        n = _p_log(rd.take("int"), field.p, BadExponent)
+    rd.take("=")
     coeffs: dict[int, RatFunc] = {}
     b = field.zero()
     negate = False
     while True:
-        coeff, xexp = _parse_term(cur, field)
-        if negate:
-            coeff = -coeff
+        num, den, xexp = rd.product(negate, top=True)
+        coeff = RatFunc(MPoly(field, num), MPoly(field, den))
         if xexp is None:
             b = b + coeff
         else:
             coeffs[xexp] = coeffs[xexp] + coeff if xexp in coeffs else coeff
-        t = cur.next()
-        if t.kind == "end":
+        kind, text, pos = rd.toks[rd.i]
+        rd.i += 1
+        if kind == "end":
             break
-        if t.kind == "+":
-            negate = False
-        elif t.kind == "-":
-            negate = True
-        else:
-            raise ParseError(f"expected '+', '-' or end of input, found {t.text!r}", t.pos)
+        if kind not in ("+", "-"):
+            raise ParseError(f"expected '+', '-' or end of input, found {text!r}", pos)
+        negate = kind == "-"
     coeffs = {i: c for i, c in coeffs.items() if c}
     if 0 not in coeffs:
         raise NotSeparable("the equation needs a nonzero linear term in x")
     return EquationAST(field, n, tuple(sorted(coeffs.items())), b)
-
-
-def _parse_term(cur: _Cursor, field: FieldDesc) -> tuple[RatFunc, Optional[int]]:
-    """One additive term: product of factors, at most one x-power."""
-    p = field.p
-    coeff = field.one()
-    xexp: Optional[int] = None
-    while cur.peek().kind == "-":
-        cur.next()
-        coeff = -coeff
-    expect_factor = True
-    while expect_factor:
-        t = cur.peek()
-        if t.kind == "name" and t.text == "y":
-            raise NotAdditive("y cannot appear on the right side", t.pos)
-        if t.kind == "name" and t.text == "x":
-            cur.next()
-            if xexp is not None:
-                raise NotAdditive("only one x-power per term", t.pos)
-            if cur.peek().kind == "^":
-                cur.next()
-                etok = cur.expect("int")
-                xexp = _p_log(int(etok.text), p, etok, NotAdditive)
-            else:
-                xexp = 0
-        elif t.kind in ("int", "name", "("):
-            coeff = coeff * _parse_unary(cur, field)
-        else:
-            raise ParseError(f"expected a term, found {t.text!r}", t.pos)
-        expect_factor = False
-        while True:
-            nxt = cur.peek()
-            if nxt.kind == "*":
-                cur.next()
-                expect_factor = True
-                break
-            if nxt.kind == "/":
-                op = cur.next()
-                nt = cur.peek()
-                if nt.kind == "name" and nt.text in ("x", "y"):
-                    raise NotAdditive("curve variables cannot appear in denominators", op.pos)
-                w = _parse_unary(cur, field)
-                if not w:
-                    raise ParseError("division by zero constant", op.pos)
-                coeff = coeff / w
-                continue
-            break
-    return coeff, xexp
 
 
 # -- serialization ------------------------------------------------------
@@ -377,6 +345,29 @@ def report_to_dict(rep: InvariantReport) -> dict:
         "assertions": [[stmt, tag] for stmt, tag in rep.assertions],
         "flags": list(rep.flags),
     }
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _to_json(v, indent: str = "") -> str:
+    """json.dumps(v, indent=2, sort_keys=True), whose indent makes CPython fall
+    back to its pure-Python encoder, for str, int, bool, None, list, tuple and
+    dict with str keys; any other type raises TypeError."""
+    if isinstance(v, str):
+        return _quote(v)
+    if v is None or isinstance(v, bool):
+        return "null" if v is None else "true" if v else "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    inner = indent + "  "
+    if isinstance(v, dict):
+        items, ends = [f"{_quote(k)}: {_to_json(x, inner)}" for k, x in sorted(v.items())], "{}"
+    elif isinstance(v, (list, tuple)):
+        items, ends = [_to_json(x, inner) for x in v], "[]"
+    else:
+        raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+    return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{ends[1]}" if items else ends
 
 
 def render_report_text(rep: InvariantReport) -> str:
@@ -428,7 +419,7 @@ def _cmd_analyze(args) -> int:
     )
     rep = invariant_report(X, opts)
     if args.json:
-        print(json.dumps(report_to_dict(rep), indent=2, sort_keys=True))
+        print(_to_json(report_to_dict(rep)))
     else:
         print(render_report_text(rep))
     return 0
@@ -466,11 +457,7 @@ def _cmd_points(args) -> int:
 
 
 def _cmd_p1_complement(args) -> int:
-    field = parse_field_spec(args.field)
-    cur = _Cursor(_tokenize(args.c))
-    c = _parse_expr(cur, field)
-    cur.expect("end")
-    data = pic_p1_complement(args.e, c)
+    data = pic_p1_complement(args.e, _parse_value(args.c, parse_field_spec(args.field)))
     print(f"Pic = {data.pic_structure}")
     print(f"n(X) = {data.n.value} (exact), n'(X) = {data.n_prime.value}, r(X) = {data.r.value}")
     print(f"genus = {data.genus}")

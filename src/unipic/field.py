@@ -127,6 +127,56 @@ def _grlex_key(e: tuple[int, ...]) -> tuple:
     return (sum(e), e)
 
 
+# -- term-dict kernel: {exponent tuple: residue in [1, p-1]}, shared with the parser
+
+
+def _add_terms(a: dict, b: dict, p: int) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        s = (out.get(e, 0) + c) % p
+        if s:
+            out[e] = s
+        elif e in out:
+            del out[e]
+    return out
+
+
+def _mul_terms(a: dict, b: dict, p: int) -> dict:
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:  # a monomial shifts b's exponents one to one, and p is prime
+        (ea, ca), = a.items()
+        return {tuple(map(add, ea, eb)): ca * cb % p for eb, cb in b.items()}
+    out: dict = {}
+    get = out.get  # sums stay unreduced; reduce and drop zeros once at the end
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(map(add, ea, eb))
+            out[e] = get(e, 0) + ca * cb
+    return {e: s for e, c in out.items() if (s := c % p)}
+
+
+def _pow_terms(a: dict, n: int, p: int, r: int) -> dict:
+    """a^n, n >= 0, by base-p digits: f^(sum d_i p^i) = prod (f^(d_i))^(p^i), as
+    Frobenius fixes F_p; square-and-multiply runs within one digit d_i < p."""
+    if len(a) == 1:
+        (e, c), = a.items()
+        return {tuple(x * n for x in e): pow(c, n, p)}
+    out = None  # the first factor is taken as is, not times one
+    while n:
+        n, d = divmod(n, p)
+        base = a
+        while d:
+            if d & 1:
+                out = base if out is None else _mul_terms(out, base, p)
+            d >>= 1
+            if d:
+                base = _mul_terms(base, base, p)
+        if n:
+            a = {tuple(x * p for x in e): c for e, c in a.items()}
+    return {(0,) * r: 1} if out is None else out
+
+
 class MPoly:
     """Sparse multivariate polynomial over F_p.
 
@@ -211,15 +261,7 @@ class MPoly:
 
     def __add__(self, other: "MPoly") -> "MPoly":
         self._check(other)
-        p = self.field.p
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = (out.get(e, 0) + c) % p
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        return MPoly(self.field, out)
+        return MPoly(self.field, _add_terms(self.terms, other.terms, self.field.p))
 
     def __neg__(self) -> "MPoly":
         p = self.field.p
@@ -230,19 +272,7 @@ class MPoly:
 
     def __mul__(self, other: "MPoly") -> "MPoly":
         self._check(other)
-        p = self.field.p
-        if not self.terms or not other.terms:
-            return MPoly.zero(self.field)
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict = {}
-        get = out.get  # sums stay unreduced; reduce and drop zeros once at the end
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(map(add, ea, eb))
-                out[e] = get(e, 0) + ca * cb
-        return MPoly(self.field, {e: s for e, c in out.items() if (s := c % p)})
+        return MPoly(self.field, _mul_terms(self.terms, other.terms, self.field.p))
 
     def scale(self, c: int) -> "MPoly":
         c %= self.field.p
@@ -256,23 +286,12 @@ class MPoly:
     def mul_monomial(self, exp: tuple[int, ...], c: int = 1) -> "MPoly":
         p = self.field.p
         c %= p
-        if c == 0:
-            return MPoly.zero(self.field)
-        return MPoly(
-            self.field,
-            {tuple(a + b for a, b in zip(e, exp)): (k * c) % p for e, k in self.terms.items()},
-        )
+        return MPoly(self.field, _mul_terms(self.terms, {exp: c}, p) if c else {})
 
     def __pow__(self, n: int) -> "MPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result, base = None, self  # the first factor is taken as is, not times one
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return MPoly.one(self.field) if result is None else result
+        return MPoly(self.field, _pow_terms(self.terms, n, self.field.p, self.field.r))
 
     # -- char-p structure ----------------------------------------------
 
@@ -300,17 +319,9 @@ class MPoly:
         return MPoly(self.field, out)
 
     def partial(self, v: int) -> "MPoly":
-        p = self.field.p
-        out = {}
-        for e, c in self.terms.items():
-            k = e[v]
-            cc = (c * k) % p
-            if k and cc:
-                e2 = tuple(x - 1 if i == v else x for i, x in enumerate(e))
-                out[e2] = (out.get(e2, 0) + cc) % p
-                if not out[e2]:
-                    del out[e2]
-        return MPoly(self.field, out)
+        p = self.field.p  # lowering e[v] >= 1 by one is one to one, so no terms merge
+        return MPoly(self.field, {e[:v] + (e[v] - 1,) + e[v + 1:]: cc
+                                  for e, c in self.terms.items() if (cc := c * e[v] % p)})
 
     def embed(self, target: FieldDesc, var_images: Sequence[tuple[int, int]]) -> "MPoly":
         """Monomial substitution t_i -> (target var at index j)^s.
@@ -529,7 +540,7 @@ class RatFunc:
                 if not g.is_one():
                     num = num.exact_div(g)
                     den = den.exact_div(g)
-            num, den = _monic_den(num, den)
+                num, den = _monic_den(num, den)
         self.num = num
         self.den = den
         self._hash = None

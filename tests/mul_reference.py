@@ -1,8 +1,11 @@
-"""Term-by-term polynomial product: the reference for `unipic.MPoly.__mul__`.
+"""References for `unipic.MPoly.__mul__` and `unipic.MPoly.__pow__`.
 
-It reduces every partial sum mod p as it goes and deletes a term as soon
-as its coefficient cancels to zero, so the stored terms are nonzero at
-every step.  `mul_reference(f, g).terms` should equal `(f * g).terms`.
+The term-by-term product reduces every partial sum mod p as it goes and
+deletes a term as soon as its coefficient cancels to zero, so the stored
+terms are nonzero at every step.  `mul_reference(f, g).terms` should equal
+`(f * g).terms`.  The power is binary square-and-multiply, which forms the
+dense powers f^(2^j) that base-p digits avoid; `pow_reference(f, n).terms`
+should equal `(f ** n).terms`.
 """
 
 from unipic import MPoly
@@ -25,3 +28,13 @@ def mul_reference(f, g):
             elif e in out:
                 del out[e]
     return MPoly(f.field, out)
+
+
+def pow_reference(f, n):
+    result, base = None, f  # the first factor is taken as is, not times one
+    while n:
+        if n & 1:
+            result = base if result is None else result * base
+        base = base * base if n > 1 else base
+        n >>= 1
+    return MPoly.one(f.field) if result is None else result

@@ -4,8 +4,11 @@ import json
 import time
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
+import unipic.cli as cli_mod
 from unipic import FieldDesc, Torsor, invariant_report
 from unipic.catalogue import CatalogueResult
 from unipic.cli import (
@@ -14,11 +17,18 @@ from unipic.cli import (
     NotPrime,
     ParseError,
     _make_parser,
+    _parse_value,
+    _to_json,
     main,
     parse_field_spec,
     parse_form_equation,
     report_to_dict,
     render_report_text,
+)
+from parse_reference import (
+    parse_field_spec_reference,
+    parse_form_equation_reference,
+    parse_value_reference,
 )
 
 F3TU = FieldDesc(3, ("t", "u"))
@@ -90,11 +100,106 @@ def test_parse_leading_sign():
     ("y^9 = x +", ParseError, "expected a term"),
     ("z^9 = x", ParseError, "left side"),
     ("y^9 = x + t*x^²", ParseError, "unexpected character '²'"),
+    ("y^9 = x + t^-1*x^3", ParseError, "expected 'int', found '-' (at position 12)"),
 ])
 def test_parse_equation_errors(bad, exc, fragment):
     with pytest.raises(exc) as info:
         parse_form_equation(bad, F3TU)
     assert fragment in str(info.value)
+
+
+def _outcome(parse, *args):
+    """What a parse returns, or the class, message and position it raises."""
+    try:
+        return parse(*args)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "pos", None)
+
+
+GOLDEN_EQUATIONS = [(v["field"], v["eq"]) for slots in json.loads(
+    (Path(__file__).parent.parent / "perfbench" / "golden.json").read_text())["workloads"].values()
+    for slot in slots for v in slot["variants"]]
+
+
+def test_parser_matches_reference_on_golden_equations():
+    assert len(GOLDEN_EQUATIONS) == 1424
+    fields = {spec: parse_field_spec(spec) for spec, _ in GOLDEN_EQUATIONS}
+    for spec, eq in GOLDEN_EQUATIONS:
+        k = fields[spec]
+        assert parse_form_equation(eq, k) == parse_form_equation_reference(eq, k), (spec, eq)
+
+
+# pieces of coefficient expressions: mostly the field's own variables and
+# small ints, then unknown and curve variable names, zero divisors, and
+# characters that str.isalpha, str.isalnum and str.isspace treat apart
+# from ASCII ('²' is a digit to str.isdigit but not to the tokenizer, '½'
+# is numeric, 'é' a letter, '\xa0' a space)
+_ODD = ["z", "x", "y", "_a", "t2", "é", "²", "٣", "½", "\xa0", "", "t u", "(t-t)"]
+
+
+def _exprs(field):
+    atoms = st.sampled_from(list(field.vars) * 4 + ["0", "1", "2", "3", "10"] * 2 + _ODD)
+    return st.recursive(atoms, lambda e: st.one_of(
+        e.map(lambda a: f"({a})"),
+        e.map(lambda a: f"-{a}"),
+        st.tuples(e, st.sampled_from(["+", " - ", "*", "/", " / ", "*-", "/-", "^"]), e)
+        .map("".join),
+        st.tuples(e, st.sampled_from(["^0", "^1", "^2", "^3", "^4", "^-1", "^ 2", "^²", "^t"]))
+        .map("".join),
+    ), max_leaves=8)
+
+
+def _equations(field):
+    """Equations over field, mostly well formed, with every kind of slip."""
+    q = [field.p ** i for i in range(3)]
+    xs = [f"x^{e}" for e in q] + ["x"]
+    term = st.one_of(
+        _exprs(field),
+        st.sampled_from(xs + ["x^0", "x^6", "x^-1", "-x", "--x", "y", "x*x", "x^²"]),
+        st.tuples(_exprs(field), st.sampled_from(["*"] * 6 + ["/", "*-", ""]), st.sampled_from(xs))
+        .map("".join),
+        st.tuples(st.sampled_from(xs), st.sampled_from(["*", "/", "*-"]), _exprs(field)).map("".join),
+    )
+    return st.tuples(
+        st.sampled_from([f"y^{e}" for e in q] * 3 + ["y^0", "y^6", "z", "y^", ""]),
+        st.sampled_from([" = "] * 6 + ["=", " == ", " "]),
+        term,
+        st.lists(st.tuples(st.sampled_from([" + "] * 3 + [" - ", "+-", " ", "*"]), term), max_size=3),
+    ).map(lambda eq: eq[0] + eq[1] + eq[2] + "".join(sep + s for sep, s in eq[3]))
+
+
+_FIELDS = (FieldDesc(2, ("t",)), F3TU, FieldDesc(5, ("t",)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.one_of([st.tuples(st.just(k), _equations(k)) for k in _FIELDS]))
+@example(case=(F3TU, "y^9 = x + t*x^²"))
+@example(case=(F3TU, "y^3 = x + t^-1*x^3"))
+@example(case=(F3TU, "y^3 = x + t/(u-u)*x^3"))
+@example(case=(F3TU, "y^3 = x + ((t+1)/(t-1) - (t+1)^2/(t^2-1))*x^3 + 1/(t^2+u)^3"))
+def test_parser_matches_reference_on_drawn_equations(case):
+    field, eq = case
+    assert _outcome(parse_form_equation, eq, field) == _outcome(parse_form_equation_reference, eq, field)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.one_of([st.tuples(st.just(k), _exprs(k)) for k in _FIELDS]))
+def test_value_parser_matches_reference(case):
+    field, expr = case
+    # the p1-complement --c path
+    assert _outcome(_parse_value, expr, field) == _outcome(parse_value_reference, expr, field)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=st.tuples(
+    st.sampled_from(["GF(3)", "GF(2)(", "GF(5)(t", "GF(5)(t,", "GF(4)", "GF(", "gf(", ""]),
+    st.lists(st.sampled_from(["(", ")", ",", " ", "2", "t", "u", "x", "y", "_a", "é", "²", "GF"]),
+             max_size=6),
+).map(lambda s: s[0] + "".join(s[1])))
+@example(spec="GF(2),t")
+@example(spec="GF(3)(t,u,t)")
+def test_field_spec_parser_matches_reference(spec):
+    assert _outcome(parse_field_spec, spec) == _outcome(parse_field_spec_reference, spec)
 
 
 def test_parse_requires_linear_term():
@@ -153,6 +258,48 @@ def test_report_text_notation(conic_report):
     for token in ("n(X)", "n'(X)", "r(X)", "m(X)", "[k':k]",
                   "assembled: Pic(X) = Z/2Z", "point: x = 0, y = 0"):
         assert token in text
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2 ** 70, 2 ** 70)
+    | st.text(max_size=6) | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é ☃ 𝄞", "\u2028\ud800", ""]),
+    lambda v: st.lists(v, max_size=3) | st.lists(v, max_size=2).map(tuple)
+    | st.dictionaries(st.text(max_size=4), v, max_size=3),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(value=_JSON_VALUES)
+@example(value={"": [], "a": {}, "b": [[], {}, [{}]], "c": {"d": {}}})
+@example(value={"t": True, "f": False, "n": None, "i": -3, "s": 'q"\\\n\té'})
+def test_json_writer_matches_json_dumps(value):
+    assert _to_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_json_writer_on_golden_reports(capsys, monkeypatch):
+    # the dicts report_to_dict hands the writer on every pinned --json case
+    reports = []
+
+    def record(rep):
+        reports.append(report_to_dict(rep))
+        return reports[-1]
+
+    monkeypatch.setattr(cli_mod, "report_to_dict", record)
+    for case in GOLDEN:
+        assert main(case["argv"]) == 0
+    capsys.readouterr()
+    assert len(reports) == sum("--json" in case["argv"] for case in GOLDEN) > 0
+    for d in reports:
+        assert _to_json(d) == json.dumps(d, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [
+    1.5, {1, 2}, b"x", object(), {1: "a"}, [1, 2.0], {"a": {"b": frozenset()}},
+])
+def test_json_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        _to_json(value)
 
 
 # --------------------------------------------------------------- subcommands
@@ -267,6 +414,17 @@ def test_analyze_obstructed_without_search(capsys):
     assert "m(X)   = <= 5 (bound)\n" in out
 
 
+def test_analyze_high_power_of_a_sum(capsys):
+    # binary square-and-multiply formed dense powers (t+1)^(2^j) and was
+    # killed at 100 s; by base-3 digits the power has 432 terms
+    eq = "y^3 = x + (t+1)^100000*x^3"
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "analyze", "--field", "GF(3)(t)", "--eq", eq)
+    assert time.perf_counter() - start < 2
+    assert code == 0 and "[k':k] = 3\n" in out
+    assert len(parse_form_equation(eq, FieldDesc(3, ("t",))).coeffs[1][1].num.terms) == 432
+
+
 @pytest.mark.parametrize("raw, message", [
     ("abc", "UNIPIC_BASIS_CAP must be an integer, got 'abc'"),
     ("0", "UNIPIC_BASIS_CAP must be positive, got 0"),
@@ -375,7 +533,6 @@ def test_reused_parser_keeps_no_state(capsys):
 
 
 def test_paper_examples_failure_exit(monkeypatch, capsys):
-    import unipic.cli as cli_mod
     fake = [CatalogueResult("demo", "d", False, "boom")]
     monkeypatch.setattr(cli_mod, "run_catalogue", lambda: fake)
     code, out, _ = run_cli(capsys, "paper-examples")

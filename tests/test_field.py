@@ -25,7 +25,7 @@ from unipic import (
 )
 
 from conftest import F2T, F2TU, F3T, mpoly_strategy, ratfunc_strategy
-from mul_reference import mul_reference
+from mul_reference import mul_reference, pow_reference
 from tower_reference import (
     LevelMismatch,
     dense_degree_reference,
@@ -164,6 +164,21 @@ def test_mul_matches_reference():
                 sums = {tuple(a + b for a, b in zip(ea, eb)) for ea in f.terms for eb in g.terms}
                 cancelled += len(sums) > len(got.terms)
             assert cancelled, (p, r)  # some products lost terms to cancellation
+
+
+@pytest.mark.parametrize("p,r", [(p, r) for p in (2, 3, 5) for r in (1, 2)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_pow_matches_reference(p, r, data):
+    # base-p digits against binary square-and-multiply, at the digit edges
+    # p^k - 1 and p^k and at random exponents
+    k = FieldDesc(p, ("t", "u")[:r])
+    f = data.draw(mpoly_strategy(k, max_deg=2, max_terms=3))
+    j = data.draw(st.integers(1, 2 if p == 5 else 3))
+    n = data.draw(st.sampled_from([0, 1, p ** j - 1, p ** j]) | st.integers(0, 30))
+    got = f ** n
+    assert got.terms == pow_reference(f, n).terms, (f, n)
+    assert all(0 < c < p for c in got.terms.values()), (f, n)
 
 
 def test_fast_paths_match_unreduced_constructor():
