@@ -33,28 +33,23 @@ from .forms import (
     find_rational_point,
     generic_fiber_torsor,
     make_form,
-    make_torsor,
     plane_model_residual,
     rationality_level,
     rewrite_plane_model,
     splitting_level,
 )
 from .picard import (
-    ExactSeqData,
     InvariantReport,
     NotIrreducible,
     P1ComplementData,
     ReportOptions,
-    exact_sequence_data,
     invariant_report,
     pic_p1_complement,
-    torsion_bound,
 )
 from .skew import SkewPoly
 from .wproj import (
     BoundTooSmall,
     InfinityData,
-    NotANaiveCompletion,
     TrivialTau,
     WeightedCurve,
     cech_h1_dim,
@@ -70,7 +65,6 @@ __all__ = [
     "BoundTooSmall",
     "CatalogueResult",
     "DivisionByZero",
-    "ExactSeqData",
     "FieldDesc",
     "FieldMismatch",
     "FormPresentation",
@@ -79,7 +73,6 @@ __all__ = [
     "InvariantReport",
     "MPoly",
     "NValue",
-    "NotANaiveCompletion",
     "NotIrreducible",
     "NotSeparable",
     "P1ComplementData",
@@ -97,7 +90,6 @@ __all__ = [
     "cech_h1_dim",
     "compositum_degree",
     "equation_holds",
-    "exact_sequence_data",
     "find_rational_point",
     "generic_fiber_torsor",
     "genus_from_formula",
@@ -105,7 +97,6 @@ __all__ = [
     "invariant_report",
     "is_regular_at_infinity",
     "make_form",
-    "make_torsor",
     "naive_completion",
     "pic_p1_complement",
     "plane_model_residual",
@@ -116,7 +107,6 @@ __all__ = [
     "rewrite_plane_model",
     "run_catalogue",
     "splitting_level",
-    "torsion_bound",
 ]
 
 __version__ = "0.1.0"

@@ -12,10 +12,10 @@ from typing import Callable
 
 from .field import FieldDesc
 from .forms import (
+    Torsor,
     find_rational_point,
     generic_fiber_torsor,
     make_form,
-    make_torsor,
     plane_model_residual,
     rewrite_plane_model,
 )
@@ -144,7 +144,7 @@ def _entry_no_point_two_variable() -> tuple[bool, str]:
     K = FieldDesc(2, ("t", "u"))
     t, u = K.var("t"), K.var("u")
     G = make_form(1, SkewPoly(K, [K.one(), t]))
-    X = make_torsor(G, u)
+    X = Torsor(G, u)
     pt = find_rational_point(X, 3)
     return pt is None, "no rational point with degrees <= 3"
 

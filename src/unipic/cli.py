@@ -27,7 +27,6 @@ from .forms import (
     find_rational_point,
     local_obstruction,
     make_form,
-    make_torsor,
 )
 from .picard import (
     InvariantReport,
@@ -173,7 +172,10 @@ class _Reader:
                 raise ParseError(f"unknown variable {text!r}", pos)
             num, den = {e: 1}, one
         elif kind == "(":
-            num, den = self.expr()
+            try:
+                num, den = self.expr()
+            except RecursionError:  # raised again one level up if no stack is left here
+                raise ParseError("parentheses nested too deeply", pos) from None
             self.take(")")
         else:
             raise ParseError(f"expected a value, found {text!r}", pos)
@@ -237,7 +239,7 @@ class EquationAST:
             dense[i] = c
         G = make_form(self.n, SkewPoly(self.field, dense))
         if self.b:
-            return make_torsor(G, self.b)
+            return Torsor(G, self.b)
         return G
 
 
@@ -310,7 +312,6 @@ def _nv(v: NValue) -> dict:
 
 
 def report_to_dict(rep: InvariantReport) -> dict:
-    seq = rep.exact_seq
     point = None
     if rep.point is not None:
         point = {"x": str(rep.point[0]), "y": str(rep.point[1])}
@@ -335,10 +336,10 @@ def report_to_dict(rep: InvariantReport) -> dict:
             "kind": "exact" if rep.n.is_exact else "bound",
         },
         "exact_sequence": {
-            "r": _nv(seq.r),
-            "m_X": _nv(seq.m_X),
-            "pic0_dim": _nv(seq.pic0_dim),
-            "quotient": seq.quotient_desc,
+            "r": _nv(rep.r),
+            "m_X": _nv(rep.m_X),
+            "pic0_dim": _nv(rep.genus),
+            "quotient": rep.quotient_desc,
             "assembled_group": rep.pic_group,
             "point": point,
         },
@@ -386,7 +387,7 @@ def render_report_text(rep: InvariantReport) -> str:
     lines.append(f"Pic(X) is p^n-torsion with p^n = {rep.torsion_bound}")
     lines.append(
         "exact sequence: 0 -> Pic0(C) -> Pic(X) -> M -> 0 with M = "
-        + rep.exact_seq.quotient_desc
+        + rep.quotient_desc
     )
     if rep.pic_group is not None:
         lines.append(f"assembled: Pic(X) = {rep.pic_group}")

@@ -179,10 +179,6 @@ def make_form(n: int, tau: SkewPoly) -> FormPresentation:
     return FormPresentation(tau.field, n, SkewPoly(tau.field, coeffs))
 
 
-def make_torsor(G: FormPresentation, b: RatFunc) -> Torsor:
-    return Torsor(G, b)
-
-
 def generic_fiber_torsor(G: FormPresentation, var_name: str = "T") -> Torsor:
     """The torsor y^(p^n) = T + tau(x) over k(T), T a fresh indeterminate.
 

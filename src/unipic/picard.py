@@ -1,9 +1,12 @@
 """Picard-group data of forms of the affine line.
 
-Everything here assembles previously computed invariants: the p^n torsion
-bound on Pic, the boundary residue level r with its certificate chain, the
-index m(X) of the degree map, and a consolidated report whose numeric
-fields all carry exact-or-bound tags.  Structural facts that the artifact
+Everything here assembles previously computed invariants into one
+record, `InvariantReport`, whose numeric fields all carry exact-or-bound
+tags: the p^n torsion bound on Pic, the boundary residue level r with its
+certificate chain, and the degree sequence
+0 -> Pic0(C) -> Pic(X) -> m(X) Z/p^r Z -> 0, stored once as r, the index
+m(X) of the degree map, the genus of the completion C (the dimension of
+Pic0) and a description of the quotient.  Structural facts that the artifact
 cannot decide (woundness, splitting of the Picard scheme, specialness) are
 emitted as tagged assertion strings, never as computed booleans.
 """
@@ -27,7 +30,6 @@ from .forms import (
 )
 from .wproj import (
     InfinityData,
-    WeightedCurve,
     cech_h1_dim,
     genus_from_formula,
     is_regular_at_infinity,
@@ -45,18 +47,6 @@ class ReportOptions:
     search_bound: int = 2
     run_oracle: bool = False
     pole_bound: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class ExactSeqData:
-    """Data of 0 -> Pic0(C) -> Pic(X) -> m(X) Z/p^r Z -> 0."""
-
-    r: NValue
-    m_X: NValue
-    pic0_dim: NValue
-    quotient: Optional[tuple[int, int]]
-    quotient_desc: str
-    point: Optional[tuple[RatFunc, RatFunc]]
 
 
 @dataclass(frozen=True)
@@ -88,22 +78,12 @@ class InvariantReport:
     genus: NValue
     genus_oracle: Optional[tuple[int, bool]]
     torsion_bound: int
-    exact_seq: ExactSeqData
+    quotient_desc: str
     pic_nontrivial: Optional[tuple[bool, str]]
     pic_group: Optional[str]
     point: Optional[tuple[RatFunc, RatFunc]]
     assertions: tuple[tuple[str, str], ...]
     flags: tuple[str, ...]
-
-
-def torsion_bound(X) -> int:
-    """p^n with n the certified splitting level; Pic(X) is p^n-torsion.
-
-    When the level is only an upper bound the result bounds the true
-    torsion exponent bound; invariant_report flags that degradation.
-    """
-    G = X.form if isinstance(X, Torsor) else X
-    return G.field.p ** splitting_level(G).value
 
 
 def pic_p1_complement(e: int, c: RatFunc) -> P1ComplementData:
@@ -169,56 +149,6 @@ def _residue_level(T, inf: Optional[InfinityData]) -> NValue:
     return NValue("upper_bound", n)
 
 
-def exact_sequence_data(X, search_bound: int = 2) -> ExactSeqData:
-    """Assemble the degree exact sequence for a form or torsor.
-
-    m(X) = 1 is certified by a found rational point (the zero section
-    handles every form); without a point only m(X) | p^r is known.  A
-    local obstruction proves that no point of degree prime to p exists,
-    so it skips the search and gives the report a search that finds
-    nothing gives.  The Pic0 dimension is the completed curve's genus,
-    exact when the naive completion is regular and an upper bound
-    otherwise.  The completion and its boundary data are built once and
-    serve both r and Pic0.
-    """
-    return _sequence_and_completion(X, search_bound)[0]
-
-
-def _sequence_and_completion(X, search_bound: int) -> tuple[ExactSeqData, Optional[WeightedCurve]]:
-    """exact_sequence_data, with the naive completion it built (None for m = 0)."""
-    field, n, coeffs, b = _unpack(X)
-    p = field.p
-    m = len(coeffs) - 1
-    if m == 0:
-        C = inf = None
-        pic0 = NValue("exact", 0, "projective-line")
-    else:
-        C = naive_completion(X)
-        inf = is_regular_at_infinity(C)
-        g = int(genus_from_formula(C))
-        if inf.is_field:
-            pic0 = NValue("exact", g, "regular-completion")
-        elif g == 0:
-            pic0 = NValue("exact", 0, "zero-upper-bound")
-        else:
-            pic0 = NValue("upper_bound", g)
-    r = _residue_level(X, inf)
-    point = None if local_obstruction(X) else find_rational_point(X, search_bound)
-    if point is not None:
-        m_X = NValue("exact", 1, "rational-point")
-    else:
-        m_X = NValue("upper_bound", p ** r.value)
-    quotient = None
-    if m_X.is_exact and r.is_exact:
-        quotient = (p ** r.value, m_X.value)
-        desc = f"Z/{p ** r.value}Z" if m_X.value == 1 else f"{m_X.value}*Z/{p ** r.value}Z"
-    elif r.is_exact:
-        desc = f"m*Z/{p ** r.value}Z with m | {p ** r.value}"
-    else:
-        desc = f"m*Z/p^rZ with r <= {r.value} and m | p^r"
-    return ExactSeqData(r, m_X, pic0, quotient, desc, point), C
-
-
 def invariant_report(X, options: Optional[ReportOptions] = None) -> InvariantReport:
     """Run every invariant computation on a form or torsor and consolidate.
 
@@ -231,13 +161,38 @@ def invariant_report(X, options: Optional[ReportOptions] = None) -> InvariantRep
         options = ReportOptions()
     is_torsor = isinstance(X, Torsor)
     G = X.form if is_torsor else X
-    field = G.field
-    p = field.p
+    p = G.field.p
     n = splitting_level(G)
     deg = compositum_degree([(c, G.n) for _, c in G.twist_coeffs()])
     nontrivial = deg > 1
-    seq, C = _sequence_and_completion(X, options.search_bound)
-    point = seq.point
+    # the completion and its boundary data serve both r and Pic0
+    if G.m == 0:
+        C = inf = None
+        genus = NValue("exact", 0, "projective-line")
+    else:
+        C = naive_completion(X)
+        inf = is_regular_at_infinity(C)
+        g = genus_from_formula(C)
+        if inf.is_field:
+            genus = NValue("exact", g, "regular-completion")
+        elif g == 0:
+            genus = NValue("exact", 0, "zero-upper-bound")
+        else:
+            genus = NValue("upper_bound", g)
+    r = _residue_level(X, inf)
+    # a local obstruction proves that no point of degree prime to p exists
+    point = None if local_obstruction(X) else find_rational_point(X, options.search_bound)
+    if point is not None:
+        m_X = NValue("exact", 1, "rational-point")
+    else:
+        m_X = NValue("upper_bound", p ** r.value)
+    pr = p ** r.value
+    if m_X.is_exact and r.is_exact:
+        quotient_desc = f"Z/{pr}Z" if m_X.value == 1 else f"{m_X.value}*Z/{pr}Z"
+    elif r.is_exact:
+        quotient_desc = f"m*Z/{pr}Z with m | {pr}"
+    else:
+        quotient_desc = f"m*Z/p^rZ with r <= {r.value} and m | p^r"
     if not is_torsor or point is not None:
         n_prime = rationality_level(G)
     else:
@@ -245,7 +200,6 @@ def invariant_report(X, options: Optional[ReportOptions] = None) -> InvariantRep
     flags: list[str] = []
     if not n.is_exact:
         flags.append("torsion-bound-on-bound")
-    genus = seq.pic0_dim
     genus_oracle = None
     if options.run_oracle and C is not None:
         genus_oracle = cech_h1_dim(C, options.pole_bound)
@@ -264,16 +218,16 @@ def invariant_report(X, options: Optional[ReportOptions] = None) -> InvariantRep
         and genus.is_exact
         and genus.value == 0
         and point is not None
-        and seq.r.is_exact
+        and r.is_exact
     ):
-        if nontrivial and seq.r.value >= 1:
-            pic_group = f"Z/{p ** seq.r.value}Z"
+        if nontrivial and r.value >= 1:
+            pic_group = f"Z/{p ** r.value}Z"
         elif not nontrivial:
             pic_group = "0"
-    if n.is_exact and n_prime.is_exact and seq.r.is_exact:
-        if n.value < max(n_prime.value, seq.r.value):
+    if n.is_exact and n_prime.is_exact and r.is_exact:
+        if n.value < max(n_prime.value, r.value):
             raise AssertionError("level inequality violated; invariant chain inconsistent")
-    if seq.m_X.is_exact and seq.r.is_exact and (p ** seq.r.value) % seq.m_X.value != 0:
+    if m_X.is_exact and r.is_exact and (p ** r.value) % m_X.value != 0:
         raise AssertionError("m(X) does not divide p^r; invariant chain inconsistent")
     assertions: list[tuple[str, str]] = [
         (
@@ -302,13 +256,13 @@ def invariant_report(X, options: Optional[ReportOptions] = None) -> InvariantRep
         is_torsor=is_torsor,
         n=n,
         n_prime=n_prime,
-        r=seq.r,
-        m_X=seq.m_X,
+        r=r,
+        m_X=m_X,
         splitting_degree=deg,
         genus=genus,
         genus_oracle=genus_oracle,
         torsion_bound=p ** n.value,
-        exact_seq=seq,
+        quotient_desc=quotient_desc,
         pic_nontrivial=pic_nontrivial,
         pic_group=pic_group,
         point=point,

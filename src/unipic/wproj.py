@@ -3,31 +3,28 @@
 The curve y^(p^n) = b + x + a_1 x^p + ... + a_m x^(p^m) homogenizes in
 P(1, p^(m-n), 1) when n <= m and in P(p^(n-m), 1, 1) when n > m; the
 weight on the middle coordinate sits on y, the weight on the first sits
-on x.  The completion adds a one-point boundary whose residue ring
-detects regularity, and its arithmetic genus is computable both by a
-closed formula and by the Cech cohomology of the two-chart cover.  The
-Cech H^1 of a truncation window is a lattice-point count in O(p^n + P)
-for pole bound P, since every boundary row lands on unit columns; the
-row-by-row elimination it replaces is the test oracle in
+on x.  A `WeightedCurve` stores only that equation and reads its weights,
+degree and terms off it.  The completion adds a one-point boundary whose
+residue ring detects regularity, and its arithmetic genus is computable
+both by a closed formula and by the Cech cohomology of the two-chart
+cover.  The Cech H^1 of a truncation window is a lattice-point count in
+O(p^n + P) for pole bound P, since every boundary row lands on unit
+columns; the row-by-row elimination it replaces is the test oracle in
 tests/cech_reference.py.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Union
 
 from .field import FieldDesc, RatFunc, power_level
-from .forms import PlaneModel, Torsor, _unpack
+from .forms import FormPresentation, PlaneModel, Torsor, _unpack
 
 
 class TrivialTau(ValueError):
     """The presentation has no twist term, so the completion is a line."""
-
-
-class NotANaiveCompletion(ValueError):
-    """The weighted curve was not produced by naive_completion."""
 
 
 class BoundTooSmall(ValueError):
@@ -36,29 +33,53 @@ class BoundTooSmall(ValueError):
 
 @dataclass(frozen=True)
 class WeightedCurve:
-    """A hypersurface sum_c coeff * x^ex y^ey z^ez = 0 in P(weights)."""
+    """The naive completion sum_c coeff * x^ex y^ey z^ez = 0 in P(weights).
 
-    field: FieldDesc
-    weights: tuple[int, int, int]
-    terms: tuple[tuple[tuple[int, int, int], RatFunc], ...]
-    degree: int
-    height: int
-    source: Torsor
-    # True only on what naive_completion returns; replace() resets it
-    _built: bool = dc_field(default=False, init=False, repr=False, compare=False)
+    Only the affine equation `source` is stored; the weights, degree,
+    height and terms are read off it, so a curve is always the completion
+    of its source.  Weighted degrees are forced: every monomial of the
+    equation is padded with the unique power of z making it
+    weighted-homogeneous of degree p^max(n, m).
+    """
+
+    source: Union[FormPresentation, Torsor]
 
     def __post_init__(self) -> None:
-        wx, wy, wz = self.weights
-        for (ex, ey, ez), c in self.terms:
-            if wx * ex + wy * ey + wz * ez != self.degree:
-                raise ValueError("inhomogeneous term in weighted curve")
-            if not c:
-                raise ValueError("zero coefficient stored")
+        if self.source.m == 0:
+            raise TrivialTau("tau has no twist term; the completion is a projective line")
+
+    @property
+    def field(self) -> FieldDesc:
+        return self.source.field
 
     @property
     def a(self) -> int:
-        """The single non-unit weight (1 when n = m)."""
-        return max(self.weights)
+        """The single non-unit weight p^|m - n| (1 when n = m)."""
+        return self.field.p ** abs(self.source.m - self.source.n)
+
+    @property
+    def weights(self) -> tuple[int, int, int]:
+        a = self.a
+        return (1, a, 1) if self.source.n <= self.source.m else (a, 1, 1)
+
+    @property
+    def degree(self) -> int:
+        return self.field.p ** max(self.source.n, self.source.m)
+
+    @property
+    def height(self) -> int:
+        return self.field.p ** min(self.source.n, self.source.m)
+
+    @property
+    def terms(self) -> tuple[tuple[tuple[int, int, int], RatFunc], ...]:
+        field, n, coeffs, b = _unpack(self.source)
+        p, d, wx = field.p, self.degree, self.weights[0]
+        # x^(p^i) z^(d - wx p^i), y^(p^n) and z^d are distinct monomials
+        terms = {(p ** i, 0, d - wx * p ** i): c for i, c in enumerate(coeffs) if c}
+        terms[(0, p ** n, 0)] = -field.one()
+        if b:
+            terms[(0, 0, d)] = b
+        return tuple(sorted(terms.items()))
 
     def __str__(self) -> str:
         parts = []
@@ -87,40 +108,9 @@ class InfinityData:
 def naive_completion(T) -> WeightedCurve:
     """Homogenize a form or torsor equation in its weighted plane.
 
-    Weighted degrees are forced: every monomial of the affine equation is
-    padded with the unique power of z making it weighted-homogeneous of
-    degree p^max(n, m).
+    Raises TrivialTau when the equation has no twist term (m = 0).
     """
-    field, n, coeffs, b = _unpack(T)
-    src = T if isinstance(T, Torsor) else Torsor(T, field.zero())
-    p = field.p
-    m = len(coeffs) - 1
-    if m == 0:
-        raise TrivialTau("tau has no twist term; the completion is a projective line")
-    a = p ** abs(m - n)
-    weights = (1, a, 1) if n <= m else (a, 1, 1)
-    d = p ** max(n, m)
-    # x^(p^i) z^(d - wx p^i), y^(p^n) and z^d are distinct monomials
-    terms = {(p ** i, 0, d - weights[0] * p ** i): c for i, c in enumerate(coeffs) if c}
-    terms[(0, p ** n, 0)] = -field.one()
-    if b:
-        terms[(0, 0, d)] = b
-    C = WeightedCurve(field, weights, tuple(sorted(terms.items())), d, p ** min(n, m), src)
-    object.__setattr__(C, "_built", True)
-    return C
-
-
-def _check_source(C: WeightedCurve) -> None:
-    """Reject a curve that is not the naive completion of its source.
-
-    A curve that naive_completion returned is trusted; any other, built by
-    hand or a dataclasses.replace copy, is compared with a fresh one.
-    """
-    if C._built:
-        return
-    rebuilt = naive_completion(C.source)
-    if rebuilt.terms != C.terms or rebuilt.weights != C.weights:
-        raise NotANaiveCompletion("curve does not match the completion of its source")
+    return WeightedCurve(T)
 
 
 def is_regular_at_infinity(C: WeightedCurve) -> InfinityData:
@@ -130,10 +120,8 @@ def is_regular_at_infinity(C: WeightedCurve) -> InfinityData:
     k[s]/(s^(p^e) - u) with u built from the top coefficient a_m.  This is
     a field precisely when a_m is not a p-th power, and then the boundary
     is a single regular point whose residue field is purely inseparable
-    of the recorded exponent.  A curve that naive_completion did not
-    return is first rebuilt from its source and compared.
+    of the recorded exponent.
     """
-    _check_source(C)
     field, n, coeffs, b = _unpack(C.source)
     m = len(coeffs) - 1
     am = coeffs[m]
@@ -229,13 +217,12 @@ def cech_h1_dim(C: WeightedCurve, pole_bound: Optional[int] = None) -> tuple[int
     row-by-row elimination is kept in tests/cech_reference.py as the
     oracle.
     """
-    _check_source(C)
     if pole_bound is None:
         pole_bound = 2 * C.degree
     if pole_bound < 2:
         raise BoundTooSmall("pole_bound must be at least 2")
-    _, n, coeffs, _ = _unpack(C.source)
-    pn, a, low = C.field.p ** n, C.a, n <= len(coeffs) - 1
+    n = C.source.n
+    pn, a, low = C.field.p ** n, C.a, n <= C.source.m
     d_prev, d_cur = ((2 * N + 1) * pn - _unit_count(N, pn, a, low) for N in (pole_bound - 1, pole_bound))
     return d_cur, d_cur == d_prev
 

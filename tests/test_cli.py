@@ -461,6 +461,30 @@ def test_exit_code_parse_errors(capsys):
     assert "characteristic 1000000000000000003 is too large" in err
 
 
+def _nested_t(depth):
+    return "(" * depth + "t" + ")" * depth
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--field", "GF(2)(t)", "--eq", "y^2 = x + " + _nested_t(400) + "*x^2"),
+    ("p1-complement", "--field", "GF(2)(t)", "--e", "1", "--c", _nested_t(400)),
+])
+def test_deep_nesting_is_a_parse_error(capsys, argv):
+    # parsing recurses once per parenthesis; running out of stack exits 2
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: parentheses nested too deeply (at position ")
+
+
+def test_moderate_nesting_still_parses(capsys):
+    plain = run_cli(capsys, "analyze", "--field", "GF(2)(t)", "--eq", "y^2 = x + t*x^2")
+    nested = run_cli(capsys, "analyze", "--field", "GF(2)(t)",
+                     "--eq", "y^2 = x + " + _nested_t(300) + "*x^2")
+    assert nested == plain
+    assert plain[0] == 0
+
+
 @pytest.mark.parametrize("command", ["analyze", "genus"])
 def test_rejected_pole_bound_prints_nothing(capsys, command):
     code, out, err = run_cli(capsys, command, "--field", "GF(2)(t)",

@@ -7,7 +7,7 @@ import json
 import random
 
 import unipic.picard
-from unipic import FieldDesc, MPoly, RatFunc, SkewPoly, find_rational_point, make_form, make_torsor
+from unipic import FieldDesc, MPoly, RatFunc, SkewPoly, Torsor, find_rational_point, make_form
 from unipic.cli import main, parse_field_spec, parse_form_equation
 from unipic.forms import _search, _unpack, local_obstruction
 
@@ -54,7 +54,7 @@ def _seeded_torsors(seed, count):
     rng = random.Random(seed)
     for _ in range(count):
         G = _random_form(rng, 3)
-        yield make_torsor(G, _laurent(rng, G.field, rng.randint(1, 2)))
+        yield Torsor(G, _laurent(rng, G.field, rng.randint(1, 2)))
 
 
 def _planted_torsors(seed, count):
@@ -71,7 +71,7 @@ def _planted_torsors(seed, count):
         y0 = field.zero() if rng.random() < 0.25 else _laurent(rng, field, rng.randint(1, 2))
         b = y0.frobenius(G.n) - sum((c * x0.frobenius(i) for i, c in enumerate(G.tau.coeffs)), field.zero())
         if b:
-            yield make_torsor(G, b), x0, y0
+            yield Torsor(G, b), x0, y0
 
 
 def _quadratic_point_torsors(seed, count):
@@ -98,7 +98,7 @@ def _quadratic_point_torsors(seed, count):
         b = y0 ** q - sum((c * x0.frobenius(i) for i, c in enumerate(a)), field.zero())
         if a_m and b:
             count -= 1
-            yield make_torsor(make_form(n, SkewPoly(field, a)), b)
+            yield Torsor(make_form(n, SkewPoly(field, a)), b)
 
 
 def test_worked_case():

@@ -1,4 +1,4 @@
-"""Picard-group reports: torsion bounds, exact sequence data, assembly."""
+"""Picard-group reports: torsion bounds, the degree sequence, assembly."""
 
 import pytest
 
@@ -11,15 +11,13 @@ from unipic import (
     NotIrreducible,
     ReportOptions,
     SkewPoly,
-    exact_sequence_data,
+    Torsor,
     generic_fiber_torsor,
     invariant_report,
     is_regular_at_infinity,
     make_form,
-    make_torsor,
     naive_completion,
     pic_p1_complement,
-    torsion_bound,
 )
 from unipic.picard import _residue_level
 
@@ -37,9 +35,9 @@ SPLIT = make_form(1, SkewPoly(F2T, [ONE]))
 # ------------------------------------------------------------------- torsion
 
 def test_torsion_bounds():
-    assert torsion_bound(CONIC) == 2
-    assert torsion_bound(TOWER) == 8
-    assert torsion_bound(make_torsor(CONIC, T)) == 2
+    assert invariant_report(CONIC).torsion_bound == 2
+    assert invariant_report(TOWER).torsion_bound == 8
+    assert invariant_report(Torsor(CONIC, T)).torsion_bound == 2
 
 
 # ------------------------------------------------------------ residue levels
@@ -60,37 +58,37 @@ def test_residue_level_certificates():
 # --------------------------------------------------------------- exact seq
 
 def test_exact_sequence_conic():
-    es = exact_sequence_data(CONIC)
-    assert es.r == NValue("exact", 1, "regular-completion")
-    assert es.m_X == NValue("exact", 1, "rational-point")
-    assert es.pic0_dim == NValue("exact", 0, "regular-completion")
-    assert es.quotient == (2, 1)
-    assert es.quotient_desc == "Z/2Z"
-    assert es.point == (ZERO, ZERO)
+    rep = invariant_report(CONIC)
+    assert rep.r == NValue("exact", 1, "regular-completion")
+    assert rep.m_X == NValue("exact", 1, "rational-point")
+    assert rep.genus == NValue("exact", 0, "regular-completion")
+    assert (2 ** rep.r.value, rep.m_X.value) == (2, 1)
+    assert rep.quotient_desc == "Z/2Z"
+    assert rep.point == (ZERO, ZERO)
 
 
 def test_exact_sequence_without_point():
-    es = exact_sequence_data(make_torsor(CONIC, ONE / T))
-    assert es.m_X == NValue("upper_bound", 2)
-    assert es.quotient is None
-    assert es.quotient_desc == "m*Z/2Z with m | 2"
-    assert es.point is None
+    rep = invariant_report(Torsor(CONIC, ONE / T))
+    assert rep.m_X == NValue("upper_bound", 2)
+    assert not rep.m_X.is_exact
+    assert rep.quotient_desc == "m*Z/2Z with m | 2"
+    assert rep.point is None
 
 
 def test_exact_sequence_tower():
-    es = exact_sequence_data(TOWER)
-    assert es.r == NValue("exact", 2, "plane-model-residue")
-    assert es.m_X == NValue("exact", 1, "rational-point")
-    assert es.pic0_dim == NValue("upper_bound", 9)
-    assert es.quotient == (4, 1)
-    assert es.quotient_desc == "Z/4Z"
+    rep = invariant_report(TOWER)
+    assert rep.r == NValue("exact", 2, "plane-model-residue")
+    assert rep.m_X == NValue("exact", 1, "rational-point")
+    assert rep.genus == NValue("upper_bound", 9)
+    assert (2 ** rep.r.value, rep.m_X.value) == (4, 1)
+    assert rep.quotient_desc == "Z/4Z"
 
 
 def test_m_divides_quotient_order():
     for X in (CONIC, TOWER):
-        es = exact_sequence_data(X)
-        p_r = X.field.p ** es.r.value
-        assert p_r % es.m_X.value == 0
+        rep = invariant_report(X)
+        p_r = X.field.p ** rep.r.value
+        assert p_r % rep.m_X.value == 0
 
 
 # ------------------------------------------------------------- p1 complement
@@ -173,7 +171,7 @@ def test_report_level_inequalities():
 
 
 def test_report_pointless_torsor():
-    rep = invariant_report(make_torsor(CONIC, ONE / T))
+    rep = invariant_report(Torsor(CONIC, ONE / T))
     assert rep.is_torsor
     assert rep.point is None
     assert rep.pic_group is None
@@ -199,7 +197,7 @@ def _count_calls(monkeypatch, name):
 _ONCE_CASES = [
     TOWER,
     make_form(1, SkewPoly(F3T, [F3T.one(), F3T.var("t")])),
-    make_torsor(CONIC, ONE / T),
+    Torsor(CONIC, ONE / T),
 ]
 _ONCE_IDS = ["p2-form", "p3-form", "torsor"]
 
@@ -210,15 +208,13 @@ def test_report_builds_tower_and_completion_once(monkeypatch, X):
     completions = _count_calls(monkeypatch, "naive_completion")
     invariant_report(X)
     assert len(towers) == 1
-    # the source guard of is_regular_at_infinity trusts the curve that
-    # naive_completion built
+    # is_regular_at_infinity reads the curve that naive_completion built
     assert len(completions) == 1
 
 
 @pytest.mark.parametrize("X", _ONCE_CASES, ids=_ONCE_IDS)
 def test_report_with_oracle_builds_completion_once(monkeypatch, X):
-    # the Cech oracle reuses the report's completion, and its source guard
-    # does not rebuild it
+    # the Cech oracle reuses the report's completion
     completions = _count_calls(monkeypatch, "naive_completion")
     rep = invariant_report(X, ReportOptions(run_oracle=True))
     assert rep.genus_oracle is not None

@@ -13,9 +13,9 @@ from unipic import (
     BoundTooSmall,
     FieldDesc,
     MPoly,
-    NotANaiveCompletion,
     RatFunc,
     SkewPoly,
+    Torsor,
     TrivialTau,
     WeightedCurve,
     cech_h1_dim,
@@ -23,7 +23,6 @@ from unipic import (
     hilbert_dim,
     is_regular_at_infinity,
     make_form,
-    make_torsor,
     naive_completion,
     residue_from_plane_model,
     rewrite_plane_model,
@@ -78,7 +77,7 @@ def test_completion_deep_frobenius():
 
 
 def test_completion_of_torsor_keeps_translation():
-    C = naive_completion(make_torsor(CONIC, T))
+    C = naive_completion(Torsor(CONIC, T))
     assert ((0, 0, 2), T) in C.terms
 
 
@@ -87,34 +86,44 @@ def test_completion_requires_twist():
         naive_completion(form2(1, {0: ONE}))
 
 
-def test_homogeneity_enforced():
+def test_curve_is_its_completion():
+    for X in (CONIC, TOWER, Torsor(CONIC, T)):
+        assert WeightedCurve(X) == naive_completion(X)
+
+
+def test_curve_requires_twist():
+    with pytest.raises(TrivialTau):
+        WeightedCurve(form2(1, {0: ONE}))
+
+
+def test_derived_fields_cannot_be_replaced():
+    # only the source is stored, so a curve cannot disagree with it
     C = naive_completion(CONIC)
-    bad = C.terms + (((1, 0, 0), ONE),)
-    with pytest.raises(ValueError):
-        WeightedCurve(C.field, C.weights, bad, C.degree, C.height, C.source)
+    with pytest.raises(TypeError):
+        dataclasses.replace(C, terms=tuple((e, c if c != T else T + ONE) for e, c in C.terms))
 
 
-def test_tampered_curve_rejected():
-    C = naive_completion(CONIC)
-    fake = dataclasses.replace(
-        C, terms=tuple((e, c if c != T else T + ONE) for e, c in C.terms))
-    with pytest.raises(NotANaiveCompletion):
-        is_regular_at_infinity(fake)
-
-
-def test_hand_built_curves_checked_by_both_guards():
-    # only a curve that naive_completion returned skips the rebuild
-    C = naive_completion(CONIC)
-    terms = tuple((e, c if c != T else T + ONE) for e, c in C.terms)
-    fake = WeightedCurve(C.field, C.weights, terms, C.degree, C.height, C.source)
-    for check in (is_regular_at_infinity, cech_h1_dim):
-        with pytest.raises(NotANaiveCompletion):
-            check(fake)
-        with pytest.raises(NotANaiveCompletion):
-            check(dataclasses.replace(C, terms=terms))
-    copy = WeightedCurve(C.field, C.weights, C.terms, C.degree, C.height, C.source)
-    assert cech_h1_dim(copy) == cech_h1_dim(C)
-    assert is_regular_at_infinity(copy) == is_regular_at_infinity(C)
+def test_terms_homogeneous_with_nonzero_coefficients():
+    # every derived term has weighted degree C.degree and a nonzero coefficient
+    rng = random.Random(19)
+    for p in (2, 3, 5):
+        k = FieldDesc(p, ("t", "u"))
+        for n in range(4):
+            for m in range(4):
+                mid = [_random_rational(rng, k) if rng.random() < 0.7 else k.zero() for _ in range(m - 1)]
+                top = [_random_rational(rng, k)] if m else []
+                X = make_form(n, SkewPoly(k, [k.one()] + mid + top))
+                for source in (X, Torsor(X, _random_rational(rng, k))):
+                    if m == 0:
+                        with pytest.raises(TrivialTau):
+                            WeightedCurve(source)
+                        continue
+                    C = WeightedCurve(source)
+                    wx, wy, wz = C.weights
+                    assert len(C.terms) >= 3
+                    for (ex, ey, ez), c in C.terms:
+                        assert wx * ex + wy * ey + wz * ez == C.degree, (p, n, m, source)
+                        assert c, (p, n, m, source)
 
 
 # ---------------------------------------------------------------- regularity
@@ -175,7 +184,7 @@ def test_cech_matches_formula_deep_frobenius():
 
 def test_cech_ignores_translation():
     # H^1 of the completed torsor agrees with the completed form
-    C = naive_completion(make_torsor(CONIC, T))
+    C = naive_completion(Torsor(CONIC, T))
     assert cech_h1_dim(C) == (0, True)
 
 
@@ -188,7 +197,7 @@ def _cech_case(k, n, m, torsor=False, binomial=False):
     t, one = k.var("t"), k.one()
     mid, top = (t + one, t * t + t) if binomial else (k.zero(), t)
     X = make_form(n, SkewPoly(k, [one] + [mid] * (m - 1) + [top]))
-    return make_torsor(X, t + one) if torsor else X
+    return Torsor(X, t + one) if torsor else X
 
 
 @settings(max_examples=18, deadline=None)
@@ -226,7 +235,7 @@ def _random_sources(k, n, m):
     out = []
     for _ in range(2):
         X = make_form(n, SkewPoly(k, [_random_rational(rng, k) for _ in range(m + 1)]))
-        out += [X, make_torsor(X, _random_rational(rng, k))]
+        out += [X, Torsor(X, _random_rational(rng, k))]
     return out
 
 
