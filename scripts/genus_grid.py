@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 from unipic import (
     FieldDesc,
-    SkewPoly,
     cech_h1_dim,
     genus_from_formula,
     is_regular_at_infinity,
@@ -34,10 +33,7 @@ def run_grid(cfg: GridConfig) -> list[tuple]:
         t = field.var("t")
         for n in range(1, cfg.max_level + 1):
             for m in range(1, cfg.max_level + 1):
-                coeffs = [field.zero()] * (m + 1)
-                coeffs[0] = field.one()
-                coeffs[m] = t
-                C = naive_completion(make_form(n, SkewPoly(field, coeffs)))
+                C = naive_completion(make_form(n, [field.one()] + [field.zero()] * (m - 1) + [t]))
                 dim, stable = cech_h1_dim(C, cfg.pole_bound)
                 regular = is_regular_at_infinity(C).is_field
                 rows.append((p, n, m, genus_from_formula(C), dim, stable, regular))

@@ -46,7 +46,6 @@ from .picard import (
     invariant_report,
     pic_p1_complement,
 )
-from .skew import SkewPoly
 from .wproj import (
     BoundTooSmall,
     InfinityData,
@@ -79,7 +78,6 @@ __all__ = [
     "PlaneModel",
     "RatFunc",
     "ReportOptions",
-    "SkewPoly",
     "Torsor",
     "TrivialTau",
     "UnknownVariable",

@@ -20,7 +20,6 @@ from .forms import (
     rewrite_plane_model,
 )
 from .picard import invariant_report, pic_p1_complement
-from .skew import SkewPoly
 from .wproj import is_regular_at_infinity, naive_completion, residue_from_plane_model
 
 
@@ -35,7 +34,7 @@ class CatalogueResult:
 def _entry_conic_pic_group() -> tuple[bool, str]:
     K = FieldDesc(2, ("t",))
     t = K.var("t")
-    G = make_form(1, SkewPoly(K, [K.one(), t]))
+    G = make_form(1, [K.one(), t])
     rep = invariant_report(G)
     ok = (
         rep.n.is_exact
@@ -60,7 +59,7 @@ def _entry_two_variable_residue(p: int) -> tuple[bool, str]:
     # k(t2^(1/p^2)), strictly smaller than the splitting field of degree p^4
     K = FieldDesc(p, ("t1", "t2"))
     t1, t2 = K.var("t1"), K.var("t2")
-    G = make_form(2, SkewPoly(K, [K.one(), t1, t2]))
+    G = make_form(2, [K.one(), t1, t2])
     C = naive_completion(G)
     inf = is_regular_at_infinity(C)
     rep = invariant_report(G)
@@ -84,7 +83,7 @@ def _entry_rewrite_display(p: int) -> tuple[bool, str]:
     # -t^(1-p) y^(p^2) - t^(-1) y^p = t^(-1) w + t^(1-p) w^p + w^(p^2)
     K = FieldDesc(p, ("t",))
     t = K.var("t")
-    G = make_form(3, SkewPoly(K, [K.one(), t, t ** (p ** 2)]))
+    G = make_form(3, [K.one(), t, t ** (p ** 2)])
     model = rewrite_plane_model(G, t, 1)
     ti = t.inverse()
     expect_w = {0: ti, 1: t * ti.frobenius(1), 2: K.one()}
@@ -104,7 +103,7 @@ def _entry_rewrite_display(p: int) -> tuple[bool, str]:
 def _entry_level_chain_strict() -> tuple[bool, str]:
     K = FieldDesc(2, ("t",))
     t = K.var("t")
-    G = make_form(3, SkewPoly(K, [K.one(), t, t ** 4]))
+    G = make_form(3, [K.one(), t, t ** 4])
     rep = invariant_report(G)
     ok = (
         rep.n.is_exact
@@ -123,7 +122,7 @@ def _entry_degree_p_boundary(p: int) -> tuple[bool, str]:
     # equals the splitting field k(t^(1/p))
     K = FieldDesc(p, ("t",))
     t = K.var("t")
-    G = make_form(1, SkewPoly(K, [K.one(), t]))
+    G = make_form(1, [K.one(), t])
     C = naive_completion(G)
     inf = is_regular_at_infinity(C)
     rep = invariant_report(G)
@@ -143,7 +142,7 @@ def _entry_degree_p_boundary(p: int) -> tuple[bool, str]:
 def _entry_no_point_two_variable() -> tuple[bool, str]:
     K = FieldDesc(2, ("t", "u"))
     t, u = K.var("t"), K.var("u")
-    G = make_form(1, SkewPoly(K, [K.one(), t]))
+    G = make_form(1, [K.one(), t])
     X = Torsor(G, u)
     pt = find_rational_point(X, 3)
     return pt is None, "no rational point with degrees <= 3"
@@ -152,7 +151,7 @@ def _entry_no_point_two_variable() -> tuple[bool, str]:
 def _entry_generic_fiber_trivial_pic() -> tuple[bool, str]:
     K = FieldDesc(2, ("t",))
     t = K.var("t")
-    G = make_form(1, SkewPoly(K, [K.one(), t]))
+    G = make_form(1, [K.one(), t])
     X = generic_fiber_torsor(G)
     rep = invariant_report(X)
     pt = find_rational_point(X, 3)

@@ -35,7 +35,6 @@ from .picard import (
     invariant_report,
     pic_p1_complement,
 )
-from .skew import SkewPoly
 from .wproj import TrivialTau, cech_h1_dim, genus_from_formula, hilbert_dim, naive_completion
 
 
@@ -233,11 +232,8 @@ class EquationAST:
     b: RatFunc
 
     def build(self) -> Union[FormPresentation, Torsor]:
-        m = max(i for i, _ in self.coeffs)
-        dense = [self.field.zero()] * (m + 1)
-        for i, c in self.coeffs:
-            dense[i] = c
-        G = make_form(self.n, SkewPoly(self.field, dense))
+        cs = dict(self.coeffs)
+        G = make_form(self.n, [cs.get(i, self.field.zero()) for i in range(max(cs) + 1)])
         if self.b:
             return Torsor(G, self.b)
         return G
@@ -532,8 +528,13 @@ def _make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    ap = _make_parser()
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse takes a value that starts with '-' (--c -t) for an option;
+    # glued to its flag (--c=-t) it is read as the value
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in ("--c", "--eq", "--field") and argv[i].startswith("-"):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
+    args = _make_parser().parse_args(argv)
     try:
         basis_cap()  # a malformed UNIPIC_BASIS_CAP fails every subcommand alike
         return args.fn(args)

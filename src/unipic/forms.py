@@ -1,8 +1,8 @@
 """Forms of the additive group and their torsors, with splitting invariants.
 
-A presentation is a pair (n, tau) with tau = 1 + a_1 F + ... + a_m F^m a
-skew polynomial whose constant coefficient is a unit; it describes the
-smooth affine group
+A presentation is a level n and the coefficients (1, a_1, ..., a_m) of
+tau = 1 + a_1 F + ... + a_m F^m in the skew polynomial ring k{F}; it
+describes the smooth affine group
 
     y^(p^n) = x + a_1 x^p + ... + a_m x^(p^m).
 
@@ -28,7 +28,6 @@ from .field import (
     poly_gcd,
     power_level,
 )
-from .skew import SkewPoly
 
 
 class NotSeparable(ValueError):
@@ -73,43 +72,68 @@ class NValue:
         return f"<= {self.value} (bound)"
 
 
-@dataclass(frozen=True)
-class FormPresentation:
-    """A form of the additive group given by y^(p^n) = tau(x)."""
-
-    field: FieldDesc
-    n: int
-    tau: SkewPoly
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("twist level n must be nonnegative")
-        if self.tau.field != self.field:
-            raise FieldMismatch("tau lives over a different field")
-        if not self.tau.constant_coeff().is_one():
-            raise NotSeparable("presentation must be normalized with constant coefficient 1")
+class _Equation:
+    """The equation y^(p^n) = b + sum coeffs[i] x^(p^i), read off the
+    field, n, coeffs and b of a form or torsor."""
 
     @property
     def m(self) -> int:
-        return self.tau.degree
-
-    def coeff(self, i: int) -> RatFunc:
-        return self.tau.coeff(i)
-
-    def twist_coeffs(self) -> list[tuple[int, RatFunc]]:
-        """Nonzero coefficients a_i with i >= 1."""
-        return [(i, c) for i, c in enumerate(self.tau.coeffs) if i >= 1 and c]
+        return len(self.coeffs) - 1
 
     def equation_str(self) -> str:
-        lhs = "y" if self.n == 0 else f"y^{self.field.p ** self.n}"
-        return f"{lhs} = {_rhs_str(self.field, self.field.zero(), self.tau)}"
+        p, b = self.field.p, self.b
+        parts = []
+        if b:
+            parts.append(str(b) if b.is_polynomial() and len(b.num.terms) == 1 else f"({b})")
+        for i, c in enumerate(self.coeffs):
+            if not c:
+                continue
+            xp = "x" if i == 0 else f"x^{p ** i}"
+            if c.is_one():
+                parts.append(xp)
+            else:
+                parts.append(f"{_coeff_str(c)}*{xp}")
+        lhs = "y" if self.n == 0 else f"y^{p ** self.n}"
+        return f"{lhs} = {' + '.join(parts)}"
 
     def __str__(self) -> str:
         return self.equation_str()
 
 
 @dataclass(frozen=True)
-class Torsor:
+class FormPresentation(_Equation):
+    """A form of the additive group given by y^(p^n) = tau(x).
+
+    coeffs is the dense tuple (1, a_1, ..., a_m) of tau, a_m nonzero.
+    """
+
+    field: FieldDesc
+    n: int
+    coeffs: tuple[RatFunc, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "coeffs", tuple(self.coeffs))  # hashable, and equal to make_form's
+        if self.n < 0:
+            raise ValueError("twist level n must be nonnegative")
+        if any(c.field != self.field for c in self.coeffs):
+            raise FieldMismatch("a coefficient of tau lives over a different field")
+        if not self.coeffs or not self.coeffs[0].is_one():
+            raise NotSeparable("presentation must be normalized with constant coefficient 1")
+        if not self.coeffs[-1]:
+            raise ValueError("the last coefficient of tau must be nonzero")
+
+    @property
+    def b(self) -> RatFunc:
+        """The translation term, zero on a form."""
+        return self.field.zero()
+
+    def twist_coeffs(self) -> list[tuple[int, RatFunc]]:
+        """Nonzero coefficients a_i with i >= 1."""
+        return [(i, c) for i, c in enumerate(self.coeffs) if i >= 1 and c]
+
+
+@dataclass(frozen=True)
+class Torsor(_Equation):
     """Principal homogeneous space y^(p^n) = b + tau(x) under its form."""
 
     form: FormPresentation
@@ -129,15 +153,8 @@ class Torsor:
         return self.form.n
 
     @property
-    def m(self) -> int:
-        return self.form.m
-
-    def equation_str(self) -> str:
-        lhs = "y" if self.n == 0 else f"y^{self.field.p ** self.n}"
-        return f"{lhs} = {_rhs_str(self.field, self.b, self.form.tau)}"
-
-    def __str__(self) -> str:
-        return self.equation_str()
+    def coeffs(self) -> tuple[RatFunc, ...]:
+        return self.form.coeffs
 
 
 def _coeff_str(c: RatFunc) -> str:
@@ -147,36 +164,22 @@ def _coeff_str(c: RatFunc) -> str:
     return s
 
 
-def _rhs_str(field: FieldDesc, b: RatFunc, tau: SkewPoly) -> str:
-    p = field.p
-    parts = []
-    if b:
-        parts.append(str(b) if b.is_polynomial() and len(b.num.terms) == 1 else f"({b})")
-    for i, c in enumerate(tau.coeffs):
-        if not c:
-            continue
-        xp = "x" if i == 0 else f"x^{p ** i}"
-        if c.is_one():
-            parts.append(xp)
-        else:
-            parts.append(f"{_coeff_str(c)}*{xp}")
-    return " + ".join(parts) if parts else "0"
+def make_form(n: int, coeffs) -> FormPresentation:
+    """The presentation y^(p^n) = sum coeffs[i] x^(p^i), normalized so a_0 = 1.
 
-
-def make_form(n: int, tau: SkewPoly) -> FormPresentation:
-    """Normalize a presentation so the constant coefficient of tau is 1.
-
+    Trailing zeros are dropped and the field is read off the coefficients.
     Rescaling x by the inverse unit is a group isomorphism, sending a_i to
     a_i * c^(-p^i) for c the original constant coefficient.
     """
-    c0 = tau.constant_coeff()
-    if not c0:
+    cs = list(coeffs)
+    while cs and not cs[-1]:
+        cs.pop()
+    if not cs or not cs[0]:
         raise NotSeparable("constant coefficient of tau vanishes; the presentation is not separable in x")
-    if c0.is_one():
-        return FormPresentation(tau.field, n, tau)
-    mu = c0.inverse()
-    coeffs = [c * mu.frobenius(i) if c else c for i, c in enumerate(tau.coeffs)]
-    return FormPresentation(tau.field, n, SkewPoly(tau.field, coeffs))
+    if not cs[0].is_one():
+        mu = cs[0].inverse()
+        cs = [c * mu.frobenius(i) if c else c for i, c in enumerate(cs)]
+    return FormPresentation(cs[0].field, n, cs)
 
 
 def generic_fiber_torsor(G: FormPresentation, var_name: str = "T") -> Torsor:
@@ -191,8 +194,7 @@ def generic_fiber_torsor(G: FormPresentation, var_name: str = "T") -> Torsor:
         raise VariableClash(f"{var_name!r} is already a field variable")
     ext = FieldDesc(base.p, base.vars + (var_name,))
     images = [(i, 1) for i in range(base.r)]
-    coeffs = [c.embed(ext, images) for c in G.tau.coeffs]
-    form = FormPresentation(ext, G.n, SkewPoly(ext, coeffs))
+    form = FormPresentation(ext, G.n, [c.embed(ext, images) for c in G.coeffs])
     return Torsor(form, ext.var(var_name), generic_fiber=True)
 
 
@@ -290,36 +292,24 @@ def _monomials_up_to(r: int, d: int) -> list[tuple[int, ...]]:
                   key=lambda e: (sum(e), e))
 
 
-def _unpack(T) -> tuple[FieldDesc, int, list[RatFunc], RatFunc]:
-    if isinstance(T, Torsor):
-        G, b = T.form, T.b
-    elif isinstance(T, FormPresentation):
-        G, b = T, T.field.zero()
-    else:
-        raise TypeError(f"expected a form or torsor, got {type(T).__name__}")
-    coeffs = [G.coeff(i) for i in range(G.m + 1)]
-    return G.field, G.n, coeffs, b
-
-
-def _rhs_at(T, x: RatFunc) -> tuple[int, RatFunc]:
-    """n and the right side b + tau(x) of the equation of T at x."""
-    _, n, coeffs, rhs = _unpack(T)
-    for i, c in enumerate(coeffs):
+def _rhs_at(T, x: RatFunc) -> RatFunc:
+    """The right side b + tau(x) of the equation of T at x."""
+    rhs = T.b
+    for i, c in enumerate(T.coeffs):
         if c:
             rhs = rhs + c * x.frobenius(i)
-    return n, rhs
+    return rhs
 
 
 def equation_holds(T, x: RatFunc, y: RatFunc) -> bool:
     """Check y^(p^n) = b + tau(x) exactly."""
-    n, rhs = _rhs_at(T, x)
-    return y.frobenius(n) == rhs
+    return y.frobenius(T.n) == _rhs_at(T, x)
 
 
 def _clear_denominators(field, coeffs, b):
     """Common polynomial denominator L with b = B/L, a_i = C_i/L."""
     L = MPoly.one(field)
-    for f in [b] + coeffs:
+    for f in [b, *coeffs]:
         if f:
             g = poly_gcd(L, f.den)
             L = L * f.den.exact_div(g)
@@ -381,7 +371,7 @@ def _pmul(f: dict, g: dict, p: int) -> dict:
     return {e: v for e, c in out.items() if (v := c % p)}
 
 
-def _search(field, n, coeffs, b, max_deg) -> Optional[tuple[int, int]]:
+def _search(T, max_deg: int) -> Optional[tuple[int, int]]:
     """First (gidx, hidx) in counting order whose x = g/h is a point, or None.
 
     With L the common denominator, b = B/L and a_i = C_i/L, the point
@@ -403,12 +393,13 @@ def _search(field, n, coeffs, b, max_deg) -> Optional[tuple[int, int]]:
     and S is the next multiple of q above that: no sum carries into the
     next slot, and (e // S^j) % q is the residue of coordinate j itself.
     """
+    field, n, b = T.field, T.n, T.b
     if not b:
         return 0, 1  # x = 0 lies on every form
-    p, r, m = field.p, field.r, len(coeffs) - 1
+    p, r, m = field.p, field.r, T.m
     M = max(m, n)
     q, P = p ** n, p ** M
-    L, B, C = _clear_denominators(field, coeffs, b)
+    L, B, C = _clear_denominators(field, T.coeffs, b)
     Lq = L ** (q - 1)  # the L-part of E, the same for every h
     B, C = B * Lq, [c * Lq for c in C]
     deg = max((x for f in [B] + C for e in f.terms for x in e), default=0)
@@ -487,18 +478,18 @@ def find_rational_point(T, max_deg: int) -> Optional[tuple[RatFunc, RatFunc]]:
     It is re-verified through exact field arithmetic before being returned;
     at x = 0 the right side is b itself, as tau is additive.
     """
-    field, n, coeffs, b = _unpack(T)
     if max_deg < 0:
         raise ValueError("max_deg must be nonnegative")
-    hit = _search(field, n, coeffs, b, max_deg)
+    hit = _search(T, max_deg)
     if hit is None:
         return None
+    field, n = T.field, T.n
     if hit == (0, 1):
-        x, rhs = field.zero(), b
+        x, rhs = field.zero(), T.b
     else:
         monos = _monomials_up_to(field.r, max_deg)
         x = RatFunc(_poly_at(field, monos, hit[0]), _poly_at(field, monos, hit[1]))
-        _, rhs = _rhs_at(T, x)
+        rhs = _rhs_at(T, x)
     v, y = power_level(rhs, n)
     if v < n or y.frobenius(n) != rhs:
         raise AssertionError("search engine returned a bogus candidate")
@@ -525,7 +516,7 @@ def local_obstruction(T) -> Optional[str]:
     every piece fails, every closed point has degree divisible by p.  The
     slopes p^m > ... > p > 1 > 0 make the envelope one convex-hull pass.
     """
-    field, n, coeffs, b = _unpack(T)
+    field, n, coeffs, b = T.field, T.n, T.coeffs, T.b
     if not b or n == 0:
         return None
     p, q = field.p, field.p ** n
@@ -614,22 +605,21 @@ def rewrite_plane_model(T, alpha: RatFunc, s: int) -> PlaneModel:
     w and y are collected separately.  The y^(p^n) terms may cancel; the
     model is flagged degenerate if either variable disappears entirely.
     """
-    field, n, coeffs, b = _unpack(T)
     if not alpha:
         raise InvalidSubstitution("alpha must be a unit")
     if s < 0:
         raise InvalidSubstitution("s must be nonnegative")
     inv = alpha.inverse()
-    wc = {i: c * inv.frobenius(i) for i, c in enumerate(coeffs) if c}
+    wc = {i: c * inv.frobenius(i) for i, c in enumerate(T.coeffs) if c}
     yc = {s + i: c for i, c in wc.items()}
-    yc[n] = yc.get(n, field.zero()) - field.one()
+    yc[T.n] = yc.get(T.n, T.field.zero()) - T.field.one()
     wt = tuple(sorted(wc.items()))
     yt = tuple((j, c) for j, c in sorted(yc.items()) if c)
     return PlaneModel(
-        field,
+        T.field,
         wt,
         yt,
-        b,
+        T.b,
         alpha,
         s,
         degenerate=not wt or not yt,
@@ -644,8 +634,7 @@ def plane_model_residual(T, model: PlaneModel) -> dict:
     y^(p^n) = b + tau(x).  The result maps basis monomials to coefficients
     and is empty exactly when the model vanishes on the curve.
     """
-    field, n, coeffs, b = _unpack(T)
-    p = field.p
+    n, b = T.n, T.b
     # keys: ("x", i) for x^(p^i), ("y", j) for y^(p^j), ("1", 0) for constants
     acc: dict = {}
 
@@ -674,7 +663,7 @@ def plane_model_residual(T, model: PlaneModel) -> dict:
         c = acc.pop(("y", j))
         d = j - n
         bump(("1", 0), c * b.frobenius(d))
-        for i, a in enumerate(coeffs):
+        for i, a in enumerate(T.coeffs):
             if a:
                 bump(("x", i + d), c * a.frobenius(d))
     return acc

@@ -21,7 +21,6 @@ from .forms import (
     FormPresentation,
     NValue,
     Torsor,
-    _unpack,
     find_rational_point,
     local_obstruction,
     rationality_level,
@@ -69,7 +68,6 @@ class P1ComplementData:
 @dataclass(frozen=True)
 class InvariantReport:
     target: Union[FormPresentation, Torsor]
-    is_torsor: bool
     n: NValue
     n_prime: NValue
     r: NValue
@@ -77,13 +75,21 @@ class InvariantReport:
     splitting_degree: int
     genus: NValue
     genus_oracle: Optional[tuple[int, bool]]
-    torsion_bound: int
     quotient_desc: str
     pic_nontrivial: Optional[tuple[bool, str]]
     pic_group: Optional[str]
     point: Optional[tuple[RatFunc, RatFunc]]
     assertions: tuple[tuple[str, str], ...]
     flags: tuple[str, ...]
+
+    @property
+    def is_torsor(self) -> bool:
+        return isinstance(self.target, Torsor)
+
+    @property
+    def torsion_bound(self) -> int:
+        """The exponent p^n that kills Pic(X), n the splitting level."""
+        return self.target.field.p ** self.n.value
 
 
 def pic_p1_complement(e: int, c: RatFunc) -> P1ComplementData:
@@ -133,14 +139,13 @@ def _residue_level(T, inf: Optional[InfinityData]) -> NValue:
     plane-model rewrite with alpha = a_m^(1/p^m), s = 1 can expose a field
     residue ring; otherwise only r <= n is known.
     """
-    field, n, coeffs, b = _unpack(T)
-    m = len(coeffs) - 1
+    n, m = T.n, T.m
     if m == 0:
         return NValue("exact", 0, "trivial-presentation")
     if inf.is_field:
         return NValue("exact", inf.exponent, "regular-completion")
     if n > m:
-        v, alpha = power_level(coeffs[m], m)
+        v, alpha = power_level(T.coeffs[m], m)
         if v == m:
             model = rewrite_plane_model(T, alpha, n - m)
             res = residue_from_plane_model(model)
@@ -253,7 +258,6 @@ def invariant_report(X, options: Optional[ReportOptions] = None) -> InvariantRep
         )
     return InvariantReport(
         target=X,
-        is_torsor=is_torsor,
         n=n,
         n_prime=n_prime,
         r=r,
@@ -261,7 +265,6 @@ def invariant_report(X, options: Optional[ReportOptions] = None) -> InvariantRep
         splitting_degree=deg,
         genus=genus,
         genus_oracle=genus_oracle,
-        torsion_bound=p ** n.value,
         quotient_desc=quotient_desc,
         pic_nontrivial=pic_nontrivial,
         pic_group=pic_group,

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .field import FieldDesc, RatFunc, power_level
-from .forms import FormPresentation, PlaneModel, Torsor, _unpack
+from .forms import FormPresentation, PlaneModel, Torsor
 
 
 class TrivialTau(ValueError):
@@ -72,13 +72,13 @@ class WeightedCurve:
 
     @property
     def terms(self) -> tuple[tuple[tuple[int, int, int], RatFunc], ...]:
-        field, n, coeffs, b = _unpack(self.source)
-        p, d, wx = field.p, self.degree, self.weights[0]
+        X = self.source
+        p, d, wx = X.field.p, self.degree, self.weights[0]
         # x^(p^i) z^(d - wx p^i), y^(p^n) and z^d are distinct monomials
-        terms = {(p ** i, 0, d - wx * p ** i): c for i, c in enumerate(coeffs) if c}
-        terms[(0, p ** n, 0)] = -field.one()
-        if b:
-            terms[(0, 0, d)] = b
+        terms = {(p ** i, 0, d - wx * p ** i): c for i, c in enumerate(X.coeffs) if c}
+        terms[(0, p ** X.n, 0)] = -X.field.one()
+        if X.b:
+            terms[(0, 0, d)] = X.b
         return tuple(sorted(terms.items()))
 
     def __str__(self) -> str:
@@ -122,9 +122,8 @@ def is_regular_at_infinity(C: WeightedCurve) -> InfinityData:
     is a single regular point whose residue field is purely inseparable
     of the recorded exponent.
     """
-    field, n, coeffs, b = _unpack(C.source)
-    m = len(coeffs) - 1
-    am = coeffs[m]
+    n, m = C.source.n, C.source.m
+    am = C.source.coeffs[m]
     if n <= m:
         # chart x = 1: residue ring k[y]/(y^(p^n) - a_m)
         e, u = n, am

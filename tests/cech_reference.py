@@ -6,7 +6,6 @@ row, unit rows included, through the elimination.  It shares only
 (h1_dim_window(C, P), h1_dim_window(C, P) == h1_dim_window(C, P - 1)).
 """
 
-from unipic.forms import _unpack
 from unipic.linalg import RowSpace
 
 
@@ -47,9 +46,9 @@ def window_rows(C, N):
     with i = q p^n + rho and q >= 1 holds the coefficients of f^q shifted
     by -l, at the columns of y^rho.
     """
-    field, n, coeffs, b = _unpack(C.source)
+    X = C.source
+    field, n, m, coeffs, b = X.field, X.n, X.m, X.coeffs, X.b
     p = field.p
-    m = len(coeffs) - 1
     pn = p ** n
 
     def col(e, j):

@@ -1,10 +1,10 @@
 """Reference for the local obstruction `unipic.forms.local_obstruction`.
 
 `fraction_obstruction` decides the same question by a pairwise sweep in
-`Fraction` arithmetic and shares no code with the engine beyond
-`_unpack`: it intersects every pair of lines, keeps the intersections
-where the least value is reached at least twice, and samples each open
-segment between them to find its one dominant term.  Valuations and
+`Fraction` arithmetic and shares no code with the engine: it
+intersects every pair of lines, keeps the intersections where the least
+value is reached at least twice, and samples each open segment between
+them to find its one dominant term.  Valuations and
 leading coefficients are read off the terms here, and the q-th-power test
 is the partial-derivative test of `tests/search_reference.py`, so the two
 agree only if the convex-hull pass, its integer breakpoint test and the
@@ -15,7 +15,6 @@ from fractions import Fraction
 from itertools import combinations
 
 from unipic import MPoly
-from unipic.forms import _unpack
 
 from search_reference import _is_qth_power
 
@@ -33,7 +32,7 @@ def _order_and_lead(f, j, inf):
 
 def fraction_obstruction(T):
     """The first place t_j = 0, then t_j = oo, in variable order, that obstructs, or None."""
-    field, n, coeffs, b = _unpack(T)
+    field, n, coeffs, b = T.field, T.n, T.coeffs, T.b
     if not b or n == 0:
         return None
     p, q = field.p, field.p ** n

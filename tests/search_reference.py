@@ -18,7 +18,7 @@ from operator import add
 from typing import Optional
 
 from unipic import MPoly
-from unipic.forms import _clear_denominators, _least_solution, _monomials_up_to, _unpack
+from unipic.forms import _clear_denominators, _least_solution, _monomials_up_to
 
 
 def _poly_at(field, monos, idx):
@@ -71,10 +71,10 @@ def brute_force_search(T, max_deg):
     g fail already at a corner of that product, the sum of the factors'
     corners, so it is never multiplied out; `_is_qth_power` settles the rest.
     """
-    field, n, coeffs, b = _unpack(T)
-    p, q, pm = field.p, field.p ** n, field.p ** (len(coeffs) - 1)
+    field, n, coeffs, b = T.field, T.n, T.coeffs, T.b
+    p, q, pm = field.p, field.p ** n, field.p ** T.m
     L = MPoly.one(field)
-    for f in [b] + coeffs:
+    for f in [b, *coeffs]:
         L = L * f.den
     B = b.num * L.exact_div(b.den)
     C = [c.num * L.exact_div(c.den) for c in coeffs]
@@ -101,7 +101,7 @@ def brute_force_search(T, max_deg):
     return None
 
 
-def linear_search_reference(field, n, coeffs, b, max_deg) -> Optional[tuple[int, int]]:
+def linear_search_reference(T, max_deg) -> Optional[tuple[int, int]]:
     """First (gidx, hidx) in counting order whose x = g/h is a point, or None.
 
     With L the common denominator, b = B/L and a_i = C_i/L, the point
@@ -112,10 +112,11 @@ def linear_search_reference(field, n, coeffs, b, max_deg) -> Optional[tuple[int,
     g -> g^(p^i) is additive and fixes F_p, so for fixed monic h the test
     is one affine system over F_p in the K base-p digits of g.
     """
+    field, n, coeffs, b = T.field, T.n, T.coeffs, T.b
     if not b:
         return 0, 1  # x = 0 lies on every form
     p = field.p
-    m = len(coeffs) - 1
+    m = T.m
     q = p ** n
     L, B, C = _clear_denominators(field, coeffs, b)
     monos = _monomials_up_to(field.r, max_deg)

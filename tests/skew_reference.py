@@ -1,17 +1,17 @@
-"""The ring k{F} over the coefficient container `unipic.skew.SkewPoly`.
+"""The ring k{F}: the oracle for the presentation code.
 
-The library only reads the coefficients of tau, so the ring structure
-lives here, as the oracle for the presentation code: multiplication
+A form stores only the coefficients (1, a_1, ..., a_m) of tau, so the
+ring structure lives here, on its own coefficient container: multiplication
 follows (a F^i)(b F^j) = a * b^(p^i) F^(i+j), right division needs no
 p-th roots, and an element acts on the additive group through
-`eval_additive`.  `make_form`'s normalisation is right multiplication by a
-constant, and `equation_holds` applies tau additively; the tests check
-both against this module.
+`eval_additive`, which reads only `field` and `coeffs` and so takes a form
+too.  `make_form`'s normalisation is right multiplication by a constant,
+and `equation_holds` applies tau additively; the tests check both against
+this module.
 """
 
 from dataclasses import dataclass
 
-from unipic import skew
 from unipic.field import FieldDesc, FieldMismatch, RatFunc
 
 
@@ -19,10 +19,36 @@ class SkewDivisionError(ZeroDivisionError):
     """Right division by the zero skew polynomial."""
 
 
-class SkewPoly(skew.SkewPoly):
-    """`unipic.skew.SkewPoly` with the ring operations of k{F}."""
+class SkewPoly:
+    """Element of k{F}, a dense coefficient tuple with nonzero leading entry."""
 
-    __slots__ = ()
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field: FieldDesc, coeffs):
+        cs = list(coeffs)
+        while cs and not cs[-1]:
+            cs.pop()
+        self.field = field
+        self.coeffs = tuple(cs)
+
+    @property
+    def degree(self) -> int:
+        """Degree in F; the zero element reports -1."""
+        return len(self.coeffs) - 1
+
+    def coeff(self, i: int) -> RatFunc:
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.field.zero()
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SkewPoly):
+            return NotImplemented
+        return self.field == other.field and self.coeffs == other.coeffs
+
+    def __repr__(self) -> str:
+        return f"SkewPoly({list(self.coeffs)!r})"
 
     @classmethod
     def zero(cls, field: FieldDesc) -> "SkewPoly":
@@ -142,10 +168,10 @@ class AdditivePoly:
         return " + ".join(parts) if parts else "0"
 
 
-def to_additive(f: skew.SkewPoly) -> AdditivePoly:
+def to_additive(f) -> AdditivePoly:
     return AdditivePoly(f.field, tuple((i, c) for i, c in enumerate(f.coeffs) if c))
 
 
-def eval_additive(f: skew.SkewPoly, x: RatFunc) -> RatFunc:
+def eval_additive(f, x: RatFunc) -> RatFunc:
     """Evaluate the additive action of f at x; intertwines multiplication."""
     return to_additive(f)(x)

@@ -13,7 +13,6 @@ from unipic import (
     FieldDesc,
     MPoly,
     ReportOptions,
-    SkewPoly,
     Torsor,
     cech_h1_dim,
     equation_holds,
@@ -49,7 +48,7 @@ def field_for(p):
 def form_over(field, n, coeffs):
     m = max(coeffs)
     cs = [coeffs.get(i, field.zero()) for i in range(m + 1)]
-    return make_form(n, SkewPoly(field, cs))
+    return make_form(n, cs)
 
 
 def test_acceptance_1_conic_report():

@@ -79,16 +79,14 @@ def test_parse_torsor_equation():
 def test_parse_coefficient_expressions():
     # parenthesized arithmetic, division chains and constants reduce mod p
     X = parse_form_equation("y^3 = 4*x + (t+u)/t/u*x^3 - x^9", F3TU).build()
-    assert X.coeff(0) == F3TU.one()
     t, u = F3TU.var("t"), F3TU.var("u")
-    assert X.coeff(1) == (t + u) / (t * u)
-    assert X.coeff(2) == F3TU.const(-1)
+    assert X.coeffs == (F3TU.one(), (t + u) / (t * u), F3TU.const(-1))
 
 
 def test_parse_leading_sign():
     X = parse_form_equation("y^3 = -x + t*x^3", F3TU).build()
     # normalization rescales the constant coefficient back to 1
-    assert X.coeff(0) == F3TU.one()
+    assert X.coeffs[0] == F3TU.one()
 
 
 @pytest.mark.parametrize("bad,exc,fragment", [
@@ -366,6 +364,18 @@ def test_hilbert(capsys):
     code, out, _ = run_cli(capsys, "hilbert", "--a", "2", "--delta", "1",
                            "--mode", "count")
     assert (code, out.strip()) == (0, "4")
+
+
+def test_option_values_may_start_with_a_minus(capsys):
+    # argparse read "-t" after --c as an option and exited 2 with
+    # "expected one argument"; only --c=-t worked
+    glued = run_cli(capsys, "p1-complement", "--field", "GF(3)(t)", "--e", "1", "--c=-t")
+    assert glued[0] == 0 and glued[1].startswith("Pic = Z/3Z\n")
+    assert run_cli(capsys, "p1-complement", "--field", "GF(3)(t)", "--e", "1", "--c", "-t") == glued
+    # a leading minus reaches the equation and field parsers, which reject it
+    for argv in (["--field", "GF(3)(t)", "--eq", "-y^3 = x"], ["--field", "-GF(3)(t)", "--eq", "y^3 = x"]):
+        code, _, err = run_cli(capsys, "analyze", *argv)
+        assert (code, err) == (2, "error: expected 'name', found '-' (at position 0)\n")
 
 
 def test_points_found(capsys):

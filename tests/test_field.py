@@ -591,10 +591,11 @@ def test_public_surface():
                  "root_field_degree", "torsion_bound_unipotent", "pn_power_test"):
         assert name not in unipic.__all__
         assert not hasattr(unipic, name) and not hasattr(field_mod, name)
-    # the ring k{F} lives on only in tests/skew_reference.py; the others had
-    # no caller outside the library modules that import them directly
+    # the ring k{F} lives on only in tests/skew_reference.py, a form stores
+    # its coefficients itself; the others had no caller outside the library
+    # modules that import them directly
     for name in ("AdditivePoly", "SkewDivisionError", "eval_additive", "right_divmod",
-                 "to_additive", "splitting_field_degree", "RowSpace"):
+                 "to_additive", "SkewPoly", "splitting_field_degree", "RowSpace"):
         assert name not in unipic.__all__
         assert not hasattr(unipic, name)
     # a completion and a report each store every fact once, and a torsor is
@@ -603,4 +604,4 @@ def test_public_surface():
                  "NotANaiveCompletion", "make_torsor"):
         assert name not in unipic.__all__
         assert not hasattr(unipic, name)
-    assert len(unipic.__all__) == 46
+    assert len(unipic.__all__) == 45

@@ -12,11 +12,11 @@ from hypothesis import given, settings
 from unipic import (
     FieldDesc,
     FieldMismatch,
+    FormPresentation,
     MPoly,
     NValue,
     NotSeparable,
     RatFunc,
-    SkewPoly,
     Torsor,
     VariableClash,
     compositum_degree,
@@ -33,7 +33,7 @@ from unipic import (
 )
 from unipic import forms
 from unipic.cli import parse_field_spec, parse_form_equation
-from unipic.forms import _clear_denominators, _monomials_up_to, _search, _unpack
+from unipic.forms import _clear_denominators, _monomials_up_to, _search
 
 from conftest import F2T, F2TU, F3T, ratfunc_strategy
 from search_reference import brute_force_search, linear_search_reference
@@ -52,7 +52,7 @@ def form_over(field, n, coeffs):
     """Presentation y^(p^n) = sum coeffs[i] * x^(p^i) from a level dict."""
     m = max(coeffs)
     cs = [coeffs.get(i, field.zero()) for i in range(m + 1)]
-    return make_form(n, SkewPoly(field, cs))
+    return make_form(n, cs)
 
 
 @pytest.fixture
@@ -83,8 +83,8 @@ def test_nvalue_validation():
 def test_presentation_accessors(conic):
     t = F2T.var("t")
     assert conic.m == 1
-    assert conic.coeff(0) == F2T.one()
-    assert conic.coeff(1) == t
+    assert conic.coeffs == (F2T.one(), t)
+    assert conic.b == F2T.zero()
     assert conic.twist_coeffs() == [(1, t)]
     assert conic.equation_str() == "y^2 = x + t*x^2"
 
@@ -92,13 +92,38 @@ def test_presentation_accessors(conic):
 def test_make_form_requires_separable_part():
     t = F2T.var("t")
     with pytest.raises(NotSeparable):
-        make_form(1, SkewPoly(F2T, [F2T.zero(), t]))
+        make_form(1, [F2T.zero(), t])
+    with pytest.raises(NotSeparable):
+        make_form(1, [])
+
+
+def test_make_form_reads_the_field_and_drops_trailing_zeros():
+    t, one, zero = F2T.var("t"), F2T.one(), F2T.zero()
+    G = make_form(2, [one, t, zero, zero])
+    assert (G.field, G.n, G.coeffs) == (F2T, 2, (one, t))
+    X = Torsor(G, t)
+    assert (X.field, X.n, X.m, X.coeffs, X.b) == (F2T, 2, 1, (one, t), t)
+    assert str(X) == "y^4 = t + x + t*x^2"
+
+
+def test_presentation_validates_its_coefficients():
+    t, one = F2T.var("t"), F2T.one()
+    assert FormPresentation(F2T, 1, [one, t]) == make_form(1, (one, t))
+    for coeffs in [(t, t), (F2T.zero(), t), ()]:  # a_0 must be 1
+        with pytest.raises(NotSeparable):
+            FormPresentation(F2T, 1, coeffs)
+    with pytest.raises(ValueError, match="last coefficient"):
+        FormPresentation(F2T, 1, (one, t, F2T.zero()))
+    with pytest.raises(FieldMismatch):
+        FormPresentation(F2T, 1, (one, F3T.var("t")))
+    with pytest.raises(FieldMismatch):
+        FormPresentation(F3T, 1, (F3T.one(), t))
 
 
 def test_make_form_normalizes_constant_coeff(conic):
     # y^2 = t*x + t^3*x^2 rescales to the standard conic presentation
     t = F2T.var("t")
-    g = make_form(1, SkewPoly(F2T, [t, t ** 3]))
+    g = make_form(1, [t, t ** 3])
     assert g == conic
 
 
@@ -107,7 +132,7 @@ def test_make_form_normalizes_constant_coeff(conic):
 def test_rescaling_x_is_invisible(lam, a1):
     # substituting x -> lam * x preserves the normalized presentation
     base = form_over(F3T, 1, {0: F3T.one(), 1: a1})
-    scaled = make_form(1, SkewPoly(F3T, [lam, a1 * lam ** 3]))
+    scaled = make_form(1, [lam, a1 * lam ** 3])
     assert scaled == base
 
 
@@ -128,7 +153,7 @@ def test_generic_fiber_torsor(conic):
 # ------------------------------------------------------------------- levels
 
 def test_split_form_levels():
-    g = make_form(1, SkewPoly(F2T, [F2T.one()]))
+    g = make_form(1, [F2T.one()])
     assert splitting_degree(g) == 1
     assert splitting_level(g) == NValue("exact", 0, "split")
     assert rationality_level(g) == NValue("exact", 0, "split")
@@ -235,7 +260,7 @@ def test_split_certificate_matches_tower_degree():
         field = FieldDesc(p, ("t", "u")[:r])
         for _ in range(4):
             twists = [_power_coeff(rng, field, n) for _ in range(rng.randint(1, 2))]
-            G = make_form(n, SkewPoly(field, [field.one()] + twists))
+            G = make_form(n, [field.one()] + twists)
             level = splitting_level(G)
             assert (level.certificate == "split") == (splitting_degree(G) == 1), G
             certificates.add(level.certificate)
@@ -280,7 +305,7 @@ def test_search_engines_agree_regression(tower_form):
     # the engine must honour non-perfect leading parts; this input once
     # produced a false positive at bound 1
     T = Torsor(tower_form, F2T.var("t") ** 2)
-    assert _search(*_unpack(T), 1) is None
+    assert _search(T, 1) is None
     assert brute_force_search(T, 1) is None
 
 
@@ -295,7 +320,7 @@ def search_torsors(draw):
 @settings(max_examples=25, deadline=None)
 @given(search_torsors())
 def test_search_engines_agree(T):
-    assert _search(*_unpack(T), 1) == brute_force_search(T, 1)
+    assert _search(T, 1) == brute_force_search(T, 1)
 
 
 def _search_oracle_inputs():
@@ -329,12 +354,12 @@ def _search_oracle_inputs():
 
             tau = [field.one()] + [coeff() if i == m or rng.random() < 0.5 else field.zero()
                                    for i in range(1, m + 1)]
-            G = make_form(n, SkewPoly(field, tau))
+            G = make_form(n, tau)
             top = rng.randrange(len(monos))  # a monic h0 in counting order
             h0 = MPoly.make(field, {**{e: rng.randrange(p) for e in monos[:top]}, monos[top]: 1})
             x0 = RatFunc(poly(), h0)
             y0 = RatFunc.from_poly(poly(1))
-            b_hit = y0 ** q - sum((c * x0.frobenius(i) for i, c in enumerate(G.tau.coeffs)), field.zero())
+            b_hit = y0 ** q - sum((c * x0.frobenius(i) for i, c in enumerate(G.coeffs)), field.zero())
             for b in (b_hit, coeff()):
                 yield Torsor(G, b), max_deg
     for field, eq in (
@@ -365,9 +390,9 @@ def test_search_matches_references():
     # both sides of m < n, with and without q-th-power denominators
     classes = set()
     for T, max_deg in _search_oracle_inputs():
-        field, n, coeffs, b = args = _unpack(T)
-        got = _search(*args, max_deg)
-        assert got == linear_search_reference(*args, max_deg), T
+        field, n, coeffs, b = T.field, T.n, T.coeffs, T.b
+        got = _search(T, max_deg)
+        assert got == linear_search_reference(T, max_deg), T
         assert got == brute_force_search(T, max_deg), T
         q, P = field.p ** n, field.p ** max(T.m, n)
         L, B, C = _clear_denominators(field, coeffs, b)
@@ -395,9 +420,9 @@ def test_search_matches_reference_on_golden_corpus():
     cases = {(v["field"], v["eq"], v["bound"]) for v in _golden_variants()}
     hits = 0
     for field, eq, bound in sorted(cases):
-        args = _unpack(parse_form_equation(eq, parse_field_spec(field)).build())
-        got = _search(*args, bound)
-        assert got == linear_search_reference(*args, bound), (field, eq, bound)
+        T = parse_form_equation(eq, parse_field_spec(field)).build()
+        got = _search(T, bound)
+        assert got == linear_search_reference(T, bound), (field, eq, bound)
         hits += got is not None and got[1] > 1
     assert len(cases) > 1000 and hits
 

@@ -7,9 +7,9 @@ import json
 import random
 
 import unipic.picard
-from unipic import FieldDesc, MPoly, RatFunc, SkewPoly, Torsor, find_rational_point, make_form
+from unipic import FieldDesc, MPoly, RatFunc, Torsor, find_rational_point, make_form
 from unipic.cli import main, parse_field_spec, parse_form_equation
-from unipic.forms import _search, _unpack, local_obstruction
+from unipic.forms import _search, local_obstruction
 
 from obstruction_reference import fraction_obstruction
 from search_reference import brute_force_search
@@ -21,7 +21,7 @@ def _golden_torsors():
     out = []
     for v in _golden_variants():
         T = parse_form_equation(v["eq"], parse_field_spec(v["field"])).build()
-        if _unpack(T)[3]:
+        if T.b:
             argv = ["analyze", "--field", v["field"], "--eq", v["eq"],
                     "--search-bound", str(v["bound"])] + ["--oracle"] * v["oracle"]
             out.append((T, v["bound"], argv, v["expect"]["point"]))
@@ -46,7 +46,7 @@ def _random_form(rng, top):
     field = FieldDesc(p, ("t", "u")[:r])
     tau = [field.one()] + [_laurent(rng, field, rng.randint(1, 2)) if i == m or rng.random() < 0.5
                            else field.zero() for i in range(1, m + 1)]
-    return make_form(n, SkewPoly(field, tau))
+    return make_form(n, tau)
 
 
 def _seeded_torsors(seed, count):
@@ -69,7 +69,7 @@ def _planted_torsors(seed, count):
         field = G.field
         x0 = _laurent(rng, field, rng.randint(1, 2))
         y0 = field.zero() if rng.random() < 0.25 else _laurent(rng, field, rng.randint(1, 2))
-        b = y0.frobenius(G.n) - sum((c * x0.frobenius(i) for i, c in enumerate(G.tau.coeffs)), field.zero())
+        b = y0.frobenius(G.n) - sum((c * x0.frobenius(i) for i, c in enumerate(G.coeffs)), field.zero())
         if b:
             yield Torsor(G, b), x0, y0
 
@@ -98,7 +98,7 @@ def _quadratic_point_torsors(seed, count):
         b = y0 ** q - sum((c * x0.frobenius(i) for i, c in enumerate(a)), field.zero())
         if a_m and b:
             count -= 1
-            yield Torsor(make_form(n, SkewPoly(field, a)), b)
+            yield Torsor(make_form(n, a), b)
 
 
 def test_worked_case():
@@ -131,7 +131,7 @@ def test_no_obstruction_where_a_point_is_found():
     # the seeded search corpus: hits found by the engine or the brute force
     for T, max_deg in _search_oracle_inputs():
         if local_obstruction(T):
-            assert _search(*_unpack(T), max_deg) is None, T
+            assert _search(T, max_deg) is None, T
             assert brute_force_search(T, max_deg) is None, T
     # planted rational points, with x0 on every side of the envelope
     for T, x0, y0 in _planted_torsors(1718, 900):

@@ -10,7 +10,6 @@ from unipic import (
     NValue,
     NotIrreducible,
     ReportOptions,
-    SkewPoly,
     Torsor,
     generic_fiber_torsor,
     invariant_report,
@@ -27,9 +26,9 @@ T = F2T.var("t")
 ONE = F2T.one()
 ZERO = F2T.zero()
 
-CONIC = make_form(1, SkewPoly(F2T, [ONE, T]))
-TOWER = make_form(3, SkewPoly(F2T, [ONE, T, T ** 4]))
-SPLIT = make_form(1, SkewPoly(F2T, [ONE]))
+CONIC = make_form(1, [ONE, T])
+TOWER = make_form(3, [ONE, T, T ** 4])
+SPLIT = make_form(1, [ONE])
 
 
 # ------------------------------------------------------------------- torsion
@@ -51,7 +50,7 @@ def test_residue_level_certificates():
     assert _residue_level(CONIC, _boundary(CONIC)) == NValue("exact", 1, "regular-completion")
     assert _residue_level(TOWER, _boundary(TOWER)) == NValue("exact", 2, "plane-model-residue")
     # reducible presentation: completion not regular, no rewrite applies
-    g = make_form(1, SkewPoly(F2T, [ONE, T, T * T]))
+    g = make_form(1, [ONE, T, T * T])
     assert _residue_level(g, _boundary(g)) == NValue("upper_bound", 1)
 
 
@@ -196,7 +195,7 @@ def _count_calls(monkeypatch, name):
 
 _ONCE_CASES = [
     TOWER,
-    make_form(1, SkewPoly(F3T, [F3T.one(), F3T.var("t")])),
+    make_form(1, [F3T.one(), F3T.var("t")]),
     Torsor(CONIC, ONE / T),
 ]
 _ONCE_IDS = ["p2-form", "p3-form", "torsor"]

@@ -14,7 +14,6 @@ from unipic import (
     FieldDesc,
     MPoly,
     RatFunc,
-    SkewPoly,
     Torsor,
     TrivialTau,
     WeightedCurve,
@@ -41,7 +40,7 @@ ZERO = F2T.zero()
 def form2(n, coeffs):
     m = max(coeffs)
     cs = [coeffs.get(i, ZERO) for i in range(m + 1)]
-    return make_form(n, SkewPoly(F2T, cs))
+    return make_form(n, cs)
 
 
 CONIC = form2(1, {0: ONE, 1: T})
@@ -112,7 +111,7 @@ def test_terms_homogeneous_with_nonzero_coefficients():
             for m in range(4):
                 mid = [_random_rational(rng, k) if rng.random() < 0.7 else k.zero() for _ in range(m - 1)]
                 top = [_random_rational(rng, k)] if m else []
-                X = make_form(n, SkewPoly(k, [k.one()] + mid + top))
+                X = make_form(n, [k.one()] + mid + top)
                 for source in (X, Torsor(X, _random_rational(rng, k))):
                     if m == 0:
                         with pytest.raises(TrivialTau):
@@ -152,7 +151,7 @@ def test_non_regular_boundary_deep_frobenius():
 
 def test_regular_boundary_char3():
     k3, t3 = F3T, F3T.var("t")
-    g = make_form(1, SkewPoly(k3, [k3.one(), t3]))
+    g = make_form(1, [k3.one(), t3])
     inf = is_regular_at_infinity(naive_completion(g))
     assert inf.is_field
     assert inf.degree == 3
@@ -196,7 +195,7 @@ def test_cech_bound_too_small():
 def _cech_case(k, n, m, torsor=False, binomial=False):
     t, one = k.var("t"), k.one()
     mid, top = (t + one, t * t + t) if binomial else (k.zero(), t)
-    X = make_form(n, SkewPoly(k, [one] + [mid] * (m - 1) + [top]))
+    X = make_form(n, [one] + [mid] * (m - 1) + [top])
     return Torsor(X, t + one) if torsor else X
 
 
@@ -234,7 +233,7 @@ def _random_sources(k, n, m):
     rng = random.Random(100 * k.p + 10 * n + m)
     out = []
     for _ in range(2):
-        X = make_form(n, SkewPoly(k, [_random_rational(rng, k) for _ in range(m + 1)]))
+        X = make_form(n, [_random_rational(rng, k) for _ in range(m + 1)])
         out += [X, Torsor(X, _random_rational(rng, k))]
     return out
 
