@@ -30,7 +30,6 @@ from .forms import (
 )
 from .picard import (
     InvariantReport,
-    NotIrreducible,
     ReportOptions,
     invariant_report,
     pic_p1_complement,
@@ -538,7 +537,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         basis_cap()  # a malformed UNIPIC_BASIS_CAP fails every subcommand alike
         return args.fn(args)
-    except (ParseError, NotSeparable, NotIrreducible, TrivialTau, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

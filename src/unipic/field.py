@@ -250,9 +250,6 @@ class MPoly:
         e = max(self.terms, key=_grlex_key)
         return e, self.terms[e]
 
-    def constant_coeff(self) -> int:
-        return self.terms.get((0,) * self.field.r, 0)
-
     # -- ring operations ------------------------------------------------
 
     def _check(self, other: "MPoly") -> None:

@@ -221,9 +221,7 @@ def splitting_level(G: FormPresentation) -> NValue:
 # -- presentation reduction and the rationality level -------------------
 
 
-def _reduce_presentation(
-    p: int, n: int, a: dict[int, RatFunc]
-) -> tuple[int, dict[int, RatFunc]]:
+def _reduce_presentation(n: int, a: dict[int, RatFunc]) -> tuple[int, dict[int, RatFunc]]:
     """Apply level-lowering moves until none fires.
 
     Moves, each a group isomorphism over the current field:
@@ -274,7 +272,7 @@ def rationality_level(G: FormPresentation) -> NValue:
     a = dict(G.twist_coeffs())
     j = 0
     while True:
-        n, a = _reduce_presentation(p, n, a)
+        n, a = _reduce_presentation(n, a)
         if not a or n == 0:
             return NValue("exact", j, "split" if j == 0 else "twist-chain")
         if n == 1 and max(a) == 1:

@@ -52,9 +52,6 @@ class ReportOptions:
 class P1ComplementData:
     """Pic of the complement of one purely inseparable point on the line."""
 
-    field: object
-    e: int
-    c: RatFunc
     pic_order: int
     pic_structure: str
     n: NValue
@@ -101,11 +98,9 @@ def pic_p1_complement(e: int, c: RatFunc) -> P1ComplementData:
     """
     if e < 1:
         raise ValueError("need e >= 1")
-    field = c.field
-    p = field.p
     if c.pth_root() is not None:
         raise NotIrreducible("c is a p-th power; x^(p^e) - c is not irreducible")
-    order = p ** e
+    order = c.field.p ** e
     notes = (
         f"torsion bound p^n = {order} is attained by the group Z/{order}Z",
         "the complement is an open of the projective line, so its function field is rational",
@@ -115,9 +110,6 @@ def pic_p1_complement(e: int, c: RatFunc) -> P1ComplementData:
             "the removed point has degree > 2, so no group structure exists even after separable base change",
         )
     return P1ComplementData(
-        field=field,
-        e=e,
-        c=c,
         pic_order=order,
         pic_structure=f"Z/{order}Z",
         n=NValue("exact", e, "inseparable-point-degree"),
@@ -164,6 +156,9 @@ def invariant_report(X, options: Optional[ReportOptions] = None) -> InvariantRep
     """
     if options is None:
         options = ReportOptions()
+    if options.search_bound < 0:
+        # checked here, as the local obstruction below can skip the search that checks it
+        raise ValueError("max_deg must be nonnegative")
     is_torsor = isinstance(X, Torsor)
     G = X.form if is_torsor else X
     p = G.field.p

@@ -7,10 +7,10 @@ on x.  A `WeightedCurve` stores only that equation and reads its weights,
 degree and terms off it.  The completion adds a one-point boundary whose
 residue ring detects regularity, and its arithmetic genus is computable
 both by a closed formula and by the Cech cohomology of the two-chart
-cover.  The Cech H^1 of a truncation window is a lattice-point count in
-O(p^n + P) for pole bound P, since every boundary row lands on unit
-columns; the row-by-row elimination it replaces is the test oracle in
-tests/cech_reference.py.
+cover.  The Cech H^1 of a truncation window is a lattice-point count,
+in closed form in O(1) arithmetic steps for any pole bound, since every
+boundary row lands on unit columns; the row-by-row elimination it
+replaces is the test oracle in tests/cech_reference.py.
 """
 
 from __future__ import annotations
@@ -179,12 +179,19 @@ def hilbert_dim(a: int, delta: int, mode: str = "formula") -> int:
 def _unit_count(N: int, pn: int, a: int, low: bool) -> int:
     """Number of unit columns with -N <= e <= N and 0 <= j < p^n, in closed form.
 
-    The unit columns are x^e y^j with e >= 0, or with a j <= -e (n <= m)
-    or j <= -a e (n > m).
+    The unit columns are the (N + 1) p^n ones x^e y^j with e >= 0, and
+    those with e < 0 and a j <= -e (n <= m) or j <= -a e (n > m).  The
+    latter number sum_{0 <= j < p^n} max(0, N + 1 - max(a j, 1)) for
+    n <= m, where only j <= J = min(p^n - 1, N // a) contribute, and
+    sum_{1 <= l <= N} min(a l + 1, p^n) for n > m, where a l + 1 is the
+    smaller exactly for l <= L = min(N, (p^n - 1) // a).  The sums are the
+    oracle in tests/cech_reference.py.
     """
     if low:
-        return (N + 1) * pn + sum(max(0, N + 1 - max(a * j, 1)) for j in range(pn))
-    return (N + 1) * pn + sum(min(a * l + 1, pn) for l in range(1, N + 1))
+        J = min(pn - 1, N // a)
+        return (N + 1) * pn + N + J * (N + 1) - a * J * (J + 1) // 2
+    L = min(N, (pn - 1) // a)
+    return (N + 1) * pn + a * L * (L + 1) // 2 + L + (N - L) * pn
 
 
 def cech_h1_dim(C: WeightedCurve, pole_bound: Optional[int] = None) -> tuple[int, bool]:
@@ -212,7 +219,7 @@ def cech_h1_dim(C: WeightedCurve, pole_bound: Optional[int] = None) -> tuple[int
 
     So the rows span exactly the unit columns, and H1 of a window is the
     number of the other columns, counted in closed form by `_unit_count`
-    in O(p^n + P) steps without touching the coefficients.  The
+    in O(1) arithmetic steps without touching the coefficients.  The
     row-by-row elimination is kept in tests/cech_reference.py as the
     oracle.
     """

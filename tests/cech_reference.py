@@ -1,7 +1,9 @@
 """Row-by-row Cech H^1 window: the reference for `unipic.wproj.cech_h1_dim`.
 
 It rebuilds f^q with q products for every boundary row and sends every
-row, unit rows included, through the elimination.  It shares only
+row, unit rows included, through the elimination.  The sums that
+`unipic.wproj._unit_count` replaced by their closed forms are kept in
+`unit_count_reference`.  It shares only
 `RowSpace` with the library code.  `cech_h1_dim(C, P)` should equal
 (h1_dim_window(C, P), h1_dim_window(C, P) == h1_dim_window(C, P - 1)).
 """
@@ -27,6 +29,13 @@ def _poly_pow_dict(base, q, field):
 def _unit_column(e, j, a, low):
     """Whether x^e y^j is a unit row's column: e >= 0, or a j <= -e (n <= m) or j <= -a e (n > m)."""
     return e >= 0 or (a * j <= -e if low else j <= -a * e)
+
+
+def unit_count_reference(N, pn, a, low):
+    """The number of unit columns of window N as the sum over j (n <= m) or over l (n > m)."""
+    if low:
+        return (N + 1) * pn + sum(max(0, N + 1 - max(a * j, 1)) for j in range(pn))
+    return (N + 1) * pn + sum(min(a * l + 1, pn) for l in range(1, N + 1))
 
 
 def _explicit_unit_columns(N, pn, a, low):

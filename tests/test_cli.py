@@ -1,5 +1,6 @@
 """Command line interface: parsing, rendering, JSON schema, exit codes."""
 
+import importlib.util
 import json
 import time
 from pathlib import Path
@@ -8,8 +9,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
+import unipic.catalogue as catalogue_mod
 import unipic.cli as cli_mod
-from unipic import FieldDesc, Torsor, invariant_report
+from unipic import FieldDesc, Torsor, invariant_report, run_catalogue
 from unipic.catalogue import CatalogueResult
 from unipic.cli import (
     BadExponent,
@@ -424,6 +426,17 @@ def test_analyze_obstructed_without_search(capsys):
     assert "m(X)   = <= 5 (bound)\n" in out
 
 
+@pytest.mark.parametrize("command, flag, eq", [
+    ("analyze", "--search-bound", "y^2 = u + x + t*x^2"),  # obstructed at t = oo
+    ("analyze", "--search-bound", "y^2 = t + x + t*x^2"),
+    ("points", "--max-deg", "y^2 = u + x + t*x^2"),
+])
+def test_negative_search_bound_is_refused(capsys, command, flag, eq):
+    # the obstruction skips the search, so the bound is checked before it
+    code, out, err = run_cli(capsys, command, "--field", "GF(2)(t,u)", "--eq", eq, flag, "-1")
+    assert (code, out, err) == (2, "", "error: max_deg must be nonnegative\n")
+
+
 def test_analyze_high_power_of_a_sum(capsys):
     # binary square-and-multiply formed dense powers (t+1)^(2^j) and was
     # killed at 100 s; by base-3 digits the power has 432 terms
@@ -567,9 +580,51 @@ def test_reused_parser_keeps_no_state(capsys):
 
 
 def test_paper_examples_failure_exit(monkeypatch, capsys):
-    fake = [CatalogueResult("demo", "d", False, "boom")]
+    fake = [CatalogueResult("demo", False, "boom")]
     monkeypatch.setattr(cli_mod, "run_catalogue", lambda: fake)
     code, out, _ = run_cli(capsys, "paper-examples")
     assert code == 1
     assert "FAIL demo" in out
     assert "0/1 examples pass" in out
+
+
+def test_catalogue_entries_pinned():
+    results = run_catalogue()
+    assert [r.name for r in results] == [
+        "conic-pic-group",
+        "two-variable-residue-p2",
+        "two-variable-residue-p3",
+        "plane-model-rewrite-p2",
+        "plane-model-rewrite-p3",
+        "level-chain-strict-inequality",
+        "degree-p-boundary-p2",
+        "degree-p-boundary-p3",
+        "no-point-two-variable-torsor",
+        "generic-fiber-trivial-pic",
+        "projective-line-complement-family",
+    ]
+    assert all(r.passed for r in results)
+
+
+def test_catalogue_entry_that_raises_is_a_failure(monkeypatch):
+    def broken():
+        raise ZeroDivisionError("boom")
+
+    entries = [("broken", broken), ("fine", lambda: (True, "ok"))]
+    monkeypatch.setattr(catalogue_mod, "_ENTRIES", entries)
+    assert run_catalogue() == [
+        CatalogueResult("broken", False, "error: ZeroDivisionError: boom"),
+        CatalogueResult("fine", True, "ok"),
+    ]
+
+
+def test_output_digest_pinned(capsys):
+    # byte-identical output on every golden call; a change that alters the
+    # output on purpose updates this pin and says why
+    path = Path(__file__).resolve().parents[1] / "scripts" / "output_digest.py"
+    spec = importlib.util.spec_from_file_location("output_digest", path)
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    assert digest.main() == 0
+    assert capsys.readouterr().out == (
+        "58dce7da19b3b7efc5787e04fec176e8e113ce7a1db7c5c2f27a5ae58fb9207d  2871 calls\n")

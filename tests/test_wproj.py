@@ -29,7 +29,13 @@ from unipic import (
 
 from unipic.wproj import _unit_count
 
-from cech_reference import _explicit_unit_columns, _unit_column, h1_dim_window, window_rows
+from cech_reference import (
+    _explicit_unit_columns,
+    _unit_column,
+    h1_dim_window,
+    unit_count_reference,
+    window_rows,
+)
 from conftest import F2T, F3T
 
 T = F2T.var("t")
@@ -280,6 +286,23 @@ def test_unit_columns_match_explicit_set(p):
                 assert _unit_count(N, pn, a, low) == len(want), (n, m, N)
                 got = {(e, j) for e in range(-N, N + 1) for j in range(pn) if _unit_column(e, j, a, low)}
                 assert got == want, (n, m, N)
+
+
+def test_unit_count_matches_reference_sums():
+    # the closed forms against the sums over j (n <= m) and over l (n > m)
+    for p in (2, 3, 5):
+        for n in range(4):
+            for m in range(4):
+                pn, a, low = p ** n, p ** abs(m - n), n <= m
+                for N in range(60):
+                    want = unit_count_reference(N, pn, a, low)
+                    assert _unit_count(N, pn, a, low) == want, (p, n, m, N)
+
+
+def test_cech_huge_pole_bound():
+    # n > m: as a sum over l, a pole bound of 10^12 would not finish
+    C = naive_completion(form2(2, {0: ONE, 1: T}))
+    assert cech_h1_dim(C, 10 ** 12) == (genus_from_formula(C), True) == (1, True)
 
 
 def test_genus_grid_script_level_4():
