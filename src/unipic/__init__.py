@@ -42,7 +42,6 @@ from .picard import (
     InvariantReport,
     NotIrreducible,
     P1ComplementData,
-    ReportOptions,
     invariant_report,
     pic_p1_complement,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "P1ComplementData",
     "PlaneModel",
     "RatFunc",
-    "ReportOptions",
     "Torsor",
     "TrivialTau",
     "UnknownVariable",

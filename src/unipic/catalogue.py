@@ -88,10 +88,9 @@ def _plane_model_rewrite(p: int) -> tuple[bool, str]:
     res = residue_from_plane_model(model)
     ok = (
         not model.degenerate
-        and model.wdict() == {0: ti, 1: t * ti.frobenius(1), 2: t.field.one()}
-        and model.ydict() == {1: ti, 2: t * ti.frobenius(1)}
-        and not model.const
-        and plane_model_residual(G, model) == {}
+        and dict(model.wcoeffs) == {0: ti, 1: t * ti.frobenius(1), 2: t.field.one()}
+        and dict(model.ycoeffs) == {1: ti, 2: t * ti.frobenius(1)}
+        and plane_model_residual(model) == {}
         and res is not None and res.is_field and res.degree == p ** 2 and res.exponent == 2
     )
     return ok, f"coefficients match, residual vanishes, boundary degree {p ** 2}"

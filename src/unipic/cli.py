@@ -4,7 +4,8 @@ Field specs follow the grammar GF(p)(v1, v2, ...); equations are written
 in the shape y^(p^n) = b + c0*x + c1*x^p + ... with coefficient
 expressions over the field generators.  All output is byte-deterministic
 for fixed inputs.  Exit codes: 0 success, 1 failing example catalogue,
-2 parse or validation errors.
+2 parse or validation errors, and 141 (128 + SIGPIPE, as a shell reports
+a writer killed by a closed pipe) when the reader of stdout stops early.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -28,12 +30,7 @@ from .forms import (
     local_obstruction,
     make_form,
 )
-from .picard import (
-    InvariantReport,
-    ReportOptions,
-    invariant_report,
-    pic_p1_complement,
-)
+from .picard import InvariantReport, invariant_report, pic_p1_complement
 from .wproj import TrivialTau, cech_h1_dim, genus_from_formula, hilbert_dim, naive_completion
 
 
@@ -319,7 +316,7 @@ def report_to_dict(rep: InvariantReport) -> dict:
         }
     return {
         "field": str(rep.target.field),
-        "equation": rep.target.equation_str(),
+        "equation": str(rep.target),
         "n": _nv(rep.n),
         "n_prime": _nv(rep.n_prime),
         "r": _nv(rep.r),
@@ -369,7 +366,7 @@ def _to_json(v, indent: str = "") -> str:
 def render_report_text(rep: InvariantReport) -> str:
     lines = []
     kind = "torsor" if rep.is_torsor else "form"
-    lines.append(f"{kind}: {rep.target.equation_str()} over {rep.target.field}")
+    lines.append(f"{kind}: {rep.target} over {rep.target.field}")
     lines.append(f"n(X)   = {rep.n}")
     lines.append(f"n'(X)  = {rep.n_prime}")
     lines.append(f"r(X)   = {rep.r}")
@@ -407,13 +404,8 @@ def _build_target(args) -> Union[FormPresentation, Torsor]:
 
 
 def _cmd_analyze(args) -> int:
-    X = _build_target(args)
-    opts = ReportOptions(
-        search_bound=args.search_bound,
-        run_oracle=args.oracle,
-        pole_bound=args.pole_bound,
-    )
-    rep = invariant_report(X, opts)
+    rep = invariant_report(_build_target(args), search_bound=args.search_bound,
+                           oracle=args.oracle, pole_bound=args.pole_bound)
     if args.json:
         print(_to_json(report_to_dict(rep)))
     else:
@@ -422,6 +414,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_genus(args) -> int:
+    if args.pole_bound is not None and not args.oracle:
+        raise ValueError("a pole bound needs the oracle")
     X = _build_target(args)
     try:
         C = naive_completion(X)
@@ -430,14 +424,14 @@ def _cmd_genus(args) -> int:
         return 0
     # the oracle can reject its pole bound, so it runs before any output
     oracle = cech_h1_dim(C, args.pole_bound) if args.oracle else None
-    print(f"genus = {int(genus_from_formula(C))}")
+    print(f"genus = {genus_from_formula(C)}")
     if oracle:
         print(f"cech h1 = {oracle[0]} (stabilized: {str(oracle[1]).lower()})")
     return 0
 
 
 def _cmd_hilbert(args) -> int:
-    print(hilbert_dim(args.a, args.delta, args.mode))
+    print(hilbert_dim(args.a, args.delta))
     return 0
 
 
@@ -494,19 +488,18 @@ def _make_parser() -> argparse.ArgumentParser:
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--search-bound", type=int, default=2)
     sp.add_argument("--oracle", action="store_true", help="also run the Cech genus oracle")
-    sp.add_argument("--pole-bound", type=int, default=None)
+    sp.add_argument("--pole-bound", type=int, default=None, help="Cech window of --oracle")
     sp.set_defaults(fn=_cmd_analyze)
 
     sp = sub.add_parser("genus", help="arithmetic genus of the naive completion")
     add_target(sp)
     sp.add_argument("--oracle", action="store_true")
-    sp.add_argument("--pole-bound", type=int, default=None)
+    sp.add_argument("--pole-bound", type=int, default=None, help="Cech window of --oracle")
     sp.set_defaults(fn=_cmd_genus)
 
     sp = sub.add_parser("hilbert", help="graded piece dimension in P(1,1,a)")
     sp.add_argument("--a", type=int, required=True)
     sp.add_argument("--delta", type=int, required=True)
-    sp.add_argument("--mode", choices=("formula", "count"), default="formula")
     sp.set_defaults(fn=_cmd_hilbert)
 
     sp = sub.add_parser("points", help="bounded rational point search")
@@ -536,7 +529,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _make_parser().parse_args(argv)
     try:
         basis_cap()  # a malformed UNIPIC_BASIS_CAP fails every subcommand alike
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early (| head); stdout goes to devnull so the
+        # flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -184,12 +184,11 @@ class MPoly:
     Instances are treated as immutable; all operations return new objects.
     """
 
-    __slots__ = ("field", "terms", "_hash")
+    __slots__ = ("field", "terms")
 
     def __init__(self, field: FieldDesc, terms: dict):
         self.field = field
         self.terms = terms
-        self._hash = None
 
     # -- construction ---------------------------------------------------
 
@@ -395,9 +394,7 @@ class MPoly:
         return self.field == other.field and self.terms == other.terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.field, frozenset(self.terms.items())))
-        return self._hash
+        return hash((self.field, frozenset(self.terms.items())))
 
     def __str__(self) -> str:
         if not self.terms:
@@ -522,7 +519,7 @@ class RatFunc:
     canonical form is unique, so each result equals the constructor's.
     """
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den")
 
     def __init__(self, num: MPoly, den: MPoly, reduced: bool = False):
         if num.field != den.field:
@@ -540,7 +537,6 @@ class RatFunc:
                 num, den = _monic_den(num, den)
         self.num = num
         self.den = den
-        self._hash = None
 
     # -- constructors ---------------------------------------------------
 
@@ -575,8 +571,6 @@ class RatFunc:
             return other
         if isinstance(other, int):
             return self.field.const(other)
-        if isinstance(other, MPoly):
-            return RatFunc.from_poly(other)
         return None
 
     def __add__(self, other) -> "RatFunc":
@@ -701,9 +695,7 @@ class RatFunc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.num, self.den))
-        return self._hash
+        return hash((self.num, self.den))
 
     def __str__(self) -> str:
         if self.den.is_one():

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import gcd
-from typing import Optional
+from typing import Optional, Union
 
 from .field import (
     FieldDesc,
@@ -80,7 +80,7 @@ class _Equation:
     def m(self) -> int:
         return len(self.coeffs) - 1
 
-    def equation_str(self) -> str:
+    def __str__(self) -> str:
         p, b = self.field.p, self.b
         parts = []
         if b:
@@ -95,9 +95,6 @@ class _Equation:
                 parts.append(f"{_coeff_str(c)}*{xp}")
         lhs = "y" if self.n == 0 else f"y^{p ** self.n}"
         return f"{lhs} = {' + '.join(parts)}"
-
-    def __str__(self) -> str:
-        return self.equation_str()
 
 
 @dataclass(frozen=True)
@@ -138,7 +135,6 @@ class Torsor(_Equation):
 
     form: FormPresentation
     b: RatFunc
-    generic_fiber: bool = False
 
     def __post_init__(self) -> None:
         if self.b.field != self.form.field:
@@ -155,6 +151,20 @@ class Torsor(_Equation):
     @property
     def coeffs(self) -> tuple[RatFunc, ...]:
         return self.form.coeffs
+
+    @property
+    def generic_fiber(self) -> bool:
+        """Whether b is a variable T of k that no a_i involves: then X is the
+        generic fiber of (x, y) -> y^(p^n) - tau(x) over F_p(the other
+        variables), a localization of the plane, and Pic(X) = 0."""
+        b = self.b
+        if len(b.num.terms) != 1 or not b.den.is_one():
+            return False
+        (e, c), = b.num.terms.items()
+        if c != 1 or sum(e) != 1:
+            return False
+        j = e.index(1)
+        return not any(d[j] for a in self.coeffs for f in (a.num, a.den) for d in f.terms)
 
 
 def _coeff_str(c: RatFunc) -> str:
@@ -186,8 +196,7 @@ def generic_fiber_torsor(G: FormPresentation, var_name: str = "T") -> Torsor:
     """The torsor y^(p^n) = T + tau(x) over k(T), T a fresh indeterminate.
 
     This is the generic fiber of the projection (x, y) -> y^(p^n) - tau(x),
-    and it is marked so downstream reports know its Picard group vanishes by
-    construction.
+    so its Picard group vanishes by construction.
     """
     base = G.field
     if var_name in base.vars:
@@ -195,7 +204,7 @@ def generic_fiber_torsor(G: FormPresentation, var_name: str = "T") -> Torsor:
     ext = FieldDesc(base.p, base.vars + (var_name,))
     images = [(i, 1) for i in range(base.r)]
     form = FormPresentation(ext, G.n, [c.embed(ext, images) for c in G.coeffs])
-    return Torsor(form, ext.var(var_name), generic_fiber=True)
+    return Torsor(form, ext.var(var_name))
 
 
 def splitting_level(G: FormPresentation) -> NValue:
@@ -562,26 +571,20 @@ def local_obstruction(T) -> Optional[str]:
 class PlaneModel:
     """Bivariate identity 0 = const + sum w_i w^(p^i) + sum y_j y^(p^j).
 
-    Produced from a presentation by the substitution w = alpha*x - y^(p^s);
-    coefficient maps are kept sparse and exact.
+    Produced from the equation `source` by the substitution
+    w = alpha*x - y^(p^s); const is the b of source, and the coefficient
+    maps are kept sparse and exact.
     """
 
-    field: FieldDesc
+    source: Union[FormPresentation, Torsor]
     wcoeffs: tuple[tuple[int, RatFunc], ...]
     ycoeffs: tuple[tuple[int, RatFunc], ...]
-    const: RatFunc
     alpha: RatFunc
     s: int
     degenerate: bool
 
-    def wdict(self) -> dict[int, RatFunc]:
-        return dict(self.wcoeffs)
-
-    def ydict(self) -> dict[int, RatFunc]:
-        return dict(self.ycoeffs)
-
     def __str__(self) -> str:
-        p = self.field.p
+        p, const = self.source.field.p, self.source.b
         lhs = []
         for j, c in self.ycoeffs:
             yp = "y" if j == 0 else f"y^{p ** j}"
@@ -590,8 +593,8 @@ class PlaneModel:
         for i, c in self.wcoeffs:
             wp = "w" if i == 0 else f"w^{p ** i}"
             rhs.append(f"({c})*{wp}" if not c.is_one() else wp)
-        if self.const:
-            rhs.append(f"({self.const})")
+        if const:
+            rhs.append(f"({const})")
         return " + ".join(lhs) + " = " + " + ".join(rhs) if lhs else "0 = " + " + ".join(rhs)
 
 
@@ -613,25 +616,18 @@ def rewrite_plane_model(T, alpha: RatFunc, s: int) -> PlaneModel:
     yc[T.n] = yc.get(T.n, T.field.zero()) - T.field.one()
     wt = tuple(sorted(wc.items()))
     yt = tuple((j, c) for j, c in sorted(yc.items()) if c)
-    return PlaneModel(
-        T.field,
-        wt,
-        yt,
-        T.b,
-        alpha,
-        s,
-        degenerate=not wt or not yt,
-    )
+    return PlaneModel(T, wt, yt, alpha, s, degenerate=not wt or not yt)
 
 
-def plane_model_residual(T, model: PlaneModel) -> dict:
+def plane_model_residual(model: PlaneModel) -> dict:
     """Substitute w = alpha*x - y^(p^s) back and reduce modulo the equation.
 
     Every term stays a monomial in x or in y alone because p-th powers are
     additive; powers y^(p^j) with j >= n are rewritten through
     y^(p^n) = b + tau(x).  The result maps basis monomials to coefficients
-    and is empty exactly when the model vanishes on the curve.
+    and is empty exactly when the model vanishes on its source curve.
     """
+    T = model.source
     n, b = T.n, T.b
     # keys: ("x", i) for x^(p^i), ("y", j) for y^(p^j), ("1", 0) for constants
     acc: dict = {}
@@ -645,7 +641,7 @@ def plane_model_residual(T, model: PlaneModel) -> dict:
         elif key in acc:
             del acc[key]
 
-    bump(("1", 0), model.const)
+    bump(("1", 0), b)
     for j, c in model.ycoeffs:
         bump(("y", j), c)
     for i, c in model.wcoeffs:

@@ -6,13 +6,16 @@ tags: the p^n torsion bound on Pic, the boundary residue level r with its
 certificate chain, and the degree sequence
 0 -> Pic0(C) -> Pic(X) -> m(X) Z/p^r Z -> 0, stored once as r, the index
 m(X) of the degree map, the genus of the completion C (the dimension of
-Pic0) and a description of the quotient.  Structural facts that the artifact
-cannot decide (woundness, splitting of the Picard scheme, specialness) are
-emitted as tagged assertion strings, never as computed booleans.
+Pic0) and a description of the quotient.  Pic(X) = 0 is read off the
+equation of a torsor that is the generic fiber of its own projection.
+Structural facts that the artifact cannot decide (woundness, splitting of
+the Picard scheme, specialness) are emitted as tagged assertion strings,
+never as computed booleans.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -39,13 +42,6 @@ from .wproj import (
 
 class NotIrreducible(ValueError):
     """The defining constant is a p-th power, so the point splits."""
-
-
-@dataclass(frozen=True)
-class ReportOptions:
-    search_bound: int = 2
-    run_oracle: bool = False
-    pole_bound: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -98,9 +94,12 @@ def pic_p1_complement(e: int, c: RatFunc) -> P1ComplementData:
     """
     if e < 1:
         raise ValueError("need e >= 1")
+    p = c.field.p
+    if e * math.log10(p) >= 4300:  # str() of a longer int raises under Python's default limit
+        raise ValueError(f"e = {e} is too large: the order {p}^{e} has more than 4300 digits")
     if c.pth_root() is not None:
         raise NotIrreducible("c is a p-th power; x^(p^e) - c is not irreducible")
-    order = c.field.p ** e
+    order = p ** e
     notes = (
         f"torsion bound p^n = {order} is attained by the group Z/{order}Z",
         "the complement is an open of the projective line, so its function field is rational",
@@ -127,9 +126,9 @@ def _residue_level(T, inf: Optional[InfinityData]) -> NValue:
     inf is the boundary data of the naive completion of T, None when T
     has no twist term.  Chain: trivial presentations complete to the
     projective line (r = 0); regular naive completions read r off the
-    boundary residue field; for n = m + 1 with a_m a p^m-th power, the
-    plane-model rewrite with alpha = a_m^(1/p^m), s = 1 can expose a field
-    residue ring; otherwise only r <= n is known.
+    boundary residue field; for n > m with a_m a p^m-th power, the
+    plane-model rewrite with alpha = a_m^(1/p^m), s = n - m can expose a
+    field residue ring; otherwise only r <= n is known.
     """
     n, m = T.n, T.m
     if m == 0:
@@ -146,19 +145,23 @@ def _residue_level(T, inf: Optional[InfinityData]) -> NValue:
     return NValue("upper_bound", n)
 
 
-def invariant_report(X, options: Optional[ReportOptions] = None) -> InvariantReport:
+def invariant_report(
+    X, *, search_bound: int = 2, oracle: bool = False, pole_bound: Optional[int] = None
+) -> InvariantReport:
     """Run every invariant computation on a form or torsor and consolidate.
 
+    search_bound caps the total degree of the rational point search;
+    oracle also runs the Cech genus oracle, with pole_bound as its window.
     The report never upgrades a bound to an exact value: each field keeps
     the tag produced by its own certificate chain, and derived statements
     (the assembled Picard group, nontriviality) fire only from fully
     certified inputs.
     """
-    if options is None:
-        options = ReportOptions()
-    if options.search_bound < 0:
+    if search_bound < 0:
         # checked here, as the local obstruction below can skip the search that checks it
         raise ValueError("max_deg must be nonnegative")
+    if pole_bound is not None and not oracle:
+        raise ValueError("a pole bound needs the oracle")
     is_torsor = isinstance(X, Torsor)
     G = X.form if is_torsor else X
     p = G.field.p
@@ -181,7 +184,7 @@ def invariant_report(X, options: Optional[ReportOptions] = None) -> InvariantRep
             genus = NValue("upper_bound", g)
     r = _residue_level(X, inf)
     # a local obstruction proves that no point of degree prime to p exists
-    point = None if local_obstruction(X) else find_rational_point(X, options.search_bound)
+    point = None if local_obstruction(X) else find_rational_point(X, search_bound)
     if point is not None:
         m_X = NValue("exact", 1, "rational-point")
     else:
@@ -201,8 +204,8 @@ def invariant_report(X, options: Optional[ReportOptions] = None) -> InvariantRep
     if not n.is_exact:
         flags.append("torsion-bound-on-bound")
     genus_oracle = None
-    if options.run_oracle and C is not None:
-        genus_oracle = cech_h1_dim(C, options.pole_bound)
+    if oracle and C is not None:
+        genus_oracle = cech_h1_dim(C, pole_bound)
         if not genus_oracle[1]:
             flags.append("cech-not-stabilized")
     pic_nontrivial: Optional[tuple[bool, str]] = None

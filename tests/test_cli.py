@@ -2,6 +2,9 @@
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -69,7 +72,7 @@ def test_parse_form_equation():
     assert dict(ast.coeffs) == {0: F3TU.one(), 1: F3TU.var("t"), 2: F3TU.var("u")}
     assert ast.b == F3TU.zero()
     X = ast.build()
-    assert X.equation_str() == "y^9 = x + t*x^3 + u*x^9"
+    assert str(X) == "y^9 = x + t*x^3 + u*x^9"
 
 
 def test_parse_torsor_equation():
@@ -217,15 +220,15 @@ def test_format_round_trip_canonical():
     ]
     for s in corpus:
         ast = parse_form_equation(s, F3TU)
-        assert ast.build().equation_str() == s
-        assert parse_form_equation(ast.build().equation_str(), F3TU) == ast
+        assert str(ast.build()) == s
+        assert parse_form_equation(str(ast.build()), F3TU) == ast
 
 
 def test_format_round_trip_non_canonical():
     # non-canonical inputs normalize, so compare built objects instead
     s = "y^9 = 2*x + t*x^3"
     X = parse_form_equation(s, F3TU).build()
-    assert parse_form_equation(X.equation_str(), F3TU).build() == X
+    assert parse_form_equation(str(X), F3TU).build() == X
 
 
 # ----------------------------------------------------------------- rendering
@@ -363,9 +366,16 @@ def test_genus_trivial_completion(capsys):
 
 
 def test_hilbert(capsys):
-    code, out, _ = run_cli(capsys, "hilbert", "--a", "2", "--delta", "1",
-                           "--mode", "count")
+    code, out, _ = run_cli(capsys, "hilbert", "--a", "2", "--delta", "1")
     assert (code, out.strip()) == (0, "4")
+    # the monomial count, linear in delta, is the oracle in tests/ now
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "hilbert", "--a", "1", "--delta", "1000000000000")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (0, "500000000001500000000001\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["hilbert", "--a", "2", "--delta", "1", "--mode", "count"])
+    assert exc.value.code == 2
 
 
 def test_option_values_may_start_with_a_minus(capsys):
@@ -468,6 +478,22 @@ def test_p1_complement(capsys):
     assert "Pic = Z/8Z" in out
 
 
+def test_p1_complement_order_too_long_is_refused(capsys):
+    # str() of 2^20000 raised Python's own "Exceeds the limit (4300 digits)"
+    code, out, err = run_cli(capsys, "p1-complement", "--field", "GF(2)(t)",
+                             "--e", "20000", "--c", "t")
+    assert (code, out) == (2, "")
+    assert err == "error: e = 20000 is too large: the order 2^20000 has more than 4300 digits\n"
+    # 2^14284 has 4300 digits, the most the order may have
+    code, out, _ = run_cli(capsys, "p1-complement", "--field", "GF(2)(t)",
+                           "--e", "14284", "--c", "t")
+    assert code == 0
+    assert out.startswith(f"Pic = Z/{2 ** 14284}Z\n") and len(str(2 ** 14284)) == 4300
+    code, _, err = run_cli(capsys, "p1-complement", "--field", "GF(2)(t)",
+                           "--e", "14285", "--c", "t")
+    assert code == 2 and "more than 4300 digits" in err
+
+
 def test_exit_code_parse_errors(capsys):
     code, _, err = run_cli(capsys, "analyze", "--field", "GF(4)(t)",
                            "--eq", "y^2 = x + t*x^2")
@@ -515,6 +541,54 @@ def test_rejected_pole_bound_prints_nothing(capsys, command):
     assert code == 2
     assert out == ""
     assert "error: pole_bound must be at least 2" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "genus"])
+@pytest.mark.parametrize("bound", ["1", "10"])
+def test_pole_bound_needs_the_oracle(capsys, command, bound):
+    # without --oracle the bound was ignored, while --oracle refused 1
+    code, out, err = run_cli(capsys, command, "--field", "GF(2)(t)",
+                             "--eq", "y^4 = x + t*x^2", "--pole-bound", bound)
+    assert (code, out, err) == (2, "", "error: a pole bound needs the oracle\n")
+
+
+def test_cech_not_stabilized_pinned(capsys):
+    argv = ["analyze", "--field", "GF(2)(t)", "--eq", "y^2 = x + t*x^8",
+            "--oracle", "--pole-bound", "2"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert "genus  = 3 (exact: regular-completion)\ngenus oracle = 2 (stabilized: false)\n" in out
+    assert out.endswith("\nflags: cech-not-stabilized\n")
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["genus"] == {"kind": "exact", "value": 3, "oracle": {"value": 2, "stabilized": False}}
+    assert doc["flags"] == ["cech-not-stabilized"]
+
+
+def test_analyze_proves_trivial_pic_of_generic_fiber(capsys):
+    # b is the variable T and a_1 = t does not involve it: the generic fiber
+    # of (x, y) -> y^2 - x - t*x^2 over GF(2)(t), a nontrivial form with Pic 0
+    code, out, _ = run_cli(capsys, "analyze", "--field", "GF(2)(t,T)",
+                           "--eq", "y^2 = T + x + t*x^2")
+    assert code == 0
+    assert "[k':k] = 2\n" in out
+    assert "\nassembled: Pic(X) = 0\n" in out
+    assert out.endswith("\nflags: pic-trivial-by-construction\n")
+
+
+def test_closed_stdout_exits_quietly():
+    # `unipic analyze ... | head -1` ended in a BrokenPipeError traceback
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "unipic.cli", "analyze", "--field", "GF(2)(t)",
+         "--eq", "y^2 = x + t*x^2", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    proc.stdout.close()  # before the report is written
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (141, b"")
 
 
 def test_exit_code_trivial_completion(capsys):
@@ -627,4 +701,4 @@ def test_output_digest_pinned(capsys):
     spec.loader.exec_module(digest)
     assert digest.main() == 0
     assert capsys.readouterr().out == (
-        "58dce7da19b3b7efc5787e04fec176e8e113ce7a1db7c5c2f27a5ae58fb9207d  2871 calls\n")
+        "0fe6c16517dd39ce40e89b35888f57676983c73f790bff212b2e7bc3b8599bd7  2871 calls\n")

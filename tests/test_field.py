@@ -604,4 +604,6 @@ def test_public_surface():
                  "NotANaiveCompletion", "make_torsor"):
         assert name not in unipic.__all__
         assert not hasattr(unipic, name)
-    assert len(unipic.__all__) == 45
+    # the report takes its three settings as keyword arguments
+    assert "ReportOptions" not in unipic.__all__ and not hasattr(unipic, "ReportOptions")
+    assert len(unipic.__all__) == 44

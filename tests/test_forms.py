@@ -86,7 +86,7 @@ def test_presentation_accessors(conic):
     assert conic.coeffs == (F2T.one(), t)
     assert conic.b == F2T.zero()
     assert conic.twist_coeffs() == [(1, t)]
-    assert conic.equation_str() == "y^2 = x + t*x^2"
+    assert str(conic) == "y^2 = x + t*x^2"
 
 
 def test_make_form_requires_separable_part():
@@ -148,6 +148,22 @@ def test_generic_fiber_torsor(conic):
     assert gf.b == gf.form.field.var("T")
     with pytest.raises(VariableClash):
         generic_fiber_torsor(conic, var_name="t")
+
+
+def test_generic_fiber_read_off_the_equation():
+    t, u = F2TU.var("t"), F2TU.var("u")
+    one = F2TU.one()
+    G = make_form(1, [one, t])
+    # b a variable that no a_i involves, in its numerator or its denominator
+    assert Torsor(G, u).generic_fiber
+    assert Torsor(make_form(2, [one, t / (t + one), t ** 3]), u).generic_fiber
+    assert Torsor(make_form(1, [one, u]), t).generic_fiber
+    for b in (t, u + one, t * u, u ** 2, u / t, one):
+        assert not Torsor(G, b).generic_fiber, b
+    for a in (u, t / u, t / (t + u), t + u ** 2):
+        assert not Torsor(make_form(1, [one, a]), u).generic_fiber, a
+    K = FieldDesc(3, ("t", "u"))
+    assert not Torsor(make_form(1, [K.one(), K.var("t")]), K.const(2) * K.var("u")).generic_fiber
 
 
 # ------------------------------------------------------------------- levels
@@ -479,24 +495,24 @@ def test_rewrite_plane_model(tower_form):
     t = F2T.var("t")
     ti = F2T.one() / t
     pm = rewrite_plane_model(tower_form, t, 1)
-    assert pm.wdict() == {0: ti, 1: ti, 2: F2T.one()}
-    assert pm.ydict() == {1: ti, 2: ti}
+    assert dict(pm.wcoeffs) == {0: ti, 1: ti, 2: F2T.one()}
+    assert dict(pm.ycoeffs) == {1: ti, 2: ti}
     assert not pm.degenerate
-    assert plane_model_residual(tower_form, pm) == {}
+    assert plane_model_residual(pm) == {}
     assert str(pm) == "(1/t)*y^2 + (1/t)*y^4 = (1/t)*w + (1/t)*w^2 + w^4"
 
 
 def test_rewrite_identity_substitution(tower_form):
     t = F2T.var("t")
     pm = rewrite_plane_model(tower_form, F2T.one(), 0)
-    assert pm.wdict() == {0: F2T.one(), 1: t, 2: t ** 4}
-    assert pm.ydict() == {0: F2T.one(), 1: t, 2: t ** 4, 3: F2T.one()}
-    assert plane_model_residual(tower_form, pm) == {}
+    assert dict(pm.wcoeffs) == {0: F2T.one(), 1: t, 2: t ** 4}
+    assert dict(pm.ycoeffs) == {0: F2T.one(), 1: t, 2: t ** 4, 3: F2T.one()}
+    assert plane_model_residual(pm) == {}
 
 
 def test_rewrite_conic(conic):
     t = F2T.var("t")
     pm = rewrite_plane_model(conic, F2T.one(), 0)
-    assert pm.wdict() == {0: F2T.one(), 1: t}
-    assert pm.ydict() == {0: F2T.one(), 1: t + F2T.one()}
-    assert plane_model_residual(conic, pm) == {}
+    assert dict(pm.wcoeffs) == {0: F2T.one(), 1: t}
+    assert dict(pm.ycoeffs) == {0: F2T.one(), 1: t + F2T.one()}
+    assert plane_model_residual(pm) == {}

@@ -9,7 +9,6 @@ from unipic import (
     FieldDesc,
     NValue,
     NotIrreducible,
-    ReportOptions,
     Torsor,
     generic_fiber_torsor,
     invariant_report,
@@ -122,6 +121,17 @@ def test_p1_complement_rejects_pth_power():
         pic_p1_complement(1, T * T)
 
 
+def test_p1_complement_refuses_an_order_too_long_to_print():
+    # refused before p^e is formed, so a huge e costs nothing
+    for e in (14285, 10 ** 12):
+        with pytest.raises(ValueError, match="more than 4300 digits"):
+            pic_p1_complement(e, T)
+    # 3^9012 has 4300 digits, 3^9013 one more
+    assert pic_p1_complement(9012, F3T.var("t")).pic_structure == f"Z/{3 ** 9012}Z"
+    with pytest.raises(ValueError, match="more than 4300 digits"):
+        pic_p1_complement(9013, F3T.var("t"))
+
+
 # ------------------------------------------------------------------- reports
 
 def test_report_conic():
@@ -155,7 +165,7 @@ def test_report_split_form():
 
 
 def test_report_tower_with_oracle():
-    rep = invariant_report(TOWER, ReportOptions(run_oracle=True))
+    rep = invariant_report(TOWER, oracle=True)
     assert rep.pic_group is None
     assert rep.genus == NValue("upper_bound", 9)
     assert rep.genus_oracle == (9, True)
@@ -215,9 +225,31 @@ def test_report_builds_tower_and_completion_once(monkeypatch, X):
 def test_report_with_oracle_builds_completion_once(monkeypatch, X):
     # the Cech oracle reuses the report's completion
     completions = _count_calls(monkeypatch, "naive_completion")
-    rep = invariant_report(X, ReportOptions(run_oracle=True))
+    rep = invariant_report(X, oracle=True)
     assert rep.genus_oracle is not None
     assert len(completions) == 1
+
+
+def test_report_no_longer_trusts_a_generic_fiber_flag():
+    # the flag is read off the equation, where b = t is a variable that
+    # a_1 = t involves; the torsor has the point (1, 1) with r = 1, so
+    # Pic(X) maps onto Z/2Z
+    with pytest.raises(TypeError):
+        Torsor(CONIC, T, generic_fiber=True)
+    X = Torsor(CONIC, T)
+    assert not X.generic_fiber
+    rep = invariant_report(X)
+    assert rep.point == (ONE, ONE)
+    assert rep.r == NValue("exact", 1, "regular-completion")
+    assert rep.pic_group == "Z/2Z"
+    assert rep.pic_nontrivial == (True, "rational point on a nontrivial form")
+    assert "pic-trivial-by-construction" not in rep.flags
+
+
+def test_report_pole_bound_needs_the_oracle():
+    with pytest.raises(ValueError, match="a pole bound needs the oracle"):
+        invariant_report(TOWER, pole_bound=10)
+    assert invariant_report(TOWER, oracle=True, pole_bound=10).genus_oracle == (9, True)
 
 
 def test_report_generic_fiber():

@@ -25,4 +25,4 @@ def test_readme_library_example():
         else:
             exec(compile(ast.Module([stmt], []), "README.md", "exec"), ns)
     assert str(ns["G"]) == "y^2 = x + t*x^2"
-    assert values == ["Z/2Z", "Z/2Z", NValue("upper_bound", 2), (0, True)]
+    assert values == ["Z/2Z", "Z/2Z", NValue("upper_bound", 2), True, "0", (0, True)]

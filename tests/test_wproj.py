@@ -37,6 +37,7 @@ from cech_reference import (
     window_rows,
 )
 from conftest import F2T, F3T
+from hilbert_reference import hilbert_count_reference
 
 T = F2T.var("t")
 ONE = F2T.one()
@@ -320,20 +321,22 @@ def test_genus_grid_script_level_4():
 
 def test_hilbert_pinned():
     assert hilbert_dim(2, 1) == 4
-    assert hilbert_dim(2, 1, "count") == 4
+    assert hilbert_count_reference(2, 1) == 4
     assert hilbert_dim(1, 0) == 1
 
 
 @given(st.integers(1, 4), st.integers(0, 6))
 def test_hilbert_formula_equals_count(a, delta):
-    assert hilbert_dim(a, delta, "formula") == hilbert_dim(a, delta, "count")
+    assert hilbert_dim(a, delta) == hilbert_count_reference(a, delta)
 
 
 def test_hilbert_validation():
     with pytest.raises(ValueError):
         hilbert_dim(0, 1)
     with pytest.raises(ValueError):
-        hilbert_dim(2, 1, "nope")
+        hilbert_dim(2, -1)
+    with pytest.raises(TypeError):  # the count mode is the test oracle now
+        hilbert_dim(2, 1, "count")
 
 
 # ------------------------------------------------------------------ residues
