@@ -24,14 +24,13 @@ from .field import FieldDesc, MPoly, RatFunc, _add_terms, _mul_terms, _pow_terms
 from .forms import (
     FormPresentation,
     NotSeparable,
-    NValue,
     Torsor,
     find_rational_point,
     local_obstruction,
     make_form,
 )
 from .picard import InvariantReport, invariant_report, pic_p1_complement
-from .wproj import TrivialTau, cech_h1_dim, genus_from_formula, hilbert_dim, naive_completion
+from .wproj import TrivialTau, cech_h1_dim, check_pole_bound, genus_from_formula, hilbert_dim, naive_completion
 
 
 class ParseError(ValueError):
@@ -299,68 +298,58 @@ def parse_form_equation(s: str, field: FieldDesc) -> EquationAST:
 # -- serialization ------------------------------------------------------
 
 
-def _nv(v: NValue) -> dict:
-    return {"value": v.value, "kind": "exact" if v.is_exact else "bound"}
+_quote = json.encoder.encode_basestring_ascii  # bound here: a trace may swap cli.json
+
+
+def _nv_json(exact: bool, value: int, pad: str, extra: str = "") -> str:
+    """{"kind", "value"} and `extra` lines, as json.dumps(indent=2) writes them at depth pad."""
+    kind = "exact" if exact else "bound"
+    return f'{{\n{pad}  "kind": "{kind}",{extra}\n{pad}  "value": {value}\n{pad}}}'
+
+
+def render_report_json(rep: InvariantReport) -> str:
+    """The --json document, written in one pass in the layout and key order
+    of json.dumps(report_to_dict(rep), indent=2, sort_keys=True)."""
+    q = _quote
+    point = "null"
+    if rep.point is not None:
+        x, y = rep.point
+        point = f'{{\n      "x": {q(str(x))},\n      "y": {q(str(y))}\n    }}'
+    oracle = ""
+    if rep.genus_oracle is not None:
+        value, stable = rep.genus_oracle
+        oracle = (f'\n    "oracle": {{\n      "stabilized": {str(stable).lower()},'
+                  f'\n      "value": {value}\n    }},')
+    assertions = ",".join(f"\n    [\n      {q(stmt)},\n      {q(tag)}\n    ]" for stmt, tag in rep.assertions)
+    flags = ",".join(f"\n    {q(flag)}" for flag in rep.flags)
+    assertions, flags = (f"[{items}\n  ]" if items else "[]" for items in (assertions, flags))
+    n, m_X, r, genus = rep.n, rep.m_X, rep.r, rep.genus
+    return f"""{{
+  "assertions": {assertions},
+  "equation": {q(str(rep.target))},
+  "exact_sequence": {{
+    "assembled_group": {"null" if rep.pic_group is None else q(rep.pic_group)},
+    "m_X": {_nv_json(m_X.is_exact, m_X.value, "    ")},
+    "pic0_dim": {_nv_json(genus.is_exact, genus.value, "    ")},
+    "point": {point},
+    "quotient": {q(rep.quotient_desc)},
+    "r": {_nv_json(r.is_exact, r.value, "    ")}
+  }},
+  "field": {q(str(rep.target.field))},
+  "flags": {flags},
+  "genus": {_nv_json(genus.is_exact, genus.value, "  ", oracle)},
+  "m_X": {_nv_json(m_X.is_exact, m_X.value, "  ")},
+  "n": {_nv_json(n.is_exact, n.value, "  ")},
+  "n_prime": {_nv_json(rep.n_prime.is_exact, rep.n_prime.value, "  ")},
+  "r": {_nv_json(r.is_exact, r.value, "  ")},
+  "splitting_degree": {rep.splitting_degree},
+  "torsion_bound": {_nv_json(n.is_exact, rep.torsion_bound, "  ")}
+}}"""
 
 
 def report_to_dict(rep: InvariantReport) -> dict:
-    point = None
-    if rep.point is not None:
-        point = {"x": str(rep.point[0]), "y": str(rep.point[1])}
-    genus_entry = _nv(rep.genus)
-    if rep.genus_oracle is not None:
-        genus_entry = dict(genus_entry)
-        genus_entry["oracle"] = {
-            "value": rep.genus_oracle[0],
-            "stabilized": rep.genus_oracle[1],
-        }
-    return {
-        "field": str(rep.target.field),
-        "equation": str(rep.target),
-        "n": _nv(rep.n),
-        "n_prime": _nv(rep.n_prime),
-        "r": _nv(rep.r),
-        "m_X": _nv(rep.m_X),
-        "splitting_degree": rep.splitting_degree,
-        "genus": genus_entry,
-        "torsion_bound": {
-            "value": rep.torsion_bound,
-            "kind": "exact" if rep.n.is_exact else "bound",
-        },
-        "exact_sequence": {
-            "r": _nv(rep.r),
-            "m_X": _nv(rep.m_X),
-            "pic0_dim": _nv(rep.genus),
-            "quotient": rep.quotient_desc,
-            "assembled_group": rep.pic_group,
-            "point": point,
-        },
-        "assertions": [[stmt, tag] for stmt, tag in rep.assertions],
-        "flags": list(rep.flags),
-    }
-
-
-_quote = json.encoder.encode_basestring_ascii
-
-
-def _to_json(v, indent: str = "") -> str:
-    """json.dumps(v, indent=2, sort_keys=True), whose indent makes CPython fall
-    back to its pure-Python encoder, for str, int, bool, None, list, tuple and
-    dict with str keys; any other type raises TypeError."""
-    if isinstance(v, str):
-        return _quote(v)
-    if v is None or isinstance(v, bool):
-        return "null" if v is None else "true" if v else "false"
-    if isinstance(v, int):
-        return int.__repr__(v)
-    inner = indent + "  "
-    if isinstance(v, dict):
-        items, ends = [f"{_quote(k)}: {_to_json(x, inner)}" for k, x in sorted(v.items())], "{}"
-    elif isinstance(v, (list, tuple)):
-        items, ends = [_to_json(x, inner) for x in v], "[]"
-    else:
-        raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
-    return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{ends[1]}" if items else ends
+    """The --json document as a dict; its schema is the writer's."""
+    return json.loads(render_report_json(rep))
 
 
 def render_report_text(rep: InvariantReport) -> str:
@@ -377,10 +366,7 @@ def render_report_text(rep: InvariantReport) -> str:
         val, stab = rep.genus_oracle
         lines.append(f"genus oracle = {val} (stabilized: {str(stab).lower()})")
     lines.append(f"Pic(X) is p^n-torsion with p^n = {rep.torsion_bound}")
-    lines.append(
-        "exact sequence: 0 -> Pic0(C) -> Pic(X) -> M -> 0 with M = "
-        + rep.quotient_desc
-    )
+    lines.append(f"exact sequence: 0 -> Pic0(C) -> Pic(X) -> M -> 0 with M = {rep.quotient_desc}")
     if rep.pic_group is not None:
         lines.append(f"assembled: Pic(X) = {rep.pic_group}")
     if rep.pic_nontrivial is not None:
@@ -406,23 +392,18 @@ def _build_target(args) -> Union[FormPresentation, Torsor]:
 def _cmd_analyze(args) -> int:
     rep = invariant_report(_build_target(args), search_bound=args.search_bound,
                            oracle=args.oracle, pole_bound=args.pole_bound)
-    if args.json:
-        print(_to_json(report_to_dict(rep)))
-    else:
-        print(render_report_text(rep))
+    print(render_report_json(rep) if args.json else render_report_text(rep))
     return 0
 
 
 def _cmd_genus(args) -> int:
-    if args.pole_bound is not None and not args.oracle:
-        raise ValueError("a pole bound needs the oracle")
+    check_pole_bound(args.pole_bound, args.oracle)  # a projective line never reads it
     X = _build_target(args)
     try:
         C = naive_completion(X)
     except TrivialTau:
         print("genus = 0 (completion is the projective line)")
         return 0
-    # the oracle can reject its pole bound, so it runs before any output
     oracle = cech_h1_dim(C, args.pole_bound) if args.oracle else None
     print(f"genus = {genus_from_formula(C)}")
     if oracle:
@@ -516,6 +497,7 @@ def _make_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("paper-examples", help="run the worked-example catalogue")
     sp.set_defaults(fn=_cmd_paper_examples)
 
+    ap.commands = sub.choices  # subcommand name -> its parser, for main
     return ap
 
 
@@ -526,7 +508,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     for i in range(len(argv) - 1, 0, -1):
         if argv[i - 1] in ("--c", "--eq", "--field") and argv[i].startswith("-"):
             argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
-    args = _make_parser().parse_args(argv)
+    ap = _make_parser()
+    # the subcommand's own parser does all the full one would hand it; what
+    # it leaves over goes to the full parser, whose error names "unipic"
+    sub = ap.commands.get(argv[0]) if argv else None
+    args, rest = sub.parse_known_args(argv[1:]) if sub else (None, True)
+    if rest:
+        args = ap.parse_args(argv)
     try:
         basis_cap()  # a malformed UNIPIC_BASIS_CAP fails every subcommand alike
         code = args.fn(args)

@@ -421,8 +421,7 @@ class MPoly:
 
 
 def _gcd_list(polys: list[MPoly], v: int) -> MPoly:
-    field = polys[0].field
-    g = MPoly.zero(field)
+    g = MPoly.zero(polys[0].field)
     for f in polys:
         g = _gcd_rec(g, f, v)
         if g.is_one():
@@ -454,31 +453,36 @@ def _primitive(f: MPoly, v: int) -> MPoly:
 
 
 def _gcd_rec(f: MPoly, g: MPoly, v: int) -> MPoly:
+    """Monic gcd of f and g, which involve the variables 0..v only."""
     if not f:
         return g.monic()
     if not g:
         return f.monic()
     if f.is_monomial() or g.is_monomial():
-        exps = [min(e[i] for e in f.terms) for i in range(f.field.r)]
-        exps2 = [min(e[i] for e in g.terms) for i in range(g.field.r)]
-        return MPoly(f.field, {tuple(min(a, b) for a, b in zip(exps, exps2)): 1})
-    while v >= 0 and f.degree_in(v) == 0 and g.degree_in(v) == 0:
+        return MPoly(f.field, {tuple(map(min, *f.terms, *g.terms)): 1})
+    while v > 0 and f.degree_in(v) == 0 and g.degree_in(v) == 0:
         v -= 1
-    if v < 0:
-        return MPoly.one(f.field)
-    fc = list(f._coeffs_in(v).values())
-    gc = list(g._coeffs_in(v).values())
-    cont_f = _gcd_list(fc, v - 1)
-    cont_g = _gcd_list(gc, v - 1)
-    c = _gcd_rec(cont_f, cont_g, v - 1)
-    a = f.exact_div(cont_f)
-    b = g.exact_div(cont_g)
+    if v == 0:  # one variable or none: Euclid over F_p on dense lists, lowest degree first
+        p, rest = f.field.p, (0,) * (f.field.r - 1)
+        a, b = ([h.terms.get((i,) + rest, 0) for i in range(max(h.terms)[0] + 1)] for h in (f, g))
+        while b:
+            inv = pow(b[-1], -1, p)
+            b = [c * inv % p for c in b]
+            while len(a) >= len(b):  # a -= a[-1] x^s b clears a's top term
+                c, s = a[-1], len(a) - len(b)
+                a[s:] = [(x - c * y) % p for x, y in zip(a[s:], b)]
+                while a and not a[-1]:
+                    a.pop()
+            a, b = b, a
+        return MPoly(f.field, {(i,) + rest: c for i, c in enumerate(a) if c})
+    # more variables: a primitive PRS in variable v over F_p[t_0..t_(v-1)]
+    cont_f, cont_g = (_gcd_list(list(h._coeffs_in(v).values()), v - 1) for h in (f, g))
+    a, b = f.exact_div(cont_f), g.exact_div(cont_g)
     if a.degree_in(v) < b.degree_in(v):
         a, b = b, a
     while b:
-        r = _pseudo_rem(a, b, v)
-        a, b = b, _primitive(r, v)
-    return (c * _primitive(a, v)).monic()
+        a, b = b, _primitive(_pseudo_rem(a, b, v), v)
+    return (_gcd_rec(cont_f, cont_g, v - 1) * _primitive(a, v)).monic()
 
 
 def poly_gcd(f: MPoly, g: MPoly) -> MPoly:

@@ -33,6 +33,7 @@ from .forms import (
 from .wproj import (
     InfinityData,
     cech_h1_dim,
+    check_pole_bound,
     genus_from_formula,
     is_regular_at_infinity,
     naive_completion,
@@ -160,8 +161,7 @@ def invariant_report(
     if search_bound < 0:
         # checked here, as the local obstruction below can skip the search that checks it
         raise ValueError("max_deg must be nonnegative")
-    if pole_bound is not None and not oracle:
-        raise ValueError("a pole bound needs the oracle")
+    check_pole_bound(pole_bound, oracle)  # a projective-line completion never reads it
     is_torsor = isinstance(X, Torsor)
     G = X.form if is_torsor else X
     p = G.field.p

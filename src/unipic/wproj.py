@@ -32,6 +32,14 @@ class BoundTooSmall(ValueError):
     """The pole-order truncation is too small to compare two windows."""
 
 
+def check_pole_bound(pole_bound: Optional[int], oracle: bool) -> None:
+    """Reject a pole bound without the oracle, or below 2, before any work."""
+    if pole_bound is not None and not oracle:
+        raise ValueError("a pole bound needs the oracle")
+    if pole_bound is not None and pole_bound < 2:
+        raise BoundTooSmall("pole_bound must be at least 2")
+
+
 @dataclass(frozen=True)
 class WeightedCurve:
     """The naive completion sum_c coeff * x^ex y^ey z^ez = 0 in P(weights).
@@ -194,10 +202,9 @@ def cech_h1_dim(C: WeightedCurve, pole_bound: Optional[int] = None) -> tuple[int
     row-by-row elimination is kept in tests/cech_reference.py as the
     oracle.
     """
+    check_pole_bound(pole_bound, oracle=True)
     if pole_bound is None:
         pole_bound = 2 * C.degree
-    if pole_bound < 2:
-        raise BoundTooSmall("pole_bound must be at least 2")
     n = C.source.n
     pn, a, low = C.field.p ** n, C.a, n <= C.source.m
     d_prev, d_cur = ((2 * N + 1) * pn - _unit_count(N, pn, a, low) for N in (pole_bound - 1, pole_bound))

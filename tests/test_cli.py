@@ -23,13 +23,17 @@ from unipic.cli import (
     ParseError,
     _make_parser,
     _parse_value,
-    _to_json,
     main,
     parse_field_spec,
     parse_form_equation,
-    report_to_dict,
+    render_report_json,
     render_report_text,
+    report_to_dict,
 )
+from unipic.forms import NValue
+from unipic.picard import InvariantReport
+from conftest import ratfunc_strategy
+from json_reference import report_to_dict_reference, to_json_reference
 from parse_reference import (
     parse_field_spec_reference,
     parse_form_equation_reference,
@@ -263,46 +267,80 @@ def test_report_text_notation(conic_report):
         assert token in text
 
 
-_JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.integers(-2 ** 70, 2 ** 70)
-    | st.text(max_size=6) | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é ☃ 𝄞", "\u2028\ud800", ""]),
-    lambda v: st.lists(v, max_size=3) | st.lists(v, max_size=2).map(tuple)
-    | st.dictionaries(st.text(max_size=4), v, max_size=3),
-    max_leaves=12,
+_TEXT = st.text(max_size=6) | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é ☃ 𝄞", "\u2028\ud800", ""])
+
+
+def _nvalues(top):
+    return st.builds(lambda exact, v: NValue("exact", v, "cert") if exact else NValue("upper_bound", v),
+                     st.booleans(), st.integers(0, top))
+
+
+_TARGETS = st.sampled_from([("GF(2)(t)", "y^2 = x + t*x^2"), ("GF(3)(t,u)", "y^9 = t/(t+u) + x + u*x^3"),
+                            ("GF(2)(t,T)", "y^2 = T + x + t*x^2")]).map(
+    lambda fe: parse_form_equation(fe[1], parse_field_spec(fe[0])).build())
+# every field of a report the writer reads, each branch drawn both ways: the
+# oracle entry, a point or none, empty and non-empty assertions and flags,
+# an assembled group or none
+_REPORTS = st.builds(
+    InvariantReport,
+    target=_TARGETS,
+    n=_nvalues(40),  # the torsion bound is p^n
+    n_prime=_nvalues(2 ** 70), r=_nvalues(2 ** 70), m_X=_nvalues(2 ** 70), genus=_nvalues(2 ** 70),
+    splitting_degree=st.integers(1, 2 ** 70),
+    genus_oracle=st.none() | st.tuples(st.integers(0, 2 ** 70), st.booleans()),
+    quotient_desc=_TEXT,
+    pic_nontrivial=st.none(),
+    pic_group=st.none() | _TEXT,
+    point=st.none() | st.tuples(ratfunc_strategy(F3TU), ratfunc_strategy(F3TU)),
+    assertions=st.lists(st.tuples(_TEXT, _TEXT), max_size=3).map(tuple),
+    flags=st.lists(_TEXT, max_size=3).map(tuple),
 )
 
 
+def _check_writer(rep):
+    ref = report_to_dict_reference(rep)
+    assert render_report_json(rep) == json.dumps(ref, indent=2, sort_keys=True) == to_json_reference(ref)
+    assert report_to_dict(rep) == ref
+
+
 @settings(max_examples=150, deadline=None)
-@given(value=_JSON_VALUES)
-@example(value={"": [], "a": {}, "b": [[], {}, [{}]], "c": {"d": {}}})
-@example(value={"t": True, "f": False, "n": None, "i": -3, "s": 'q"\\\n\té'})
-def test_json_writer_matches_json_dumps(value):
-    assert _to_json(value) == json.dumps(value, indent=2, sort_keys=True)
+@given(rep=_REPORTS)
+def test_json_writer_matches_json_dumps(rep):
+    _check_writer(rep)
 
 
 def test_json_writer_on_golden_reports(capsys, monkeypatch):
-    # the dicts report_to_dict hands the writer on every pinned --json case
+    # every report analyze --json writes on the pinned cases, each against the
+    # dict-then-writer path it replaced
     reports = []
 
     def record(rep):
-        reports.append(report_to_dict(rep))
-        return reports[-1]
+        reports.append(rep)
+        return render_report_json(rep)
 
-    monkeypatch.setattr(cli_mod, "report_to_dict", record)
+    monkeypatch.setattr(cli_mod, "render_report_json", record)
     for case in GOLDEN:
         assert main(case["argv"]) == 0
     capsys.readouterr()
+    monkeypatch.undo()
     assert len(reports) == sum("--json" in case["argv"] for case in GOLDEN) > 0
-    for d in reports:
-        assert _to_json(d) == json.dumps(d, indent=2, sort_keys=True)
+    for rep in reports:
+        _check_writer(rep)
+    # the branches of the layout: the oracle entry, a point or none, no flags
+    # and the generic fiber's flag
+    assert any(rep.genus_oracle is not None for rep in reports)
+    assert {rep.point is None for rep in reports} == {True, False}
+    assert any(not rep.flags for rep in reports)
+    assert any("pic-trivial-by-construction" in rep.flags for rep in reports)
 
 
 @pytest.mark.parametrize("value", [
     1.5, {1, 2}, b"x", object(), {1: "a"}, [1, 2.0], {"a": {"b": frozenset()}},
 ])
 def test_json_writer_refuses_other_types(value):
+    # the reference writer, the oracle above, writes nothing json.dumps would not
     with pytest.raises(TypeError):
-        _to_json(value)
+        to_json_reference(value)
 
 
 # --------------------------------------------------------------- subcommands
@@ -544,6 +582,16 @@ def test_rejected_pole_bound_prints_nothing(capsys, command):
 
 
 @pytest.mark.parametrize("command", ["analyze", "genus"])
+@pytest.mark.parametrize("bound", ["1", "0", "-5"])
+def test_pole_bound_checked_on_the_projective_line(capsys, command, bound):
+    # the completion of y^2 = x is P^1, where the oracle never runs and the
+    # bound went unchecked: these calls exited 0
+    code, out, err = run_cli(capsys, command, "--field", "GF(2)(t)", "--eq", "y^2 = x",
+                             "--oracle", "--pole-bound", bound)
+    assert (code, out, err) == (2, "", "error: pole_bound must be at least 2\n")
+
+
+@pytest.mark.parametrize("command", ["analyze", "genus"])
 @pytest.mark.parametrize("bound", ["1", "10"])
 def test_pole_bound_needs_the_oracle(capsys, command, bound):
     # without --oracle the bound was ignored, while --oracle refused 1
@@ -651,6 +699,56 @@ def test_reused_parser_keeps_no_state(capsys):
         assert exc.value.code == status
         capsys.readouterr()
     run_all(reversed(GOLDEN))
+
+
+_CONIC = ["--field", "GF(2)(t)", "--eq", "y^2 = x + t*x^2"]
+_TARGET = ["--field", "GF(2)(t)", "--eq", "y^4 = x + t*x^2"]
+_DISPATCH_ARGVS = [case["argv"] for case in GOLDEN] + [
+    [], ["-h"], ["--help"], ["analyze", "--help"], ["bogus"], ["--bogus", "analyze"],
+    ["analyze", *_CONIC, "--bogus"],  # a leftover: the full parser words the error
+    ["analyze", *_CONIC, "--bogus", "x", "--json"],
+    ["analyze", *_CONIC, "--search-bound", "x"],
+    ["analyze", *_CONIC, "--search", "1"],  # a prefix of --search-bound
+    ["analyze", "--field", "GF(2)(t)", "--eq", "-t*x^2 + x"],  # read as --eq=-t*x^2 + x
+    ["p1-complement", "--field", "GF(2)(t)", "--e", "1", "--c", "-t"],
+    ["analyze"], ["analyze", "--field", "GF(2)(t)"], ["genus", "--eq", "y^2 = x"],
+    ["hilbert", "--a", "1"], ["points", *_TARGET], ["p1-complement", "--field", "GF(2)(t)", "--e", "1"],
+    ["hilbert", "--a", "1", "--delta", "5"], ["genus", *_TARGET, "--oracle"], ["points", *_TARGET, "--max-deg", "1"],
+    ["paper-examples", "--bogus"],
+]
+
+
+def _outcome_of(argv, capsys):
+    """(exit code, stdout, stderr) of main(argv), argparse's exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_dispatch_matches_the_full_parser(capsys, monkeypatch):
+    # main hands argv[1:] to the subcommand's parser; a parser that knows no
+    # subcommand makes main use the full one, as it always did
+    direct = [_outcome_of(argv, capsys) for argv in _DISPATCH_ARGVS]
+
+    def full_parser_only():
+        ap = _make_parser.__wrapped__()
+        ap.commands = {}
+        return ap
+
+    monkeypatch.setattr(cli_mod, "_make_parser", full_parser_only)
+    full = [_outcome_of(argv, capsys) for argv in _DISPATCH_ARGVS]
+    for argv, got, want in zip(_DISPATCH_ARGVS, direct, full):
+        assert got == want, argv
+    seen = {tuple(argv): outcome for argv, outcome in zip(_DISPATCH_ARGVS, direct)}
+    code, out, err = seen[("analyze", *_CONIC, "--bogus")]
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: unipic [-h]") and err.endswith("unipic: error: unrecognized arguments: --bogus\n")
+    code, _, err = seen[("analyze", "--field", "GF(2)(t)")]
+    assert code == 2
+    assert err.endswith("unipic analyze: error: the following arguments are required: --eq\n")
 
 
 def test_paper_examples_failure_exit(monkeypatch, capsys):

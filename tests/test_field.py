@@ -25,6 +25,7 @@ from unipic import (
 )
 
 from conftest import F2T, F2TU, F3T, mpoly_strategy, ratfunc_strategy
+from gcd_reference import prs_gcd_reference
 from mul_reference import mul_reference, pow_reference
 from tower_reference import (
     LevelMismatch,
@@ -344,6 +345,54 @@ def test_gcd_matches_sympy_bivariate(f, g):
     ours = _to_sympy(poly_gcd(f, g))
     theirs = _to_sympy(f).gcd(_to_sympy(g))
     assert ours.monic() == theirs.monic()
+
+
+def _random_poly(rng, field, deg, terms):
+    """A nonzero polynomial of total degree <= deg with up to `terms` terms."""
+    r, p = field.r, field.p
+    out = {}
+    while not out:
+        for _ in range(terms):
+            e = [0] * r
+            for _ in range(rng.randint(0, deg)):
+                e[rng.randrange(r)] += 1
+            out[tuple(e)] = rng.randrange(1, p)
+    return MPoly(field, out)
+
+
+def _gcd_cases():
+    """Planted common factors over GF(p)(t_1..t_r), then the edge cases."""
+    rng = random.Random(20240601)
+    for p in (2, 3, 5, 7):
+        for r in (1, 2, 3):
+            k = FieldDesc(p, ("t", "u", "w")[:r])
+            one, t = MPoly.one(k), MPoly.var(k, "t")
+            deg, terms = {1: (20, 8), 2: (4, 4), 3: (3, 3)}[r]
+            for i in range(6):
+                h, a, b = (_random_poly(rng, k, deg, terms) for _ in range(3))
+                yield pytest.param(h, h * a, h * b, id=f"p{p}r{r}-planted{i}")
+            h = _random_poly(rng, k, deg, terms)
+            yield pytest.param(one, h, one.scale(p - 1), id=f"p{p}r{r}-constant")
+            yield pytest.param(t, h * t ** 3, t ** 5, id=f"p{p}r{r}-monomials")
+            yield pytest.param(h, h, h, id=f"p{p}r{r}-equal")
+            yield pytest.param(h, h * _random_poly(rng, k, deg, terms), h, id=f"p{p}r{r}-divides")
+            yield pytest.param(h, MPoly.zero(k), h, id=f"p{p}r{r}-zero")
+    k = FieldDesc(7, ("t",))
+    t, one = MPoly.var(k, "t"), MPoly.one(k)
+    h = (t + one) ** 20
+    yield pytest.param(h, h * (t ** 20 + one), h * (t ** 20 + t), id="p7r1-degree40")
+
+
+@pytest.mark.parametrize("planted,f,g", _gcd_cases())
+def test_gcd_matches_references_on_planted_factors(planted, f, g):
+    # Euclid in one variable and the PRS above it against the PRS at every
+    # level and against sympy; the result is monic and holds the planted factor
+    ours = poly_gcd(f, g)
+    assert ours == prs_gcd_reference(f, g)
+    assert ours.leading()[1] == 1
+    assert _to_sympy(ours).rem(_to_sympy(planted)).is_zero
+    if f and g:
+        assert _to_sympy(ours).monic() == _to_sympy(f).gcd(_to_sympy(g)).monic()
 
 
 @given(mpoly_strategy(F2T, nonzero=True), mpoly_strategy(F2T, nonzero=True))

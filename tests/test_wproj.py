@@ -27,7 +27,7 @@ from unipic import (
     rewrite_plane_model,
 )
 
-from unipic.wproj import _unit_count
+from unipic.wproj import _unit_count, check_pole_bound
 
 from cech_reference import (
     _explicit_unit_columns,
@@ -197,6 +197,18 @@ def test_cech_ignores_translation():
 def test_cech_bound_too_small():
     with pytest.raises(BoundTooSmall):
         cech_h1_dim(naive_completion(CONIC), 1)
+
+
+def test_check_pole_bound():
+    # the one rule for a pole bound, shared by the oracle, the report and the CLI
+    for pole_bound, oracle in ((None, False), (None, True), (2, True), (9, True)):
+        check_pole_bound(pole_bound, oracle)
+    for pole_bound in (2, 1, -5):
+        with pytest.raises(ValueError, match="a pole bound needs the oracle"):
+            check_pole_bound(pole_bound, False)
+    for pole_bound in (1, 0, -5):
+        with pytest.raises(BoundTooSmall, match="pole_bound must be at least 2"):
+            check_pole_bound(pole_bound, True)
 
 
 def _cech_case(k, n, m, torsor=False, binomial=False):
