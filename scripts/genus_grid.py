@@ -7,7 +7,6 @@ truncation stabilized, and whether the boundary point is regular.
 """
 
 import argparse
-from dataclasses import dataclass
 
 from unipic import (
     FieldDesc,
@@ -19,22 +18,15 @@ from unipic import (
 )
 
 
-@dataclass
-class GridConfig:
-    primes: tuple[int, ...] = (2, 3)
-    max_level: int = 2
-    pole_bound: int | None = None
-
-
-def run_grid(cfg: GridConfig) -> list[tuple]:
+def run_grid(primes, max_level: int, pole_bound: int | None = None) -> list[tuple]:
     rows = []
-    for p in cfg.primes:
+    for p in primes:
         field = FieldDesc(p, ("t",))
         t = field.var("t")
-        for n in range(1, cfg.max_level + 1):
-            for m in range(1, cfg.max_level + 1):
+        for n in range(1, max_level + 1):
+            for m in range(1, max_level + 1):
                 C = naive_completion(make_form(n, [field.one()] + [field.zero()] * (m - 1) + [t]))
-                dim, stable = cech_h1_dim(C, cfg.pole_bound)
+                dim, stable = cech_h1_dim(C, pole_bound)
                 regular = is_regular_at_infinity(C).is_field
                 rows.append((p, n, m, genus_from_formula(C), dim, stable, regular))
     return rows
@@ -49,8 +41,7 @@ def main() -> int:
                     help="Cech truncation override")
     args = ap.parse_args()
 
-    cfg = GridConfig(tuple(args.primes), args.max_level, args.pole_bound)
-    rows = run_grid(cfg)
+    rows = run_grid(args.primes, args.max_level, args.pole_bound)
     print(f"{'p':>2} {'n':>2} {'m':>2} {'formula':>8} {'cech':>6} "
           f"{'stable':>7} {'regular':>8}")
     mismatches = 0

@@ -16,7 +16,6 @@ from .field import (
     RatFunc,
     UnknownVariable,
     ZeroInput,
-    basis_cap,
     compositum_degree,
     poly_gcd,
     power_level,
@@ -82,7 +81,6 @@ __all__ = [
     "VariableClash",
     "WeightedCurve",
     "ZeroInput",
-    "basis_cap",
     "cech_h1_dim",
     "compositum_degree",
     "equation_holds",

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .catalogue import run_catalogue
-from .field import FieldDesc, MPoly, RatFunc, _add_terms, _mul_terms, _pow_terms, basis_cap, is_prime
+from .field import FieldDesc, MPoly, RatFunc, _add_terms, _mul_terms, _pow_terms, is_prime
 from .forms import (
     FormPresentation,
     NotSeparable,
@@ -455,8 +455,6 @@ def _make_parser() -> argparse.ArgumentParser:
         prog="unipic",
         description="Invariants, completions and Picard data of forms of the "
         "affine line over rational function fields of positive characteristic.",
-        epilog="The environment variable UNIPIC_BASIS_CAP overrides the dense "
-        "root-tower basis cap (default 4096).",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -516,7 +514,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     if rest:
         args = ap.parse_args(argv)
     try:
-        basis_cap()  # a malformed UNIPIC_BASIS_CAP fails every subcommand alike
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code

@@ -17,15 +17,13 @@ chain bounds leave open, in plain polynomial arithmetic over k.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from operator import add
 from typing import Optional, Sequence
 
 from .linalg import RowSpace
 
-DEFAULT_BASIS_CAP = 4096
-BASIS_CAP_ENV = "UNIPIC_BASIS_CAP"
+BASIS_CAP = 4096  # largest dense tower basis p^(r*N) that `_dense_degree` builds
 
 
 class FieldMismatch(ValueError):
@@ -45,21 +43,7 @@ class ZeroInput(ValueError):
 
 
 class BasisTooLarge(ValueError):
-    """The dense tower basis p^(r*N) exceeds the configured cap."""
-
-
-def basis_cap() -> int:
-    """Dense-basis bound for tower linear algebra, overridable by env var."""
-    raw = os.environ.get(BASIS_CAP_ENV)
-    if raw is None:
-        return DEFAULT_BASIS_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{BASIS_CAP_ENV} must be an integer, got {raw!r}") from exc
-    if cap <= 0:
-        raise ValueError(f"{BASIS_CAP_ENV} must be positive, got {cap}")
-    return cap
+    """The dense tower basis p^(r*N), N the largest root exponent e_i, exceeds `BASIS_CAP`."""
 
 
 def is_prime(p: int) -> bool:
@@ -751,13 +735,6 @@ def _coords(f: MPoly, q: int) -> dict[int, RatFunc]:
     return {idx: RatFunc.from_poly(MPoly(f.field, terms)) for idx, terms in coords.items()}
 
 
-def _check_basis(base: FieldDesc, level: int, cap: int) -> None:
-    """Refuse a dense tower basis of size p^(r*level) above cap."""
-    size = base.p ** (base.r * level)
-    if size > cap:
-        raise BasisTooLarge(f"dense tower basis p^(r*N) = {size} exceeds cap {cap}")
-
-
 def _span_space(base: FieldDesc, q: int, ladder: Sequence[tuple[MPoly, int]]) -> RowSpace:
     """Echelon basis of k^q(ladder) in the coordinates of `_coords`.
 
@@ -817,8 +794,8 @@ def compositum_degree(pairs: Sequence[tuple[RatFunc, int]]) -> int:
     Frobenius bounds, `_degree_bounds`, gives lo <= [k':k] <= hi, and they
     meet on most inputs: always for r = 1, a single root, or e_i <= 1, and
     whenever the b_i with the largest e_i form a p-basis of k.  Only when
-    lo < hi is the dense root-tower basis built, and it is refused above
-    `basis_cap()`.
+    lo < hi is the dense root-tower basis built, on the roots (b_i, e_i):
+    its size p^(r*max e_i) is refused above `BASIS_CAP` with `BasisTooLarge`.
     """
     for a, _ in pairs:
         if not a:
@@ -833,35 +810,36 @@ def compositum_degree(pairs: Sequence[tuple[RatFunc, int]]) -> int:
     if not roots:
         return 1
     lo, hi = _degree_bounds(roots)
-    return lo if lo == hi else _dense_degree(pairs)
+    return lo if lo == hi else _dense_degree(roots)
 
 
-def _dense_degree(pairs: Sequence[tuple[RatFunc, int]]) -> int:
+def _dense_degree(roots: Sequence[tuple[RatFunc, int]]) -> int:
     """[k' : k] by linear algebra over k^q, q = p^N, in the basis of size p^(r*N).
 
-    The q-th power map carries k' onto k^q(a_i^(s_i)) with s_i = p^(N - n_i),
-    and for a_i = num/den the polynomial x_i = num^(s_i) * den^(q - s_i)
-    = a_i^(s_i) * den^q generates the same field over k^q.  As
+    k' = k(b_i^(1/p^(e_i))) with e_i >= 1 and N = max e_i.  The q-th power
+    map carries k' onto k^q(b_i^(s_i)) with s_i = p^(N - e_i), and for
+    b_i = num/den the polynomial x_i = num^(s_i) * den^(q - s_i)
+    = b_i^(s_i) * den^q generates the same field over k^q.  As
     k^q(x) = k^q(1/x), the side of larger total degree takes the num role,
     which keeps the power of the other small.  Each generator contributes
     p^e, e its inseparability exponent over the field built so far.
     """
-    base = pairs[0][0].field
-    level = max(n for _, n in pairs)
-    if level == 0:
-        return 1
-    _check_basis(base, level, basis_cap())
+    base = roots[0][0].field
+    level = max(ei for _, ei in roots)
+    size = base.p ** (base.r * level)
+    if size > BASIS_CAP:
+        raise BasisTooLarge(f"dense tower basis p^(r*N) = {size} exceeds cap {BASIS_CAP}")
     q = base.p ** level
     ladder: list[tuple[MPoly, int]] = []
     degree = 1
     space = _span_space(base, q, ladder)
-    for a, n in pairs:
-        num, den = a.num, a.den
+    for b, ei in roots:
+        num, den = b.num, b.den
         if sum(den.leading()[0]) > sum(num.leading()[0]):
             num, den = den, num
-        x = (num * den ** (base.p ** n - 1)).scale_exponents(q // base.p ** n)
-        # e = n always stops the loop: x^(p^n) lies in k^q, and the span holds 1
-        for e in range(n + 1):
+        x = (num * den ** (base.p ** ei - 1)).scale_exponents(q // base.p ** ei)
+        # e = ei always stops the loop: x^(p^ei) lies in k^q, and the span holds 1
+        for e in range(ei + 1):
             if space.reduces_to_zero(_coords(x.frobenius(e), q)):
                 break
         if e:

@@ -192,19 +192,19 @@ def make_form(n: int, coeffs) -> FormPresentation:
     return FormPresentation(cs[0].field, n, cs)
 
 
-def generic_fiber_torsor(G: FormPresentation, var_name: str = "T") -> Torsor:
+def generic_fiber_torsor(G: FormPresentation) -> Torsor:
     """The torsor y^(p^n) = T + tau(x) over k(T), T a fresh indeterminate.
 
     This is the generic fiber of the projection (x, y) -> y^(p^n) - tau(x),
     so its Picard group vanishes by construction.
     """
     base = G.field
-    if var_name in base.vars:
-        raise VariableClash(f"{var_name!r} is already a field variable")
-    ext = FieldDesc(base.p, base.vars + (var_name,))
+    if "T" in base.vars:
+        raise VariableClash("'T' is already a field variable")
+    ext = FieldDesc(base.p, base.vars + ("T",))
     images = [(i, 1) for i in range(base.r)]
     form = FormPresentation(ext, G.n, [c.embed(ext, images) for c in G.coeffs])
-    return Torsor(form, ext.var(var_name))
+    return Torsor(form, ext.var("T"))
 
 
 def splitting_level(G: FormPresentation) -> NValue:

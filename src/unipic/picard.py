@@ -185,13 +185,16 @@ def invariant_report(
     r = _residue_level(X, inf)
     # a local obstruction proves that no point of degree prime to p exists
     point = None if local_obstruction(X) else find_rational_point(X, search_bound)
+    pr = p ** r.value
     if point is not None:
         m_X = NValue("exact", 1, "rational-point")
+    elif is_torsor and X.generic_fiber and r.is_exact:
+        # Pic(X) = 0 maps onto m(X) Z/p^r Z, so that quotient is zero
+        m_X = NValue("exact", pr, "generic-fiber")
     else:
-        m_X = NValue("upper_bound", p ** r.value)
-    pr = p ** r.value
+        m_X = NValue("upper_bound", pr)
     if m_X.is_exact and r.is_exact:
-        quotient_desc = f"Z/{pr}Z" if m_X.value == 1 else f"{m_X.value}*Z/{pr}Z"
+        quotient_desc = f"Z/{pr}Z" if m_X.value == 1 else "0"
     elif r.is_exact:
         quotient_desc = f"m*Z/{pr}Z with m | {pr}"
     else:

@@ -471,6 +471,12 @@ def test_analyze_obstructed_without_search(capsys):
                            "--eq", "y^5 = u + x + t*x^5", "--search-bound", "3")
     assert time.perf_counter() - start < 1
     assert code == 0
+    # a generic fiber: Pic(X) = 0 maps onto m(X) Z/5Z, so m(X) = 5
+    assert "m(X)   = 5 (exact: generic-fiber)\n" in out
+    # b = u^2 is no variable, so m(X) stays the bound
+    code, out, _ = run_cli(capsys, "analyze", "--field", "GF(5)(t,u)",
+                           "--eq", "y^5 = u^2 + x + t*x^5", "--search-bound", "3")
+    assert code == 0
     assert "m(X)   = <= 5 (bound)\n" in out
 
 
@@ -494,19 +500,6 @@ def test_analyze_high_power_of_a_sum(capsys):
     assert time.perf_counter() - start < 2
     assert code == 0 and "[k':k] = 3\n" in out
     assert len(parse_form_equation(eq, FieldDesc(3, ("t",))).coeffs[1][1].num.terms) == 432
-
-
-@pytest.mark.parametrize("raw, message", [
-    ("abc", "UNIPIC_BASIS_CAP must be an integer, got 'abc'"),
-    ("0", "UNIPIC_BASIS_CAP must be positive, got 0"),
-])
-def test_malformed_basis_cap_fails_every_subcommand(capsys, monkeypatch, raw, message):
-    # refused up front, even where the input never builds a dense basis
-    monkeypatch.setenv("UNIPIC_BASIS_CAP", raw)
-    for argv in (("analyze", "--field", "GF(2)(t)", "--eq", "y^2 = x + t*x^2"),
-                 ("hilbert", "--a", "2", "--delta", "3")):
-        code, out, err = run_cli(capsys, *argv)
-        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_p1_complement(capsys):
@@ -625,6 +618,21 @@ def test_analyze_proves_trivial_pic_of_generic_fiber(capsys):
     assert out.endswith("\nflags: pic-trivial-by-construction\n")
 
 
+def test_output_ignores_the_environment():
+    # the chain bounds leave this input open, so it builds the dense basis of
+    # 2^(2*3) = 64; the cap on that basis is a constant, not a setting
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = [sys.executable, "-m", "unipic.cli", "analyze", "--field", "GF(2)(t,u)",
+            "--eq", "y^8 = x + t/u*x^2 + u/t*x^4 + t*u*x^8"]
+    env = {k: v for k, v in os.environ.items() if k != "UNIPIC_BASIS_CAP"}
+    env["PYTHONPATH"] = str(src)
+    runs = [subprocess.run(argv, capture_output=True, text=True, timeout=60,
+                           env={**env, **extra})
+            for extra in ({}, {"UNIPIC_BASIS_CAP": "2"}, {"UNIPIC_BASIS_CAP": "abc"})]
+    assert runs[0].returncode == 0 and "[k':k] = 32\n" in runs[0].stdout
+    assert [(r.returncode, r.stdout, r.stderr) for r in runs] == [(0, runs[0].stdout, "")] * 3
+
+
 def test_closed_stdout_exits_quietly():
     # `unipic analyze ... | head -1` ended in a BrokenPipeError traceback
     src = Path(__file__).resolve().parents[1] / "src"
@@ -656,15 +664,27 @@ def test_exit_code_trivial_completion(capsys):
      ("--search-bound", "0"), 125),
     ("GF(5)(t,u)", "y^25 = x + u^5*x^5 + t/(t+u)*x^25 + (t/(t+u) + u^5/(t^2+1)^5)*x^125",
      ("--search-bound", "0"), 125),
+    ("GF(2)(t,u)", "y^128 = x + t^32*x^2 + t^32/u^64*x^4", (), 8),
 ])
 def test_analyze_large_splitting_degree(capsys, field, eq, extra, degree):
     # the Frobenius chain bounds settle the first six without a dense basis
     # of 2^14, 5^4 or 7^4 unknowns; the fifth and sixth once ran past 100 s
-    # on that basis.  The last is left open at 125 <= [k':k] <= 625, so the
-    # dense basis of 5^4 unknowns decides it
+    # on that basis.  The seventh is left open at 125 <= [k':k] <= 625, so
+    # the dense basis of 5^4 unknowns decides it.  The last has 2^5-th
+    # powers for coefficients: its roots (t, 2) and (t/u^2, 2) need a basis
+    # of 16, where the pairs at n = 7 asked for 2^14 and were refused
     code, out, _ = run_cli(capsys, "analyze", "--field", field, "--eq", eq, *extra)
     assert code == 0
     assert f"[k':k] = {degree}\n" in out
+
+
+def test_analyze_refuses_a_basis_above_the_cap(capsys):
+    # the chain bounds leave 5^5 <= [k':k] <= 5^6 open, and roots of
+    # exponent 3 over GF(5)(t,u) need a basis of 5^6 > 4096
+    code, out, err = run_cli(capsys, "analyze", "--field", "GF(5)(t,u)", "--eq",
+                             "y^125 = x + u^5*x^5 + t/(t+u)*x^25 + (t/(t+u) + u^5/(t^2+1)^5)*x^125",
+                             "--search-bound", "0")
+    assert (code, out, err) == (2, "", "error: dense tower basis p^(r*N) = 15625 exceeds cap 4096\n")
 
 
 # full analyze output, text and JSON, pinned byte for byte; together the
@@ -799,4 +819,4 @@ def test_output_digest_pinned(capsys):
     spec.loader.exec_module(digest)
     assert digest.main() == 0
     assert capsys.readouterr().out == (
-        "0fe6c16517dd39ce40e89b35888f57676983c73f790bff212b2e7bc3b8599bd7  2871 calls\n")
+        "49e729cad43672d56bb476443c9bda2189150b1a74e727d983240b563d9da3e2  2871 calls\n")

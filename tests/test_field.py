@@ -1,6 +1,7 @@
 """Exact rational function field arithmetic, p-power tests and root towers."""
 
 import random
+import re
 import time
 
 import hypothesis.strategies as st
@@ -18,7 +19,6 @@ from unipic import (
     RatFunc,
     UnknownVariable,
     ZeroInput,
-    basis_cap,
     compositum_degree,
     poly_gcd,
     power_level,
@@ -513,25 +513,34 @@ def test_level_mismatch():
         tower_root(t, 2, 1)
 
 
-def test_basis_cap_env(monkeypatch):
-    monkeypatch.delenv("UNIPIC_BASIS_CAP", raising=False)
-    assert basis_cap() == 4096
-    monkeypatch.setenv("UNIPIC_BASIS_CAP", "64")
-    assert basis_cap() == 64
-
-
-def test_basis_cap_enforced(monkeypatch):
+def test_basis_cap_enforced():
     # the chain bounds leave this input open: d(t/u^2) = dt/u^2 in
     # characteristic 2, so lo = 2 * 2 and hi = 2^(1 + 2), and the dense
     # basis of 2^(2*2) = 16 decides the degree 8
     t, u = F2TU.var("t"), F2TU.var("u")
     pairs = [(t, 2), (t / u ** 2, 2)]
     assert field_mod._degree_bounds(pairs) == (4, 8)
-    monkeypatch.setenv("UNIPIC_BASIS_CAP", "16")
     assert field_mod._dense_degree(pairs) == 8
-    monkeypatch.setenv("UNIPIC_BASIS_CAP", "2")
-    with pytest.raises(BasisTooLarge):
+    # y^125 = x + u^5*x^5 + t/(t+u)*x^25 + (t/(t+u) + u^5/(t^2+1)^5)*x^125
+    # over GF(5)(t,u): 5^5 <= [k':k] <= 5^6, and roots of exponent 3 need a
+    # basis of 5^(2*3) = 15625
+    k = FieldDesc(5, ("t", "u"))
+    t, u, one = k.var("t"), k.var("u"), k.one()
+    a = t / (t + u)
+    pairs = [(u ** 5, 3), (a, 3), (a + u ** 5 / (t ** 2 + one) ** 5, 3)]
+    assert field_mod.BASIS_CAP == 4096
+    with pytest.raises(BasisTooLarge, match=re.escape("p^(r*N) = 15625 exceeds cap 4096")):
         compositum_degree(pairs)
+
+
+def test_dense_basis_sized_by_the_roots(monkeypatch):
+    # a = b^(p^v) gives k(a^(1/p^n)) = k(b^(1/p^(n-v))): the roots (t, 2) and
+    # (t/u^2, 2) of these pairs need a basis of 16, not the 2^(2*7) of n = 7
+    t, u = F2TU.var("t"), F2TU.var("u")
+    dense, seen = field_mod._dense_degree, []
+    monkeypatch.setattr(field_mod, "_dense_degree", lambda roots: seen.append(roots) or dense(roots))
+    assert compositum_degree([(t ** 32, 7), ((t / u ** 2) ** 32, 7)]) == 8
+    assert seen == [[(t, 2), (t / u ** 2, 2)]]
 
 
 def _random_coeff(rng, field, den_rng):
@@ -570,10 +579,9 @@ def test_rules_match_dense_oracle(monkeypatch):
     # the auxiliary-field oracle costs about p^(r*N) rows times a (p^N - 1)-th
     # power of each denominator, so both stay small: basis <= 81 and p^N <= 27;
     # it checks the chain bounds and the Frobenius-side dense path alike
-    monkeypatch.setenv("UNIPIC_BASIS_CAP", "81")
     dense = field_mod._dense_degree
     remainder = []
-    monkeypatch.setattr(field_mod, "_dense_degree", lambda pairs: remainder.append(pairs) or dense(pairs))
+    monkeypatch.setattr(field_mod, "_dense_degree", lambda roots: remainder.append(roots) or dense(roots))
     rng, den_rng = random.Random(2016), random.Random(2017)
     corpus = []
     while len(corpus) < 250:
@@ -587,8 +595,11 @@ def test_rules_match_dense_oracle(monkeypatch):
         if pairs not in corpus:
             corpus.append(pairs)
 
+    def roots_of(pairs):
+        return [(b, n - v) for a, n in pairs for v, b in [power_level(a, n)] if v < n]
+
     def bounds(pairs):
-        roots = [(b, n - v) for a, n in pairs for v, b in [power_level(a, n)] if v < n]
+        roots = roots_of(pairs)
         return field_mod._degree_bounds(roots) if roots else None
 
     # the draws above are all split or settled; several roots at n = 2 over
@@ -605,15 +616,17 @@ def test_rules_match_dense_oracle(monkeypatch):
         remainder.clear()
         want = dense_degree_reference(pairs, 81)
         assert compositum_degree(pairs) == want, pairs
-        assert dense(pairs) == want, pairs
-        if b := bounds(pairs):
-            lo, hi = b
+        if roots := roots_of(pairs):
+            assert dense(roots) == want, pairs
+            lo, hi = field_mod._degree_bounds(roots)
             assert lo <= want <= hi, pairs
             branch = "settled" if lo == hi else "dense"
             found[pairs] = (lo, want, hi)
         else:
+            assert want == 1, pairs
             branch = "split"
-        assert bool(remainder) == (branch == "dense"), pairs
+        # the dense path gets the roots that compositum_degree found
+        assert remainder == ([roots] if branch == "dense" else []), pairs
         seen[pairs] = branch
     assert {"split", "settled", "dense"} <= set(seen.values())
     assert [seen[pairs] for pairs in golden] == ["dense", "settled"] + ["dense"] * 6
@@ -623,9 +636,9 @@ def test_rules_match_dense_oracle(monkeypatch):
              for lo, want, hi in map(found.get, open_)}
     assert {"lo", "hi"} <= cases
     # the dense path meets a denominator and both sides of the num/den choice
-    rest = [a for pairs, branch in seen.items() if branch == "dense" for a, _ in pairs]
-    assert any(not a.num.is_constant() and not a.den.is_constant() for a in rest)
-    assert any(sum(a.den.leading()[0]) > sum(a.num.leading()[0]) for a in rest)
+    rest = [b for pairs, branch in seen.items() if branch == "dense" for b, _ in roots_of(pairs)]
+    assert any(not b.num.is_constant() and not b.den.is_constant() for b in rest)
+    assert any(sum(b.den.leading()[0]) > sum(b.num.leading()[0]) for b in rest)
 
 
 def test_public_surface():
@@ -655,4 +668,4 @@ def test_public_surface():
         assert not hasattr(unipic, name)
     # the report takes its three settings as keyword arguments
     assert "ReportOptions" not in unipic.__all__ and not hasattr(unipic, "ReportOptions")
-    assert len(unipic.__all__) == 44
+    assert len(unipic.__all__) == 43

@@ -146,8 +146,9 @@ def test_generic_fiber_torsor(conic):
     assert gf.generic_fiber
     assert gf.form.field.vars == ("t", "T")
     assert gf.b == gf.form.field.var("T")
-    with pytest.raises(VariableClash):
-        generic_fiber_torsor(conic, var_name="t")
+    K = FieldDesc(2, ("t", "T"))
+    with pytest.raises(VariableClash, match="'T' is already a field variable"):
+        generic_fiber_torsor(make_form(1, [K.one(), K.var("t")]))
 
 
 def test_generic_fiber_read_off_the_equation():

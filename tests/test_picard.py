@@ -262,5 +262,8 @@ def test_report_generic_fiber():
     assert rep.pic_group == "0"
     assert rep.flags == ("pic-trivial-by-construction",)
     assert rep.point is None
-    assert rep.m_X == NValue("upper_bound", 2)
+    # Pic(X) = 0 maps onto m(X) Z/2Z, so the quotient is zero and m(X) = p^r
+    assert rep.r == NValue("exact", 1, "regular-completion")
+    assert rep.m_X == NValue("exact", 2, "generic-fiber")
+    assert rep.quotient_desc == "0"
     assert rep.n_prime == NValue("upper_bound", 1)

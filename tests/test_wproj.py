@@ -323,7 +323,7 @@ def test_genus_grid_script_level_4():
     spec = importlib.util.spec_from_file_location("genus_grid", path)
     grid = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(grid)
-    rows = grid.run_grid(grid.GridConfig((2, 3, 5), 4))
+    rows = grid.run_grid((2, 3, 5), 4)
     assert len(rows) == 48
     for p, n, m, genus, dim, stable, regular in rows:
         assert stable and dim == genus, (p, n, m)

@@ -12,14 +12,7 @@ denominator with a (p^N - 1)-th power.  `dense_degree_reference` is the old
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from unipic.field import (
-    FieldDesc,
-    MPoly,
-    RatFunc,
-    ZeroInput,
-    _check_basis,
-    basis_cap,
-)
+from unipic.field import BASIS_CAP, BasisTooLarge, FieldDesc, MPoly, RatFunc, ZeroInput
 from unipic.linalg import RowSpace
 
 
@@ -127,6 +120,13 @@ def _span_space(
 
 
 
+def _check_basis(base: FieldDesc, level: int, cap: int) -> None:
+    """Refuse a dense tower basis of size p^(r*level) above cap."""
+    size = base.p ** (base.r * level)
+    if size > cap:
+        raise BasisTooLarge(f"dense tower basis p^(r*N) = {size} exceeds cap {cap}")
+
+
 def dense_degree_reference(pairs: Sequence[tuple[RatFunc, int]], cap: int) -> int:
     """[k' : k] by linear algebra in the dense tower basis of size p^(r*N).
 
@@ -163,17 +163,13 @@ def _exponent_over(x: RootTowerElem) -> int:
     raise AssertionError("tower element must descend at its own level")
 
 
-def subfield_membership(
-    x: RootTowerElem, gens: Sequence[RootTowerElem], cap: Optional[int] = None
-) -> bool:
+def subfield_membership(x: RootTowerElem, gens: Sequence[RootTowerElem]) -> bool:
     """Decide x in k(gens) by exact linear algebra over k in the tower basis."""
-    if cap is None:
-        cap = basis_cap()
     level = x.level
     for g in gens:
         if g.level != level or g.base != x.base:
             raise LevelMismatch("all elements must share base field and level")
-    _check_basis(x.base, level, cap)
+    _check_basis(x.base, level, BASIS_CAP)
     ladder: list[tuple[RootTowerElem, int]] = []
     for g in gens:
         if not g.value:
