@@ -6,6 +6,8 @@ expressions over the field generators.  All output is byte-deterministic
 for fixed inputs.  Exit codes: 0 success, 1 failing example catalogue,
 2 parse or validation errors, and 141 (128 + SIGPIPE, as a shell reports
 a writer killed by a closed pipe) when the reader of stdout stops early.
+A well-formed `analyze` argv is read straight into the Namespace argparse
+would build; argparse reads every other argv and words every message.
 """
 
 from __future__ import annotations
@@ -449,6 +451,37 @@ def _cmd_paper_examples(args) -> int:
     return 1 if failures else 0
 
 
+# analyze's options as its parser declares them, flag -> (dest, type), no
+# type for a store_true flag; a test holds both tables equal to the parser's
+_ANALYZE_FLAGS = {"--field": ("field", str), "--eq": ("eq", str), "--json": ("json", None),
+                  "--search-bound": ("search_bound", int), "--oracle": ("oracle", None),
+                  "--pole-bound": ("pole_bound", int)}
+_ANALYZE_DEFAULTS = {"json": False, "search_bound": 2, "oracle": False, "pole_bound": None}
+
+
+def _read_analyze(argv: list[str]) -> Optional[argparse.Namespace]:
+    """The Namespace argparse builds from a well-formed analyze argv, else
+    None: known flags only, each value its own token, not starting with '-'
+    and taken by its type, and --field and --eq given.  argparse reads and
+    words all else, help, abbreviations and usage errors included."""
+    ns, it = dict(_ANALYZE_DEFAULTS), iter(argv)
+    for tok in it:
+        if tok not in _ANALYZE_FLAGS:
+            return None
+        dest, kind = _ANALYZE_FLAGS[tok]
+        if kind is None:
+            ns[dest] = True
+            continue
+        value = next(it, "-")  # a missing value reads as a flag
+        if value.startswith("-"):
+            return None
+        try:
+            ns[dest] = kind(value)
+        except ValueError:
+            return None
+    return argparse.Namespace(fn=_cmd_analyze, **ns) if "field" in ns and "eq" in ns else None
+
+
 @functools.cache  # one parser per process: parsing leaves it unchanged
 def _make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -501,18 +534,20 @@ def _make_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # argparse takes a value that starts with '-' (--c -t) for an option;
-    # glued to its flag (--c=-t) it is read as the value
-    for i in range(len(argv) - 1, 0, -1):
-        if argv[i - 1] in ("--c", "--eq", "--field") and argv[i].startswith("-"):
-            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
-    ap = _make_parser()
-    # the subcommand's own parser does all the full one would hand it; what
-    # it leaves over goes to the full parser, whose error names "unipic"
-    sub = ap.commands.get(argv[0]) if argv else None
-    args, rest = sub.parse_known_args(argv[1:]) if sub else (None, True)
-    if rest:
-        args = ap.parse_args(argv)
+    args = _read_analyze(argv[1:]) if argv[:1] == ["analyze"] else None
+    if args is None:
+        ap = _make_parser()
+        # argparse takes a value that starts with '-' (--c -t) for an option;
+        # glued to its flag (--c=-t) it is read as the value
+        for i in range(len(argv) - 1, 0, -1):
+            if argv[i - 1] in ("--c", "--eq", "--field") and argv[i].startswith("-"):
+                argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
+        # the subcommand's own parser does all the full one would hand it; what
+        # it leaves over goes to the full parser, whose error names "unipic"
+        sub = ap.commands.get(argv[0]) if argv else None
+        args, rest = sub.parse_known_args(argv[1:]) if sub else (None, True)
+        if rest:
+            args = ap.parse_args(argv)
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit

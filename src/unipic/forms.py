@@ -401,8 +401,6 @@ def _search(T, max_deg: int) -> Optional[tuple[int, int]]:
     next slot, and (e // S^j) % q is the residue of coordinate j itself.
     """
     field, n, b = T.field, T.n, T.b
-    if not b:
-        return 0, 1  # x = 0 lies on every form
     p, r, m = field.p, field.r, T.m
     M = max(m, n)
     q, P = p ** n, p ** M
@@ -479,14 +477,18 @@ def find_rational_point(T, max_deg: int) -> Optional[tuple[RatFunc, RatFunc]]:
     base-p counting order over the graded monomial list, with h monic.
     For each h the numerators that give a point form an affine subspace
     over F_p, so one linear system, built on packed integer exponents,
-    returns the least such g without enumerating the p^K numerators.  When
-    b is a p^n-th power, 0 included, x = 0 is returned before any h.  The
+    returns the least such g without enumerating the p^K numerators.  A
+    form (b = 0) has x = y = 0, its group identity, with no search; when b
+    is a nonzero p^n-th power, x = 0 is returned before any h.  The
     witness is the first candidate in that order, so it is deterministic.
     It is re-verified through exact field arithmetic before being returned;
     at x = 0 the right side is b itself, as tau is additive.
     """
     if max_deg < 0:
         raise ValueError("max_deg must be nonnegative")
+    if not T.b:
+        zero = T.field.zero()
+        return zero, zero
     hit = _search(T, max_deg)
     if hit is None:
         return None

@@ -151,7 +151,8 @@ def invariant_report(
 ) -> InvariantReport:
     """Run every invariant computation on a form or torsor and consolidate.
 
-    search_bound caps the total degree of the rational point search;
+    search_bound caps the total degree of the rational point search on a
+    torsor; a form's point is x = y = 0, its group identity, with no search.
     oracle also runs the Cech genus oracle, with pole_bound as its window.
     The report never upgrades a bound to an exact value: each field keeps
     the tag produced by its own certificate chain, and derived statements

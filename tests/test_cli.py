@@ -735,6 +735,15 @@ _DISPATCH_ARGVS = [case["argv"] for case in GOLDEN] + [
     ["hilbert", "--a", "1"], ["points", *_TARGET], ["p1-complement", "--field", "GF(2)(t)", "--e", "1"],
     ["hilbert", "--a", "1", "--delta", "5"], ["genus", *_TARGET, "--oracle"], ["points", *_TARGET, "--max-deg", "1"],
     ["paper-examples", "--bogus"],
+    # int() takes ' 7', '+3', '5_000' and '٣' as argparse does, and refuses '²' (though '²'.isdigit());
+    # argparse reads '-1' as a value and '-1_000', which int() takes, as a flag
+    *(["analyze", *_CONIC, "--search-bound", v] for v in ("²", "٣", "5_000", " 7", "+3", "-1", "-1_000")),
+    ["analyze", "--field=GF(2)(t)", "--eq", "y^2 = x + t*x^2"], ["analyze", *_CONIC, "--js"],
+    ["analyze", *_CONIC, "--"], ["analyze", *_CONIC, "--json", "-h"],
+    ["analyze", *_CONIC, "--eq", "y^2 = x + t^3*x^2"], ["analyze", *_CONIC, "--json", "--json"],
+    ["analyze", "--field", "GF(2)(t)", "--eq", ""], ["analyze", *_CONIC, "--search-bound", ""],
+    ["analyze", *_CONIC, "--pole-bound", "4"], ["analyze", *_CONIC, "--search-bound"],
+    ["analyze", "--field", "GF(2)(t)", "--eq", "--json"],  # a flag where a value belongs
 ]
 
 
@@ -749,8 +758,9 @@ def _outcome_of(argv, capsys):
 
 
 def test_dispatch_matches_the_full_parser(capsys, monkeypatch):
-    # main hands argv[1:] to the subcommand's parser; a parser that knows no
-    # subcommand makes main use the full one, as it always did
+    # main reads a well-formed analyze argv itself and hands the rest to the
+    # subcommand's parser; with the reader off and a parser that knows no
+    # subcommand, main uses the full one, as it always did
     direct = [_outcome_of(argv, capsys) for argv in _DISPATCH_ARGVS]
 
     def full_parser_only():
@@ -759,6 +769,7 @@ def test_dispatch_matches_the_full_parser(capsys, monkeypatch):
         return ap
 
     monkeypatch.setattr(cli_mod, "_make_parser", full_parser_only)
+    monkeypatch.setattr(cli_mod, "_read_analyze", lambda argv: None)
     full = [_outcome_of(argv, capsys) for argv in _DISPATCH_ARGVS]
     for argv, got, want in zip(_DISPATCH_ARGVS, direct, full):
         assert got == want, argv
@@ -769,6 +780,29 @@ def test_dispatch_matches_the_full_parser(capsys, monkeypatch):
     code, _, err = seen[("analyze", "--field", "GF(2)(t)")]
     assert code == 2
     assert err.endswith("unipic analyze: error: the following arguments are required: --eq\n")
+    code, _, err = seen[("analyze", *_CONIC, "--search-bound", "²")]
+    assert code == 2 and err.endswith("error: argument --search-bound: invalid int value: '²'\n")
+
+
+def test_direct_reader_takes_what_argparse_builds():
+    # the reader's tables are the analyze parser's own options; on the argvs
+    # it reads it builds argparse's Namespace, and it reads every golden one
+    sub = _make_parser().commands["analyze"]
+    options = [a for a in sub._actions if a.dest != "help"]
+    assert cli_mod._ANALYZE_FLAGS == {
+        opt: (a.dest, None if a.nargs == 0 else a.type or str) for a in options for opt in a.option_strings}
+    assert all(a.const is True for a in options if a.nargs == 0)  # store_true
+    assert cli_mod._ANALYZE_DEFAULTS == {a.dest: a.default for a in options if not a.required}
+    assert {a.dest for a in options if a.required} == {"field", "eq"}
+    golden, read = [case["argv"] for case in GOLDEN], 0
+    for argv in _DISPATCH_ARGVS:
+        args = cli_mod._read_analyze(argv[1:]) if argv[:1] == ["analyze"] else None
+        if args is not None:
+            read += 1
+            assert args == sub.parse_known_args(argv[1:])[0], argv
+        elif argv in golden:
+            pytest.fail(f"a golden argv went to argparse: {argv}")
+    assert read > len(GOLDEN)
 
 
 def test_paper_examples_failure_exit(monkeypatch, capsys):

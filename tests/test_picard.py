@@ -1,5 +1,7 @@
 """Picard-group reports: torsion bounds, the degree sequence, assembly."""
 
+import random
+
 import pytest
 
 import unipic.forms
@@ -11,6 +13,7 @@ from unipic import (
     NValue,
     NotIrreducible,
     Torsor,
+    find_rational_point,
     generic_fiber_torsor,
     invariant_report,
     is_regular_at_infinity,
@@ -18,9 +21,13 @@ from unipic import (
     naive_completion,
     pic_p1_complement,
 )
+from unipic.cli import parse_field_spec, parse_form_equation
+from unipic.forms import _search
 from unipic.picard import _residue_level
 
 from conftest import F2T, F3T
+from test_forms import _golden_variants
+from test_obstruction import _random_form
 
 T = F2T.var("t")
 ONE = F2T.one()
@@ -267,3 +274,20 @@ def test_report_generic_fiber():
     assert rep.m_X == NValue("exact", 2, "generic-fiber")
     assert rep.quotient_desc == "0"
     assert rep.n_prime == NValue("upper_bound", 1)
+
+
+def test_form_point_is_the_search_witness(monkeypatch):
+    # a form's point is x = y = 0, read off without a search; the search
+    # engine, which has no case of its own for b = 0, is the oracle
+    golden = sorted({(v["field"], v["eq"], v["bound"]) for v in _golden_variants()})
+    cases = [(parse_form_equation(eq, parse_field_spec(field)).build(), d) for field, eq, d in golden]
+    rng = random.Random(1729)
+    drawn = [_random_form(rng, 2) for _ in range(24)]  # p in {2, 3, 5}, r in {1, 2}
+    cases = [(X, d) for X, d in cases if not X.b] + [(G, d) for G in drawn for d in range(3)]
+    assert {(G.field.p, G.field.r) for G in drawn} == {(p, r) for p in (2, 3, 5) for r in (1, 2)}
+    assert all(_search(G, d) == (0, 1) for G, d in cases)  # x = 0 over h = 1
+    searches = _count_calls(monkeypatch, "_search")
+    for G, d in cases:
+        zero = G.field.zero()
+        assert invariant_report(G, search_bound=d).point == find_rational_point(G, d) == (zero, zero)
+    assert searches == []
