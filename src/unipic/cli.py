@@ -144,10 +144,9 @@ class _Reader:
                 if not a:
                     raise ParseError("division by zero constant", op_pos)
                 a, b = b, a
-            if a is not one:
-                num = _mul_terms(num, a, p)
-            if b is not one:
-                den = _mul_terms(den, b, p)
+            # the first factor is taken as is, not times one: no dict here is changed in place
+            num = a if num is one else num if a is one else _mul_terms(num, a, p)
+            den = b if den is one else den if b is one else _mul_terms(den, b, p)
             op, _, op_pos = toks[self.i]
             if op not in ("*", "/"):
                 if negate:
@@ -230,7 +229,7 @@ class EquationAST:
 
     def build(self) -> Union[FormPresentation, Torsor]:
         cs = dict(self.coeffs)
-        G = make_form(self.n, [cs.get(i, self.field.zero()) for i in range(max(cs) + 1)])
+        G = make_form(self.n, [cs[i] if i in cs else self.field.zero() for i in range(max(cs) + 1)])
         if self.b:
             return Torsor(G, self.b)
         return G
@@ -527,8 +526,6 @@ def _make_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("paper-examples", help="run the worked-example catalogue")
     sp.set_defaults(fn=_cmd_paper_examples)
-
-    ap.commands = sub.choices  # subcommand name -> its parser, for main
     return ap
 
 
@@ -536,18 +533,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _read_analyze(argv[1:]) if argv[:1] == ["analyze"] else None
     if args is None:
-        ap = _make_parser()
         # argparse takes a value that starts with '-' (--c -t) for an option;
         # glued to its flag (--c=-t) it is read as the value
         for i in range(len(argv) - 1, 0, -1):
             if argv[i - 1] in ("--c", "--eq", "--field") and argv[i].startswith("-"):
                 argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
-        # the subcommand's own parser does all the full one would hand it; what
-        # it leaves over goes to the full parser, whose error names "unipic"
-        sub = ap.commands.get(argv[0]) if argv else None
-        args, rest = sub.parse_known_args(argv[1:]) if sub else (None, True)
-        if rest:
-            args = ap.parse_args(argv)
+        args = _make_parser().parse_args(argv)
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit

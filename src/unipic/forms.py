@@ -25,6 +25,9 @@ from .field import (
     FieldMismatch,
     MPoly,
     RatFunc,
+    _add_terms,
+    _mul_terms,
+    _pow_terms,
     poly_gcd,
     power_level,
 )
@@ -300,12 +303,25 @@ def _monomials_up_to(r: int, d: int) -> list[tuple[int, ...]]:
 
 
 def _rhs_at(T, x: RatFunc) -> RatFunc:
-    """The right side b + tau(x) of the equation of T at x."""
-    rhs = T.b
-    for i, c in enumerate(T.coeffs):
-        if c:
-            rhs = rhs + c * x.frobenius(i)
-    return rhs
+    """b + tau(x) at x = g/h as one fraction over D h^(p^m), D the product of
+    the distinct denominators of b and the a_i: a_i x^(p^i) has numerator
+    num(a_i) (D / den(a_i)) g^(p^i) h^(p^m - p^i), b has num(b) (D / den(b))
+    h^(p^m).  The sum is reduced once, by the `RatFunc` constructor's gcd."""
+    field, g, h = T.field, x.num.terms, x.den.terms
+    p, r, pm = field.p, field.r, field.p ** T.m
+    fs = [(f, p ** i) for i, f in enumerate(T.coeffs) if f] + [(T.b, 0)]  # b takes no power of x
+    dens = [d.terms for d in dict.fromkeys(f.den for f, _ in fs) if not d.is_one()]
+    N, D = {}, _pow_terms(h, pm, p, r)
+    for d in dens:
+        D = _mul_terms(D, d, p)
+    for f, k in fs:
+        t = f.num.terms
+        for d in dens:
+            if d != f.den.terms:
+                t = _mul_terms(t, d, p)
+        gk = {tuple(v * k for v in e): c for e, c in g.items()} if k else {(0,) * r: 1}
+        N = _add_terms(N, _mul_terms(_mul_terms(t, gk, p), _pow_terms(h, pm - k, p, r), p), p)
+    return RatFunc(MPoly(field, N), MPoly(field, D))
 
 
 def equation_holds(T, x: RatFunc, y: RatFunc) -> bool:
@@ -313,27 +329,24 @@ def equation_holds(T, x: RatFunc, y: RatFunc) -> bool:
     return y.frobenius(T.n) == _rhs_at(T, x)
 
 
-def _clear_denominators(field, coeffs, b):
-    """Common polynomial denominator L with b = B/L, a_i = C_i/L."""
-    L = MPoly.one(field)
-    for f in [b, *coeffs]:
-        if f:
-            g = poly_gcd(L, f.den)
-            L = L * f.den.exact_div(g)
-    B = b.num * L.exact_div(b.den) if b else MPoly.zero(field)
-    C = [c.num * L.exact_div(c.den) if c else MPoly.zero(field) for c in coeffs]
+def _clear_denominators(field, coeffs, b, k: int = 1):
+    """The lcm L of the denominators, and B = b L^k and C_i = a_i L^k, each one product."""
+    L, fs = MPoly.one(field), [b, *coeffs]
+    for f in fs:
+        if not f.den.is_one():
+            L = L * f.den.exact_div(poly_gcd(L, f.den))
+    Lk = L ** k
+    B, *C = [f.num * (Lk if f.den.is_one() else Lk.exact_div(f.den)) for f in fs]
     return L, B, C
 
 
 def _poly_at(field: FieldDesc, monos: list[tuple[int, ...]], idx: int) -> MPoly:
     """The polynomial whose base-p digits over monos spell idx."""
     out = {}
-    k = 0
-    while idx:
+    for e in monos:
         idx, d = divmod(idx, field.p)
         if d:
-            out[monos[k]] = d
-        k += 1
+            out[e] = d
     return MPoly(field, out)
 
 
@@ -384,8 +397,8 @@ def _search(T, max_deg: int) -> Optional[tuple[int, int]]:
     With L the common denominator, b = B/L and a_i = C_i/L, the point
     equation holds at x = g/h exactly when N D^(q-1) is a q-th power, q = p^n,
     where N = B h^(p^m) + sum_i C_i g^(p^i) h^(p^m - p^i) and D = L h^(p^m).
-    A nonzero q-th power factor never changes that, so with B and the C_i
-    multiplied by L^(q-1) and P = p^max(m, n), the test is on
+    A nonzero q-th power factor never changes that, so with B = b L^q and
+    C_i = a_i L^q, each one product, and P = p^max(m, n), the test is on
     N E = B h^P + sum_i C_i h^(P - p^i) g^(p^i).  Over F_p a polynomial is
     a q-th power iff no exponent is off the lattice q*Z^r, and g -> g^(p^i)
     is additive and fixes F_p, so for fixed monic h the test is one affine
@@ -399,14 +412,18 @@ def _search(T, max_deg: int) -> Optional[tuple[int, int]]:
     formed exceeds the top coordinate of B and the C_i plus P * max_deg,
     and S is the next multiple of q above that: no sum carries into the
     next slot, and (e // S^j) % q is the residue of coordinate j itself.
+
+    For n > m, a prime pi outside Bp = num(a_m) L, with pi^s exactly dividing
+    h for a reduced x = g/h, gives a_m x^(p^m) a valuation -p^m s that no other
+    term reaches, so p^(n - m) | s: h stripped of Bp's primes (dividing out
+    gcd(h, Bp) until it is 1) is a p^(n - m)-th power, or h is skipped.  A
+    common factor f of g and h puts (g/f, h/f) earlier, so no witness changes.
     """
-    field, n, b = T.field, T.n, T.b
-    p, r, m = field.p, field.r, T.m
-    M = max(m, n)
+    field, n, b, m = T.field, T.n, T.b, T.m
+    p, r, M = field.p, field.r, max(m, n)
     q, P = p ** n, p ** M
-    L, B, C = _clear_denominators(field, T.coeffs, b)
-    Lq = L ** (q - 1)  # the L-part of E, the same for every h
-    B, C = B * Lq, [c * Lq for c in C]
+    L, B, C = _clear_denominators(field, T.coeffs, b, q)  # L^(q-1) is the L-part of E
+    Bp, lift = T.coeffs[m].num * L, p ** max(n - m, 0)
     deg = max((x for f in [B] + C for e in f.terms for x in e), default=0)
     pows = [((deg + P * max_deg) // q * q + q) ** j for j in range(r)]
 
@@ -432,7 +449,12 @@ def _search(T, max_deg: int) -> Optional[tuple[int, int]]:
     for top in range(K):
         # monic h: leading digit 1 at position top, anything below
         for hidx in range(p ** top, 2 * p ** top):
-            h = hp1 = pack(_poly_at(field, monos, hidx))
+            h = core = _poly_at(field, monos, hidx)
+            while n > m and not (f := poly_gcd(core, Bp)).is_one():
+                core = core.exact_div(f)  # h stripped of Bp's primes
+            if any(x % lift for e in core.terms for x in e):
+                continue
+            h = hp1 = pack(h)
             for _ in range(p - 2):
                 hp1 = _pmul(hp1, h, p)
             # one equation per off-lattice exponent: K digit coefficients, then the right side
@@ -477,12 +499,12 @@ def find_rational_point(T, max_deg: int) -> Optional[tuple[RatFunc, RatFunc]]:
     base-p counting order over the graded monomial list, with h monic.
     For each h the numerators that give a point form an affine subspace
     over F_p, so one linear system, built on packed integer exponents,
-    returns the least such g without enumerating the p^K numerators.  A
-    form (b = 0) has x = y = 0, its group identity, with no search; when b
-    is a nonzero p^n-th power, x = 0 is returned before any h.  The
-    witness is the first candidate in that order, so it is deterministic.
-    It is re-verified through exact field arithmetic before being returned;
-    at x = 0 the right side is b itself, as tau is additive.
+    returns the least such g without enumerating the p^K numerators; for
+    n > m only the denominators a reduced x can have are tried.  A form
+    (b = 0) has x = y = 0, its group identity, with no search; when b is a
+    nonzero p^n-th power, x = 0 is returned before any h.  The witness, the
+    first candidate in that order, is re-checked over one denominator built
+    from T's own coefficients, not the engine's, and y is a p^n-th root.
     """
     if max_deg < 0:
         raise ValueError("max_deg must be nonnegative")
@@ -493,13 +515,9 @@ def find_rational_point(T, max_deg: int) -> Optional[tuple[RatFunc, RatFunc]]:
     if hit is None:
         return None
     field, n = T.field, T.n
-    if hit == (0, 1):
-        x, rhs = field.zero(), T.b
-    else:
-        monos = _monomials_up_to(field.r, max_deg)
-        x = RatFunc(_poly_at(field, monos, hit[0]), _poly_at(field, monos, hit[1]))
-        rhs = _rhs_at(T, x)
-    v, y = power_level(rhs, n)
+    monos = _monomials_up_to(field.r, max_deg)
+    x = RatFunc(_poly_at(field, monos, hit[0]), _poly_at(field, monos, hit[1]))
+    v, y = power_level(rhs := _rhs_at(T, x), n)
     if v < n or y.frobenius(n) != rhs:
         raise AssertionError("search engine returned a bogus candidate")
     return x, y

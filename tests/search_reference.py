@@ -1,4 +1,5 @@
-"""References for the rational point search `unipic.forms._search`.
+"""References for the rational point search `unipic.forms._search` and
+its witness check `unipic.forms._rhs_at`.
 
 `brute_force_search` tests every candidate x = g/h in turn and shares no
 code with `unipic.forms._search`; only the counting order and the monic
@@ -10,7 +11,11 @@ by the whole of D^(q-1) = (L h^(p^m))^(q-1) for every h.  The engine
 instead packs exponents into integers, multiplies by L^(q-1) and
 h^(P - p^m) only, P = p^max(m, n), and keeps only the off-lattice terms
 of B, and of the C_i with i >= n; so the two agree only if that
-reduction is sound.
+reduction is sound.  Both references try every monic h: for n > m the
+engine skips the denominators no reduced point can have, so they agree
+only if that rule is sound too.
+
+`rhs_reference` is the earlier witness check, a sum of `RatFunc` terms.
 """
 
 from itertools import product
@@ -176,3 +181,12 @@ def linear_search_reference(T, max_deg) -> Optional[tuple[int, int]]:
             if gidx is not None:
                 return gidx, hidx
     return None
+
+
+def rhs_reference(T, x):
+    """The right side b + tau(x) of the equation of T at x, summed term by term."""
+    rhs = T.b
+    for i, c in enumerate(T.coeffs):
+        if c:
+            rhs = rhs + c * x.frobenius(i)
+    return rhs

@@ -1,5 +1,6 @@
 """Command line interface: parsing, rendering, JSON schema, exit codes."""
 
+import argparse
 import importlib.util
 import json
 import os
@@ -759,16 +760,10 @@ def _outcome_of(argv, capsys):
 
 def test_dispatch_matches_the_full_parser(capsys, monkeypatch):
     # main reads a well-formed analyze argv itself and hands the rest to the
-    # subcommand's parser; with the reader off and a parser that knows no
-    # subcommand, main uses the full one, as it always did
+    # full parser; with the reader off, every argv goes to a fresh full
+    # parser, as it always did
     direct = [_outcome_of(argv, capsys) for argv in _DISPATCH_ARGVS]
-
-    def full_parser_only():
-        ap = _make_parser.__wrapped__()
-        ap.commands = {}
-        return ap
-
-    monkeypatch.setattr(cli_mod, "_make_parser", full_parser_only)
+    monkeypatch.setattr(cli_mod, "_make_parser", _make_parser.__wrapped__)
     monkeypatch.setattr(cli_mod, "_read_analyze", lambda argv: None)
     full = [_outcome_of(argv, capsys) for argv in _DISPATCH_ARGVS]
     for argv, got, want in zip(_DISPATCH_ARGVS, direct, full):
@@ -787,7 +782,7 @@ def test_dispatch_matches_the_full_parser(capsys, monkeypatch):
 def test_direct_reader_takes_what_argparse_builds():
     # the reader's tables are the analyze parser's own options; on the argvs
     # it reads it builds argparse's Namespace, and it reads every golden one
-    sub = _make_parser().commands["analyze"]
+    sub, = (a.choices["analyze"] for a in _make_parser()._actions if isinstance(a, argparse._SubParsersAction))
     options = [a for a in sub._actions if a.dest != "help"]
     assert cli_mod._ANALYZE_FLAGS == {
         opt: (a.dest, None if a.nargs == 0 else a.type or str) for a in options for opt in a.option_strings}

@@ -27,16 +27,17 @@ from unipic import (
     make_form,
     naive_completion,
     plane_model_residual,
+    poly_gcd,
     rationality_level,
     rewrite_plane_model,
     splitting_level,
 )
 from unipic import forms
 from unipic.cli import parse_field_spec, parse_form_equation
-from unipic.forms import _clear_denominators, _monomials_up_to, _search
+from unipic.forms import _clear_denominators, _least_solution, _monomials_up_to, _rhs_at, _search
 
 from conftest import F2T, F2TU, F3T, ratfunc_strategy
-from search_reference import brute_force_search, linear_search_reference
+from search_reference import brute_force_search, linear_search_reference, rhs_reference
 from twist_reference import twist_chain_reference
 
 F5T = FieldDesc(5, ("t",))
@@ -402,12 +403,38 @@ def _search_oracle_inputs():
         yield parse_form_equation(eq, parse_field_spec(field)).build(), 1
 
 
-def test_search_matches_references():
+def _count_solves(monkeypatch):
+    """A list that grows by one at each linear system `_search` solves."""
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return _least_solution(*args)
+
+    monkeypatch.setattr(forms, "_least_solution", counted)
+    return calls
+
+
+def _monic_through(got, K, p):
+    """The monic h the unpruned search solves for before it returns got."""
+    if got == (0, 1):
+        return 0  # x = 0, found before any h
+    if got is None:
+        return (p ** K - 1) // (p - 1)
+    top = max(k for k in range(K) if p ** k <= got[1])
+    return (p ** top - 1) // (p - 1) + got[1] - p ** top + 1
+
+
+def test_search_matches_references(monkeypatch):
     # the engine against the earlier linear engine and the brute force, on
-    # both sides of m < n, with and without q-th-power denominators
+    # both sides of m < n, with and without q-th-power denominators; for
+    # n > m it skips some denominators, with Bp = num(a_m) L a monomial and
+    # not, and for n <= m none
     classes = set()
+    solves = _count_solves(monkeypatch)
     for T, max_deg in _search_oracle_inputs():
         field, n, coeffs, b = T.field, T.n, T.coeffs, T.b
+        solves.clear()
         got = _search(T, max_deg)
         assert got == linear_search_reference(T, max_deg), T
         assert got == brute_force_search(T, max_deg), T
@@ -415,6 +442,11 @@ def test_search_matches_references():
         L, B, C = _clear_denominators(field, coeffs, b)
         perfect = all(x % q == 0 for e in L.terms for x in e)
         classes.add((T.m < n, perfect, None if got is None else got[1] > 1))
+        skipped = _monic_through(got, len(_monomials_up_to(field.r, max_deg)), field.p) - len(solves)
+        assert skipped >= 0 and (skipped == 0 or T.m < n), T
+        if skipped:
+            Bp = coeffs[-1].num * L
+            classes |= {("skipped", perfect), ("skipped", "Bp a monomial" if Bp.is_monomial() else "Bp not")}
         classes.add(("r", field.r))
         B, C = B * L ** (q - 1), [c * L ** (q - 1) for c in C]
         on_lattice = [all(x % q == 0 for x in e) for f in [B, C[-1]] for e in f.terms]
@@ -428,7 +460,20 @@ def test_search_matches_references():
     # cell, and every edge case of the packed exponents
     assert classes == set(itertools.product((True, False), (True, False), (None, False, True))) | {
         ("r", 0), ("r", 1), ("r", 2), ("r", 3),
-        "coefficient sets S", "b a q-th power", "m > n, on-lattice C_m"}
+        "coefficient sets S", "b a q-th power", "m > n, on-lattice C_m",
+        ("skipped", True), ("skipped", False), ("skipped", "Bp a monomial"), ("skipped", "Bp not")}
+
+
+def test_search_solves_only_admissible_denominators(monkeypatch):
+    # a golden miss with n = 2 > m = 1 and Bp = u t^2: of the 63 monic h of
+    # degree <= 2 over GF(2)(t, u), only t^a u^b and the four squares
+    # t^2 + 1, u^2 + 1, t^2 + u^2, t^2 + u^2 + 1 can be the denominator of
+    # a reduced point, so 10 systems are solved
+    T = parse_form_equation("y^4 = x + u/(t^2)*x^2 + (t*u + t)", parse_field_spec("GF(2)(t,u)")).build()
+    solves = _count_solves(monkeypatch)
+    assert _search(T, 2) is None
+    assert (len(solves), _monic_through(None, 6, 2)) == (10, 63)
+    assert linear_search_reference(T, 2) is None
 
 
 def test_search_matches_reference_on_golden_corpus():
@@ -468,6 +513,40 @@ def test_least_witness_takes_low_digit_over_free_high_digit():
     g = form_over(F2T, 1, {0: F2T.one(), 1: t / (t ** 2 + F2T.one())})
     T = Torsor(g, t ** 3 + t)
     assert find_rational_point(T, 2) == (t ** 2 + F2T.one(), t + F2T.one())
+
+
+def test_witness_check_matches_reference():
+    # the right side over one denominator against the RatFunc sum, on every
+    # golden witness, and on seeded x = g/h where h shares a factor with the
+    # denominator of an a_i and two terms share a denominator
+    cases = {(v["field"], v["eq"], v["bound"]) for v in _golden_variants()}
+    witnesses = 0
+    for field, eq, bound in sorted(cases):
+        T = parse_form_equation(eq, parse_field_spec(field)).build()
+        pt = find_rational_point(T, bound) if T.b else None
+        if pt is not None:
+            assert _rhs_at(T, pt[0]) == rhs_reference(T, pt[0]), (field, eq, bound)
+            witnesses += 1
+    assert witnesses > 100
+    rng, classes = random.Random(2604), set()
+    for field, n, m in itertools.product(SEARCH_FIELDS, (1, 2), (1, 2)):
+        t, monos = field.var("t"), _monomials_up_to(field.r, 2)
+        dens = [field.one(), t, t + 1, t ** 2 + t]
+
+        def poly():
+            return RatFunc.from_poly(MPoly.make(field, {e: rng.randrange(field.p) for e in monos}))
+
+        for _ in range(6):
+            G = make_form(n, [field.one()] + [poly() / rng.choice(dens) for _ in range(m)])
+            T = Torsor(G, poly() / rng.choice(dens))
+            x = poly() / (rng.choice(dens) * rng.choice(dens))
+            assert _rhs_at(T, x) == rhs_reference(T, x), (T, x)
+            if any(not poly_gcd(x.den, a.den).is_one() for a in G.coeffs):
+                classes.add("h meets a den(a_i)")
+            own = [f.den for f in [T.b, *G.coeffs] if f and not f.den.is_one()]
+            if len(set(own)) < len(own):
+                classes.add("a shared denominator")
+    assert classes == {"h meets a den(a_i)", "a shared denominator"}
 
 
 @pytest.mark.parametrize("hit", [(0, 1), (1, 2)])
