@@ -6,7 +6,6 @@ group, weighted projective completions with genus oracles, and assembled
 Picard-group reports.
 """
 
-from .catalogue import CatalogueResult, run_catalogue
 from .field import (
     BasisTooLarge,
     DivisionByZero,
@@ -104,3 +103,10 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in ("CatalogueResult", "run_catalogue"):  # loaded when first named: analyze never reads it
+        from . import catalogue
+        return getattr(catalogue, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

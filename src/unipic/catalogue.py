@@ -8,9 +8,8 @@ render or aggregate them; nothing raises on mismatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .field import FieldDesc
 from .forms import (
@@ -26,8 +25,7 @@ from .picard import invariant_report, pic_p1_complement
 from .wproj import is_regular_at_infinity, naive_completion, residue_from_plane_model
 
 
-@dataclass(frozen=True)
-class CatalogueResult:
+class CatalogueResult(NamedTuple):
     name: str
     passed: bool
     details: str

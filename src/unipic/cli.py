@@ -18,10 +18,8 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
-from .catalogue import run_catalogue
 from .field import FieldDesc, MPoly, RatFunc, _add_terms, _mul_terms, _pow_terms, is_prime
 from .forms import (
     FormPresentation,
@@ -220,8 +218,7 @@ def parse_field_spec(s: str) -> FieldDesc:
 # -- equations ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EquationAST:
+class EquationAST(NamedTuple):
     field: FieldDesc
     n: int
     coeffs: tuple[tuple[int, RatFunc], ...]
@@ -439,7 +436,9 @@ def _cmd_p1_complement(args) -> int:
 
 
 def _cmd_paper_examples(args) -> int:
-    results = run_catalogue()
+    from . import catalogue  # loaded on demand: no analyze call reads it
+
+    results = catalogue.run_catalogue()
     failures = 0
     for r in results:
         mark = "PASS" if r.passed else "FAIL"

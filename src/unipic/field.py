@@ -17,7 +17,7 @@ chain bounds leave open, in plain polynomial arithmetic over k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import add
 from typing import Optional, Sequence
 
@@ -60,21 +60,21 @@ def is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldDesc:
+class FieldDesc(namedtuple("FieldDesc", "p vars")):
     """Description of k = F_p(vars); r = 0 gives the prime field itself."""
 
-    p: int
-    vars: tuple[str, ...] = ()
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs the checks
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"characteristic must be prime, got {self.p}")
-        if len(set(self.vars)) != len(self.vars):
-            raise ValueError(f"duplicate variable names in {self.vars}")
-        for v in self.vars:
+    def __new__(cls, p: int, vars: tuple[str, ...] = ()):
+        if not is_prime(p):
+            raise ValueError(f"characteristic must be prime, got {p}")
+        if len(set(vars)) != len(vars):
+            raise ValueError(f"duplicate variable names in {vars}")
+        for v in vars:
             if not v:
                 raise ValueError("empty variable name")
+        return super().__new__(cls, p, vars)
 
     @property
     def r(self) -> int:

@@ -15,10 +15,10 @@ a sound criterion applies and as honest upper bounds otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 from math import gcd
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .field import (
     FieldDesc,
@@ -45,25 +45,24 @@ class InvalidSubstitution(ValueError):
     """Plane-model substitution parameters are out of range."""
 
 
-@dataclass(frozen=True)
-class NValue:
+class NValue(namedtuple("NValue", "kind value certificate")):
     """An integer invariant together with its epistemic status.
 
     kind is "exact" (with a certificate naming the criterion that proved
     it) or "upper_bound" (no certificate).
     """
 
-    kind: str
-    value: int
-    certificate: Optional[str] = None
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs the checks
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("exact", "upper_bound"):
-            raise ValueError(f"bad kind {self.kind!r}")
-        if self.kind == "exact" and self.certificate is None:
+    def __new__(cls, kind: str, value: int, certificate: Optional[str] = None):
+        if kind not in ("exact", "upper_bound"):
+            raise ValueError(f"bad kind {kind!r}")
+        if kind == "exact" and certificate is None:
             raise ValueError("exact values must carry a certificate")
-        if self.value < 0:
+        if value < 0:
             raise ValueError("levels are nonnegative")
+        return super().__new__(cls, kind, value, certificate)
 
     @property
     def is_exact(self) -> bool:
@@ -78,6 +77,9 @@ class NValue:
 class _Equation:
     """The equation y^(p^n) = b + sum coeffs[i] x^(p^i), read off the
     field, n, coeffs and b of a form or torsor."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs the checks
 
     @property
     def m(self) -> int:
@@ -100,27 +102,25 @@ class _Equation:
         return f"{lhs} = {' + '.join(parts)}"
 
 
-@dataclass(frozen=True)
-class FormPresentation(_Equation):
+class FormPresentation(_Equation, namedtuple("FormPresentation", "field n coeffs")):
     """A form of the additive group given by y^(p^n) = tau(x).
 
     coeffs is the dense tuple (1, a_1, ..., a_m) of tau, a_m nonzero.
     """
 
-    field: FieldDesc
-    n: int
-    coeffs: tuple[RatFunc, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))  # hashable, and equal to make_form's
-        if self.n < 0:
+    def __new__(cls, field: FieldDesc, n: int, coeffs: tuple[RatFunc, ...]):
+        coeffs = tuple(coeffs)  # hashable, and equal to make_form's
+        if n < 0:
             raise ValueError("twist level n must be nonnegative")
-        if any(c.field != self.field for c in self.coeffs):
+        if any(c.field != field for c in coeffs):
             raise FieldMismatch("a coefficient of tau lives over a different field")
-        if not self.coeffs or not self.coeffs[0].is_one():
+        if not coeffs or not coeffs[0].is_one():
             raise NotSeparable("presentation must be normalized with constant coefficient 1")
-        if not self.coeffs[-1]:
+        if not coeffs[-1]:
             raise ValueError("the last coefficient of tau must be nonzero")
+        return super().__new__(cls, field, n, coeffs)
 
     @property
     def b(self) -> RatFunc:
@@ -132,16 +132,15 @@ class FormPresentation(_Equation):
         return [(i, c) for i, c in enumerate(self.coeffs) if i >= 1 and c]
 
 
-@dataclass(frozen=True)
-class Torsor(_Equation):
+class Torsor(_Equation, namedtuple("Torsor", "form b")):
     """Principal homogeneous space y^(p^n) = b + tau(x) under its form."""
 
-    form: FormPresentation
-    b: RatFunc
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.b.field != self.form.field:
+    def __new__(cls, form: FormPresentation, b: RatFunc):
+        if b.field != form.field:
             raise FieldMismatch("translation term over a different field")
+        return super().__new__(cls, form, b)
 
     @property
     def field(self) -> FieldDesc:
@@ -423,7 +422,8 @@ def _search(T, max_deg: int) -> Optional[tuple[int, int]]:
     p, r, M = field.p, field.r, max(m, n)
     q, P = p ** n, p ** M
     L, B, C = _clear_denominators(field, T.coeffs, b, q)  # L^(q-1) is the L-part of E
-    Bp, lift = T.coeffs[m].num * L, p ** max(n - m, 0)
+    if n > m:  # only then can a denominator be skipped
+        Bp, lift = T.coeffs[m].num * L, p ** (n - m)
     deg = max((x for f in [B] + C for e in f.terms for x in e), default=0)
     pows = [((deg + P * max_deg) // q * q + q) ** j for j in range(r)]
 
@@ -450,10 +450,11 @@ def _search(T, max_deg: int) -> Optional[tuple[int, int]]:
         # monic h: leading digit 1 at position top, anything below
         for hidx in range(p ** top, 2 * p ** top):
             h = core = _poly_at(field, monos, hidx)
-            while n > m and not (f := poly_gcd(core, Bp)).is_one():
-                core = core.exact_div(f)  # h stripped of Bp's primes
-            if any(x % lift for e in core.terms for x in e):
-                continue
+            if n > m:
+                while not (f := poly_gcd(core, Bp)).is_one():
+                    core = core.exact_div(f)  # h stripped of Bp's primes
+                if any(x % lift for e in core.terms for x in e):
+                    continue
             h = hp1 = pack(h)
             for _ in range(p - 2):
                 hp1 = _pmul(hp1, h, p)
@@ -587,8 +588,7 @@ def local_obstruction(T) -> Optional[str]:
 # -- plane models -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PlaneModel:
+class PlaneModel(NamedTuple):
     """Bivariate identity 0 = const + sum w_i w^(p^i) + sum y_j y^(p^j).
 
     Produced from the equation `source` by the substitution

@@ -16,8 +16,7 @@ never as computed booleans.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .field import RatFunc, compositum_degree, power_level
 from .forms import (
@@ -45,8 +44,7 @@ class NotIrreducible(ValueError):
     """The defining constant is a p-th power, so the point splits."""
 
 
-@dataclass(frozen=True)
-class P1ComplementData:
+class P1ComplementData(NamedTuple):
     """Pic of the complement of one purely inseparable point on the line."""
 
     pic_order: int
@@ -59,8 +57,7 @@ class P1ComplementData:
     notes: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     target: Union[FormPresentation, Torsor]
     n: NValue
     n_prime: NValue

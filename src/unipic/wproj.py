@@ -17,8 +17,8 @@ count is the oracle in tests/hilbert_reference.py.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
+from collections import namedtuple
+from typing import NamedTuple, Optional, Union
 
 from .field import FieldDesc, RatFunc, power_level
 from .forms import FormPresentation, PlaneModel, Torsor
@@ -40,8 +40,7 @@ def check_pole_bound(pole_bound: Optional[int], oracle: bool) -> None:
         raise BoundTooSmall("pole_bound must be at least 2")
 
 
-@dataclass(frozen=True)
-class WeightedCurve:
+class WeightedCurve(namedtuple("WeightedCurve", "source")):
     """The naive completion sum_c coeff * x^ex y^ey z^ez = 0 in P(weights).
 
     Only the affine equation `source` is stored; the weights, degree,
@@ -51,11 +50,13 @@ class WeightedCurve:
     weighted-homogeneous of degree p^max(n, m).
     """
 
-    source: Union[FormPresentation, Torsor]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs the checks
 
-    def __post_init__(self) -> None:
-        if self.source.m == 0:
+    def __new__(cls, source: Union[FormPresentation, Torsor]):
+        if source.m == 0:
             raise TrivialTau("tau has no twist term; the completion is a projective line")
+        return super().__new__(cls, source)
 
     @property
     def field(self) -> FieldDesc:
@@ -91,8 +92,7 @@ class WeightedCurve:
         return tuple(sorted(terms.items()))
 
 
-@dataclass(frozen=True)
-class InfinityData:
+class InfinityData(NamedTuple):
     """The residue ring of the boundary section z = 0."""
 
     is_field: bool

@@ -634,6 +634,30 @@ def test_output_ignores_the_environment():
     assert [(r.returncode, r.stdout, r.stderr) for r in runs] == [(0, runs[0].stdout, "")] * 3
 
 
+_LEAN_IMPORT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import unipic.cli
+print(sorted(set(sys.argv[2:]) & set(sys.modules)))
+import unipic
+unipic.run_catalogue
+names = {}
+exec("from unipic import *", names)
+print(len(unipic.__all__), sorted(set(unipic.__all__) - set(names)), "unipic.catalogue" in sys.modules)
+"""
+
+
+def test_import_loads_only_what_analyze_runs():
+    # dataclasses (and the inspect it pulls in) and the example catalogue
+    # stay unloaded until named; -S keeps site's own imports out of the count
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-S", "-c", _LEAN_IMPORT, str(src),
+                           "dataclasses", "inspect", "unipic.catalogue"],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "[]\n43 [] True\n"
+
+
 def test_closed_stdout_exits_quietly():
     # `unipic analyze ... | head -1` ended in a BrokenPipeError traceback
     src = Path(__file__).resolve().parents[1] / "src"
@@ -802,7 +826,7 @@ def test_direct_reader_takes_what_argparse_builds():
 
 def test_paper_examples_failure_exit(monkeypatch, capsys):
     fake = [CatalogueResult("demo", False, "boom")]
-    monkeypatch.setattr(cli_mod, "run_catalogue", lambda: fake)
+    monkeypatch.setattr(catalogue_mod, "run_catalogue", lambda: fake)
     code, out, _ = run_cli(capsys, "paper-examples")
     assert code == 1
     assert "FAIL demo" in out

@@ -1,8 +1,10 @@
 """Forms of the additive group: presentations, levels, points, plane models."""
 
+import inspect
 import itertools
 import json
 import random
+import re
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 from unipic import (
+    CatalogueResult,
     FieldDesc,
     FieldMismatch,
     FormPresentation,
@@ -24,8 +27,11 @@ from unipic import (
     find_rational_point,
     generic_fiber_torsor,
     genus_from_formula,
+    invariant_report,
+    is_regular_at_infinity,
     make_form,
     naive_completion,
+    pic_p1_complement,
     plane_model_residual,
     poly_gcd,
     rationality_level,
@@ -71,14 +77,70 @@ def tower_form():
 
 # -------------------------------------------------------------- construction
 
+def _message(text: str) -> str:
+    """A pytest.raises match for exactly this message."""
+    return f"^{re.escape(text)}$"
+
+
 def test_nvalue_validation():
     v = NValue("exact", 1, "conic")
     assert str(v) == "1 (exact: conic)"
     assert str(NValue("upper_bound", 2, "")) == "<= 2 (bound)"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=_message("bad kind 'bogus'")):
         NValue("bogus", 1, "x")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=_message("exact values must carry a certificate")):
+        NValue("exact", 1)
+    with pytest.raises(ValueError, match=_message("levels are nonnegative")):
         NValue("exact", -1, "x")
+    # a replaced field goes through the same checks
+    with pytest.raises(ValueError, match=_message("exact values must carry a certificate")):
+        v._replace(certificate=None)
+    assert v._replace(kind="upper_bound", certificate=None) == NValue("upper_bound", 1)
+
+
+def _conic_form() -> FormPresentation:
+    return make_form(1, [F2T.one(), F2T.var("t")])
+
+
+# one builder per record type of the package; each call builds a new value
+_RECORDS = {
+    "FieldDesc": lambda: FieldDesc(2, ("t",)),
+    "NValue": lambda: NValue("exact", 1, "conic"),
+    "FormPresentation": _conic_form,
+    "Torsor": lambda: Torsor(_conic_form(), F2T.var("t")),
+    "PlaneModel": lambda: rewrite_plane_model(_conic_form(), F2T.one(), 0),
+    "WeightedCurve": lambda: naive_completion(_conic_form()),
+    "InfinityData": lambda: is_regular_at_infinity(naive_completion(_conic_form())),
+    "InvariantReport": lambda: invariant_report(_conic_form()),
+    "P1ComplementData": lambda: pic_p1_complement(1, F2T.var("t")),
+    "EquationAST": lambda: parse_form_equation("y^2 = t + x + t*x^2", F2T),
+    "CatalogueResult": lambda: CatalogueResult("demo", True, "ok"),
+}
+
+
+@pytest.mark.parametrize("name", list(_RECORDS))
+def test_record_contract(name):
+    # immutable values: equal fields give equal values and equal hashes,
+    # and the repr names every constructor field in order
+    a, b = _RECORDS[name](), _RECORDS[name]()
+    assert type(a).__name__ == name and a is not b
+    assert a == b and hash(a) == hash(b)
+    fields = list(inspect.signature(type(a)).parameters)
+    assert repr(a) == f"{name}({', '.join(f'{f}={getattr(a, f)!r}' for f in fields)})"
+    for f in fields:
+        with pytest.raises(AttributeError):
+            setattr(a, f, getattr(b, f))
+    assert a == b
+
+
+@pytest.mark.parametrize("args, message", [
+    ((4,), "characteristic must be prime, got 4"),
+    ((2, ("t", "t")), "duplicate variable names in ('t', 't')"),
+    ((2, ("t", "")), "empty variable name"),
+])
+def test_field_desc_validation(args, message):
+    with pytest.raises(ValueError, match=_message(message)):
+        FieldDesc(*args)
 
 
 def test_presentation_accessors(conic):
@@ -109,16 +171,20 @@ def test_make_form_reads_the_field_and_drops_trailing_zeros():
 
 def test_presentation_validates_its_coefficients():
     t, one = F2T.var("t"), F2T.one()
-    assert FormPresentation(F2T, 1, [one, t]) == make_form(1, (one, t))
+    G = FormPresentation(F2T, 1, [one, t])
+    assert G == make_form(1, (one, t)) and type(G.coeffs) is tuple
+    unnormalized = _message("presentation must be normalized with constant coefficient 1")
     for coeffs in [(t, t), (F2T.zero(), t), ()]:  # a_0 must be 1
-        with pytest.raises(NotSeparable):
+        with pytest.raises(NotSeparable, match=unnormalized):
             FormPresentation(F2T, 1, coeffs)
-    with pytest.raises(ValueError, match="last coefficient"):
+    with pytest.raises(ValueError, match=_message("the last coefficient of tau must be nonzero")):
         FormPresentation(F2T, 1, (one, t, F2T.zero()))
-    with pytest.raises(FieldMismatch):
-        FormPresentation(F2T, 1, (one, F3T.var("t")))
-    with pytest.raises(FieldMismatch):
-        FormPresentation(F3T, 1, (F3T.one(), t))
+    with pytest.raises(ValueError, match=_message("twist level n must be nonnegative")):
+        FormPresentation(F2T, -1, (one, t))
+    mismatch = _message("a coefficient of tau lives over a different field")
+    for field, coeffs in [(F2T, (one, F3T.var("t"))), (F3T, (F3T.one(), t))]:
+        with pytest.raises(FieldMismatch, match=mismatch):
+            FormPresentation(field, 1, coeffs)
 
 
 def test_make_form_normalizes_constant_coeff(conic):
@@ -138,7 +204,7 @@ def test_rescaling_x_is_invisible(lam, a1):
 
 
 def test_make_torsor_checks_field(conic):
-    with pytest.raises(FieldMismatch):
+    with pytest.raises(FieldMismatch, match=_message("translation term over a different field")):
         Torsor(conic, F3T.var("t"))
 
 
