@@ -15,9 +15,16 @@ sides alike.
 
 For each workload and end-to-end metric of BENCHMARK.json it prints both
 sides' median and quartiles, the parent's interquartile range, the change
-of the median, and the pairs the change won (ties count for neither).
-A gain holds when the change wins at least nine tenths of the pairs and
-the medians differ by more than the parent's interquartile range.
+of the median, the pairs the change won (ties count for neither), and
+which of three verdicts hold:
+
+- gain: the change wins at least nine tenths of the pairs and the medians
+  differ by more than the parent's interquartile range;
+- worse: the change's median is worse than the parent's by more than the
+  metric's `bound` in BENCHMARK.json, a share of the parent's median;
+- unresolved: the parent's interquartile range exceeds that bound, so an
+  unchanged median does not show the metric unchanged; it does not hold
+  when every run of the change is better than every run of the parent.
 `--out` writes every run, with its drift record (which holds the line
 count of src/), and the summary as JSON.  Standard library only.
 """
@@ -68,6 +75,8 @@ def spread(values: list) -> tuple[float, float, float]:
 
 
 def summarise(pairs: list, metrics: list) -> dict:
+    """Per metric of `metrics` (BENCHMARK.json `end_to_end` entries), both
+    sides' spread over `pairs` and the gain, worse and unresolved verdicts."""
     out = {}
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
@@ -76,6 +85,8 @@ def summarise(pairs: list, metrics: list) -> dict:
         won = sum(1 for a, b in zip(parent, change) if (b < a if lower else b > a))
         (pq1, pmed, pq3), (cq1, cmed, cq3) = spread(parent), spread(change)
         better = cmed < pmed if lower else cmed > pmed
+        bound = m["bound"] * abs(pmed)
+        apart = max(change) < min(parent) if lower else min(change) > max(parent)
         out[name] = {
             "parent": {"median": pmed, "q1": pq1, "q3": pq3},
             "change": {"median": cmed, "q1": cq1, "q3": cq3},
@@ -83,6 +94,8 @@ def summarise(pairs: list, metrics: list) -> dict:
             "median_change": (cmed - pmed) / pmed if pmed else None,
             "won": won, "pairs": len(pairs),
             "gain": better and won >= 0.9 * len(pairs) and abs(cmed - pmed) > pq3 - pq1,
+            "worse": (cmed - pmed if lower else pmed - cmed) > bound,
+            "unresolved": pq3 - pq1 > bound and not apart,
         }
     return out
 
@@ -114,15 +127,16 @@ def main(argv=None) -> int:
     report = {"parent": sha, "change": "working tree", "seconds": seconds, "seeds": args.seeds,
               "bounds": {m["name"]: m["bound"] for m in bench["end_to_end"]}, "workloads": {}}
     print(f"{'workload':9} {'metric':15} {'parent median [q1, q3]':>30} {'change median [q1, q3]':>30} "
-          f"{'change':>8} {'won':>6}  gain")
+          f"{'change':>8} {'won':>6}  verdicts")
     for w in workloads:
         summary = summarise(runs[w], bench["end_to_end"])
         report["workloads"][w] = {"summary": summary, "pairs": runs[w]}
         for name, s in summary.items():
             side = {k: f"{s[k]['median']:.4g} [{s[k]['q1']:.4g}, {s[k]['q3']:.4g}]" for k in ("parent", "change")}
             rel = "n/a" if s["median_change"] is None else f"{100 * s['median_change']:+.1f}%"
+            verdicts = ", ".join(v for v in ("gain", "worse", "unresolved") if s[v]) or "-"
             print(f"{w:9} {name:15} {side['parent']:>30} {side['change']:>30} {rel:>8} "
-                  f"{s['won']:>2}/{s['pairs']:<3}  {'yes' if s['gain'] else 'no'}")
+                  f"{s['won']:>2}/{s['pairs']:<3}  {verdicts}")
     if args.out:
         args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     return 0

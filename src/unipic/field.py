@@ -18,6 +18,7 @@ chain bounds leave open, in plain polynomial arithmetic over k.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import zip_longest
 from operator import add
 from typing import Optional, Sequence
 
@@ -263,11 +264,6 @@ class MPoly:
         p = self.field.p
         return MPoly(self.field, {e: (c * k) % p for e, k in self.terms.items()})
 
-    def mul_monomial(self, exp: tuple[int, ...], c: int = 1) -> "MPoly":
-        p = self.field.p
-        c %= p
-        return MPoly(self.field, _mul_terms(self.terms, {exp: c}, p) if c else {})
-
     def __pow__(self, n: int) -> "MPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
@@ -311,19 +307,13 @@ class MPoly:
         """
         if len(var_images) != self.field.r:
             raise ValueError("need one image per source variable")
-        out = {}
+        out: dict = {}
         for e, c in self.terms.items():
             img = [0] * target.r
-            for i, x in enumerate(e):
-                j, s = var_images[i]
+            for (j, s), x in zip(var_images, e):
                 img[j] += x * s
-            key = tuple(img)
-            cc = (out.get(key, 0) + c) % target.p
-            if cc:
-                out[key] = cc
-            elif key in out:
-                del out[key]
-        return MPoly(target, out)
+            out[tuple(img)] = out.get(tuple(img), 0) + c
+        return MPoly.make(target, out)
 
     # -- division and gcd ----------------------------------------------
 
@@ -354,7 +344,7 @@ class MPoly:
                 raise ValueError("inexact division")
             cq = (cr * inv) % p
             quot[q] = cq
-            rem = rem - d.mul_monomial(q, cq)
+            rem = rem - MPoly(self.field, _mul_terms(d.terms, {q: cq}, p))
         return MPoly(self.field, quot)
 
     def monic(self) -> "MPoly":
@@ -362,15 +352,6 @@ class MPoly:
             return self
         _, c = self.leading()
         return self.scale(pow(c, -1, self.field.p))
-
-    def _coeffs_in(self, v: int) -> dict[int, "MPoly"]:
-        """Split into coefficients of powers of variable v (v cleared)."""
-        buckets: dict[int, dict] = {}
-        for e, c in self.terms.items():
-            k = e[v]
-            e2 = tuple(x if i != v else 0 for i, x in enumerate(e))
-            buckets.setdefault(k, {})[e2] = c
-        return {k: MPoly(self.field, t) for k, t in buckets.items()}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MPoly):
@@ -404,76 +385,127 @@ class MPoly:
         return f"MPoly({self})"
 
 
-def _gcd_list(polys: list[MPoly], v: int) -> MPoly:
-    g = MPoly.zero(polys[0].field)
-    for f in polys:
-        g = _gcd_rec(g, f, v)
-        if g.is_one():
-            break
-    return g
+# -- gcd on recursive dense lists: a polynomial in t_0..t_v is the list of its
+# coefficients in t_v, lowest degree first, each a polynomial in t_0..t_(v-1),
+# and at v = 0 a list of residues mod p.  Zero is [] and no list ends in zero.
 
 
-def _pseudo_rem(f: MPoly, g: MPoly, v: int) -> MPoly:
-    """Pseudo-remainder of f by g as univariate polynomials in variable v."""
-    dg = g.degree_in(v)
-    gc = g._coeffs_in(v)
-    lg = gc[dg]
-    while f and f.degree_in(v) >= dg:
-        df = f.degree_in(v)
-        fc = f._coeffs_in(v)
-        lf = fc[df]
-        shift = tuple(df - dg if i == v else 0 for i in range(f.field.r))
-        f = f * lg - g * lf.mul_monomial(shift)
-    return f
+def _to_dense(terms: dict, v: int) -> list:
+    out: list = []
+    for e, c in terms.items():
+        node = out
+        for i in range(v, 0, -1):
+            node.extend([] for _ in range(e[i] + 1 - len(node)))
+            node = node[e[i]]
+        node.extend([0] * (e[0] + 1 - len(node)))
+        node[e[0]] = c
+    return out
 
 
-def _primitive(f: MPoly, v: int) -> MPoly:
-    if not f:
-        return f
-    cont = _gcd_list(list(f._coeffs_in(v).values()), v - 1)
-    if cont.is_one():
-        return f
-    return f.exact_div(cont)
+def _from_dense(a: list, v: int, tail: tuple):
+    for i, x in enumerate(a):
+        if x and v:
+            yield from _from_dense(x, v - 1, (i,) + tail)
+        elif x:
+            yield (i,) + tail, x
 
 
-def _gcd_rec(f: MPoly, g: MPoly, v: int) -> MPoly:
-    """Monic gcd of f and g, which involve the variables 0..v only."""
-    if not f:
-        return g.monic()
-    if not g:
-        return f.monic()
-    if f.is_monomial() or g.is_monomial():
-        return MPoly(f.field, {tuple(map(min, *f.terms, *g.terms)): 1})
-    while v > 0 and f.degree_in(v) == 0 and g.degree_in(v) == 0:
-        v -= 1
-    if v == 0:  # one variable or none: Euclid over F_p on dense lists, lowest degree first
-        p, rest = f.field.p, (0,) * (f.field.r - 1)
-        a, b = ([h.terms.get((i,) + rest, 0) for i in range(max(h.terms)[0] + 1)] for h in (f, g))
+def _add(a: list, b: list, v: int, p: int, s: int = 1) -> list:
+    """a + s*b, s = 1 or -1."""
+    if v:
+        out = [_add(x, y, v - 1, p, s) for x, y in zip_longest(a, b, fillvalue=[])]
+    else:
+        out = [(x + s * y) % p for x, y in zip_longest(a, b, fillvalue=0)]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _mul(a: list, b: list, v: int, p: int) -> list:
+    if not a or not b:
+        return []
+    out = [[] if v else 0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b, i):
+            if v:
+                out[j] = _add(out[j], _mul(x, y, v - 1, p), v - 1, p)
+            else:
+                out[j] += x * y
+    return out if v else [c % p for c in out]
+
+
+def _div(a: list, b: list, v: int, p: int) -> list:
+    """a / b by long division from the top, where b divides a."""
+    n, a = len(b) - 1, list(a)
+    q = [[] if v else 0] * (len(a) - n)
+    for k in reversed(range(len(q))):
+        if not v:
+            c = q[k] = a[k + n] * pow(b[-1], -1, p) % p
+            a[k:k + n] = [x - c * y for x, y in zip(a[k:k + n], b)]
+        elif a[k + n]:
+            c = q[k] = _div(a[k + n], b[-1], v - 1, p)
+            a[k:k + n] = [_add(x, _mul(c, y, v - 1, p), v - 1, p, -1) for x, y in zip(a[k:k + n], b)]
+    return q
+
+
+def _is_unit(a: list, v: int) -> bool:
+    return len(a) == 1 and (not v or _is_unit(a[0], v - 1))
+
+
+def _primitive(a: list, v: int, p: int) -> tuple[list, list]:
+    """(content, primitive part) of a in t_v, up to a unit."""
+    c: list = []
+    for x in a:
+        c = _gcd_dense(c, x, v - 1, p)
+        if _is_unit(c, v - 1):
+            return c, a
+    return c, [_div(x, c, v - 1, p) for x in a]
+
+
+def _gcd_dense(a: list, b: list, v: int, p: int) -> list:
+    """A gcd of a and b up to a unit: Euclid over F_p at v = 0, and above it
+    a primitive PRS in t_v over F_p[t_0..t_(v-1)] (Brown 1971; Knuth, TAOCP
+    4.6.1) times the gcd of the contents, taken one level down."""
+    if not a or not b:
+        return a or b
+    if not v:
+        a, b = list(a), list(b)  # Euclid rewrites a in place
         while b:
             inv = pow(b[-1], -1, p)
-            b = [c * inv % p for c in b]
-            while len(a) >= len(b):  # a -= a[-1] x^s b clears a's top term
-                c, s = a[-1], len(a) - len(b)
+            while len(a) >= len(b):  # a -= (a[-1] / b[-1]) x^s b clears a's top term
+                c, s = a[-1] * inv, len(a) - len(b)
                 a[s:] = [(x - c * y) % p for x, y in zip(a[s:], b)]
                 while a and not a[-1]:
                     a.pop()
             a, b = b, a
-        return MPoly(f.field, {(i,) + rest: c for i, c in enumerate(a) if c})
-    # more variables: a primitive PRS in variable v over F_p[t_0..t_(v-1)]
-    cont_f, cont_g = (_gcd_list(list(h._coeffs_in(v).values()), v - 1) for h in (f, g))
-    a, b = f.exact_div(cont_f), g.exact_div(cont_g)
-    if a.degree_in(v) < b.degree_in(v):
+        return a
+    (ca, a), (cb, b) = _primitive(a, v, p), _primitive(b, v, p)
+    if len(a) < len(b):
         a, b = b, a
     while b:
-        a, b = b, _primitive(_pseudo_rem(a, b, v), v)
-    return (_gcd_rec(cont_f, cont_g, v - 1) * _primitive(a, v)).monic()
+        lb, n = b[-1], len(b) - 1
+        while len(a) > n:  # a lb - a[-1] t_v^s b, s = deg a - deg b, clears a's top term
+            la, s = a[-1], len(a) - 1 - n
+            a = [_mul(x, lb, v - 1, p) for x in a[:-1]]
+            a[s:] = [_add(x, _mul(la, y, v - 1, p), v - 1, p, -1) for x, y in zip(a[s:], b)]
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, _primitive(a, v, p)[1]
+    c = _gcd_dense(ca, cb, v - 1, p)
+    return a if _is_unit(c, v - 1) else [_mul(c, x, v - 1, p) for x in a]
 
 
 def poly_gcd(f: MPoly, g: MPoly) -> MPoly:
-    """Monic gcd via recursion over the last variable with content extraction."""
+    """Monic gcd, on the dense lists in the last variable either operand involves."""
     if f.field != g.field:
         raise FieldMismatch(f"{f.field} vs {g.field}")
-    return _gcd_rec(f, g, f.field.r - 1)
+    if not f or not g:
+        return (f or g).monic()
+    if f.is_monomial() or g.is_monomial():
+        return MPoly(f.field, {tuple(map(min, *f.terms, *g.terms)): 1})
+    v = max(i for e in (*f.terms, *g.terms) for i, x in enumerate(e) if x)
+    d = _gcd_dense(_to_dense(f.terms, v), _to_dense(g.terms, v), v, f.field.p)
+    return MPoly(f.field, dict(_from_dense(d, v, (0,) * (f.field.r - 1 - v)))).monic()
 
 
 def _monic_den(num: MPoly, den: MPoly) -> tuple[MPoly, MPoly]:
@@ -692,9 +724,7 @@ class RatFunc:
         if len(self.num.terms) > 1:
             ns = f"({ns})"
         ds = str(self.den)
-        if len(self.den.terms) > 1 or not self.den.is_monomial():
-            ds = f"({ds})"
-        elif not self.den.is_constant() and ("*" in ds):
+        if len(self.den.terms) > 1 or "*" in ds:
             ds = f"({ds})"
         return f"{ns}/{ds}"
 

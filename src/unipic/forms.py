@@ -16,6 +16,7 @@ a sound criterion applies and as honest upper bounds otherwise.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import partial, reduce
 from itertools import product
 from math import gcd
 from typing import NamedTuple, Optional, Union
@@ -305,22 +306,20 @@ def _rhs_at(T, x: RatFunc) -> RatFunc:
     """b + tau(x) at x = g/h as one fraction over D h^(p^m), D the product of
     the distinct denominators of b and the a_i: a_i x^(p^i) has numerator
     num(a_i) (D / den(a_i)) g^(p^i) h^(p^m - p^i), b has num(b) (D / den(b))
-    h^(p^m).  The sum is reduced once, by the `RatFunc` constructor's gcd."""
+    h^(p^m).  Each product leaves out its factors of one: h^0, g^0 for b, and
+    every power of h = 1.  The sum is reduced once, by the `RatFunc` constructor's gcd."""
     field, g, h = T.field, x.num.terms, x.den.terms
     p, r, pm = field.p, field.r, field.p ** T.m
     fs = [(f, p ** i) for i, f in enumerate(T.coeffs) if f] + [(T.b, 0)]  # b takes no power of x
     dens = [d.terms for d in dict.fromkeys(f.den for f, _ in fs) if not d.is_one()]
-    N, D = {}, _pow_terms(h, pm, p, r)
-    for d in dens:
-        D = _mul_terms(D, d, p)
+    hk = {} if x.den.is_one() else {pm - k: _pow_terms(h, pm - k, p, r) for _, k in fs if k < pm}
+    mul, N = partial(_mul_terms, p=p), {}
     for f, k in fs:
-        t = f.num.terms
-        for d in dens:
-            if d != f.den.terms:
-                t = _mul_terms(t, d, p)
-        gk = {tuple(v * k for v in e): c for e, c in g.items()} if k else {(0,) * r: 1}
-        N = _add_terms(N, _mul_terms(_mul_terms(t, gk, p), _pow_terms(h, pm - k, p, r), p), p)
-    return RatFunc(MPoly(field, N), MPoly(field, D))
+        gk = {tuple(v * k for v in e): c for e, c in g.items()} if k else None
+        factors = [f.num.terms, *(d for d in dens if d != f.den.terms), gk, hk.get(pm - k)]
+        N = _add_terms(N, reduce(mul, [t for t in factors if t is not None]), p)
+    D = [t for t in (hk.get(pm), *dens) if t is not None]
+    return RatFunc(MPoly(field, N), MPoly(field, reduce(mul, D) if D else {(0,) * r: 1}))
 
 
 def equation_holds(T, x: RatFunc, y: RatFunc) -> bool:

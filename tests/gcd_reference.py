@@ -5,26 +5,36 @@ variable.  Before that it took the same recursion as `prs_gcd_reference`
 all the way down: split off the contents in the last variable v, take
 pseudo-remainders in v of the primitive parts, and recurse on the
 contents in the variables before v, to the constants.
-`prs_gcd_reference(f, g)` should equal `poly_gcd(f, g)`.
+It runs on `MPoly` objects throughout, where `poly_gcd` converts each
+operand once to recursive dense lists.  `prs_gcd_reference(f, g)` should
+equal `poly_gcd(f, g)`.
 """
 
 from unipic import MPoly
 
 
+def _coeffs_in(f, v):
+    """Split f into its coefficients of the powers of variable v (v cleared)."""
+    buckets = {}
+    for e, c in f.terms.items():
+        buckets.setdefault(e[v], {})[e[:v] + (0,) + e[v + 1:]] = c
+    return {k: MPoly(f.field, t) for k, t in buckets.items()}
+
+
 def _pseudo_rem(f, g, v):
     dg = g.degree_in(v)
-    lg = g._coeffs_in(v)[dg]
+    lg = _coeffs_in(g, v)[dg]
     while f and f.degree_in(v) >= dg:
         df = f.degree_in(v)
-        lf = f._coeffs_in(v)[df]
+        lf = _coeffs_in(f, v)[df]
         shift = tuple(df - dg if i == v else 0 for i in range(f.field.r))
-        f = f * lg - g * lf.mul_monomial(shift)
+        f = f * lg - g * lf * MPoly(f.field, {shift: 1})
     return f
 
 
 def _content(f, v):
     g = MPoly.zero(f.field)
-    for c in f._coeffs_in(v).values():
+    for c in _coeffs_in(f, v).values():
         g = _gcd(g, c, v - 1)
         if g.is_one():
             break

@@ -873,3 +873,30 @@ def test_output_digest_pinned(capsys):
     assert digest.main() == 0
     assert capsys.readouterr().out == (
         "49e729cad43672d56bb476443c9bda2189150b1a74e727d983240b563d9da3e2  2871 calls\n")
+
+
+def test_bench_pairs_verdicts():
+    # synthetic pairs, ten per metric: one gain, one regression past its
+    # bound, one whose parent spread is wider than its bound
+    path = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    series = {  # name: (parent runs, change runs)
+        "faster": ([1.00, 1.01, 0.99, 1.02, 0.98, 1.00, 1.01, 0.99, 1.00, 1.00],
+                   [0.80, 0.81, 0.79, 0.82, 0.78, 0.80, 0.81, 0.79, 0.80, 0.80]),
+        "slower": ([1.00, 1.01, 0.99, 1.02, 0.98, 1.00, 1.01, 0.99, 1.00, 1.00],
+                   [1.30, 1.31, 1.29, 1.32, 1.28, 1.30, 1.31, 1.29, 1.30, 1.30]),
+        "noisy": ([0.6, 1.4, 0.7, 1.3, 0.8, 1.2, 0.9, 1.1, 1.0, 1.0],
+                  [0.7, 1.3, 0.8, 1.2, 0.9, 1.1, 1.0, 1.0, 1.0, 1.0]),
+    }
+    pairs = [{side: {"metrics": {name: runs[k][i] for name, runs in series.items()}}
+              for k, side in enumerate(("parent", "change"))} for i in range(10)]
+    metrics = [{"name": name, "better": "lower", "bound": 0.25} for name in series]
+    summary = bench.summarise(pairs, metrics)
+    verdicts = {name: {v for v in ("gain", "worse", "unresolved") if s[v]} for name, s in summary.items()}
+    assert verdicts == {"faster": {"gain"}, "slower": {"worse"}, "noisy": {"unresolved"}}
+    assert summary["faster"]["won"] == 10 and summary["slower"]["won"] == 0
+    # a higher-is-better metric flips every comparison
+    flipped = bench.summarise(pairs, [{"name": "slower", "better": "higher", "bound": 0.25}])
+    assert flipped["slower"]["gain"] and not flipped["slower"]["worse"]

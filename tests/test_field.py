@@ -1,8 +1,10 @@
 """Exact rational function field arithmetic, p-power tests and root towers."""
 
+import json
 import random
 import re
 import time
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -23,6 +25,7 @@ from unipic import (
     poly_gcd,
     power_level,
 )
+from unipic.cli import _parse_value, parse_field_spec
 
 from conftest import F2T, F2TU, F3T, mpoly_strategy, ratfunc_strategy
 from gcd_reference import prs_gcd_reference
@@ -381,6 +384,32 @@ def _gcd_cases():
     t, one = MPoly.var(k, "t"), MPoly.one(k)
     h = (t + one) ** 20
     yield pytest.param(h, h * (t ** 20 + one), h * (t ** 20 + t), id="p7r1-degree40")
+    # sparse in two variables with a t-degree above 64: long dense lists
+    k = FieldDesc(3, ("t", "u"))
+    t, u = MPoly.var(k, "t"), MPoly.var(k, "u")
+    h = _random_poly(rng, k, 4, 4) * t ** 64
+    yield pytest.param(h, h * (u ** 3 + t), h * (t ** 5 * u + MPoly.one(k)), id="p3r2-sparse-degree64")
+    # coprime, though no point of GF(2) shows it: at t = 1 the images share
+    # u + 1, and at t = 0 the u-degree of t*u + 1 drops
+    k = FieldDesc(2, ("t", "u"))
+    t, u = MPoly.var(k, "t"), MPoly.var(k, "u")
+    yield pytest.param(MPoly.one(k), t ** 2 * u ** 2 + u, t * u + MPoly.one(k), id="p2r2-coprime-bad-images")
+    # the fractions whose reduction the forms benchmark pays for most
+    for i, (spec, num, den) in enumerate(_golden_fractions()):
+        k = parse_field_spec(spec)
+        yield pytest.param(MPoly.one(k), _parse_value(num, k).num, _parse_value(den, k).num,
+                           id=f"golden-frac{i}")
+
+
+def _golden_fractions():
+    """Each distinct (field, num, den) of the coefficients num/den in the
+    golden `forms` variants of the classes p2r2/frac and p3r2/frac."""
+    golden = json.loads((Path(__file__).parents[1] / "perfbench" / "golden.json").read_text())
+    found = {(v["field"], num, den) for slot in golden["workloads"]["forms"]
+             if slot["class"] in ("p2r2/frac", "p3r2/frac") for v in slot["variants"]
+             for num, den in re.findall(r"\(([^()]*)\)/\(([^()]*)\)", v["eq"])}
+    assert len(found) == 57
+    return sorted(found)
 
 
 @pytest.mark.parametrize("planted,f,g", _gcd_cases())
