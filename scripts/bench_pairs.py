@@ -25,8 +25,9 @@ which of three verdicts hold:
 - unresolved: the parent's interquartile range exceeds that bound, so an
   unchanged median does not show the metric unchanged; it does not hold
   when every run of the change is better than every run of the parent.
-`--out` writes every run, with its drift record (which holds the line
-count of src/), and the summary as JSON.  Standard library only.
+Above the table it prints each side's line count of src/unipic, read off
+the drift records of its runs.  `--out` writes every run, with its drift
+record, the line counts and the summary as JSON.  Standard library only.
 """
 
 from __future__ import annotations
@@ -100,6 +101,16 @@ def summarise(pairs: list, metrics: list) -> dict:
     return out
 
 
+def src_lines(runs: dict) -> dict:
+    """Each side's src/ line count from the drift records of its runs in
+    `runs` (workload -> pairs); a side whose runs disagree gets every count."""
+    out = {}
+    for side in ("parent", "change"):
+        counts = sorted({pair[side]["drift"]["src_lines"] for pairs in runs.values() for pair in pairs})
+        out[side] = counts[0] if len(counts) == 1 else counts
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="git revision of the parent side")
@@ -125,7 +136,9 @@ def main(argv=None) -> int:
                 print(f"pair {i + 1}/{len(args.seeds)} {w} seed {seed}: corpus_ref {corpus}",
                       file=sys.stderr, flush=True)
     report = {"parent": sha, "change": "working tree", "seconds": seconds, "seeds": args.seeds,
-              "bounds": {m["name"]: m["bound"] for m in bench["end_to_end"]}, "workloads": {}}
+              "bounds": {m["name"]: m["bound"] for m in bench["end_to_end"]},
+              "src_lines": src_lines(runs), "workloads": {}}
+    print(f"src/ lines: parent {report['src_lines']['parent']}, change {report['src_lines']['change']}")
     print(f"{'workload':9} {'metric':15} {'parent median [q1, q3]':>30} {'change median [q1, q3]':>30} "
           f"{'change':>8} {'won':>6}  verdicts")
     for w in workloads:

@@ -20,7 +20,7 @@ import re
 import sys
 from typing import NamedTuple, Optional, Union
 
-from .field import FieldDesc, MPoly, RatFunc, _add_terms, _mul_terms, _pow_terms, is_prime
+from .field import _SHARED, FieldDesc, MPoly, RatFunc, _add_terms, _mul_terms, _pow_terms, is_prime
 from .forms import (
     FormPresentation,
     NotSeparable,
@@ -76,15 +76,15 @@ def _tokenize(s: str) -> list[tuple[str, str, int]]:
 class _Reader:
     """Recursive descent over one string's tokens, on unreduced (num, den)
     pairs of `MPoly` term dicts; the caller makes one `RatFunc` per additive
-    term, and its constructor takes the one gcd."""
+    term, and its constructor takes the one gcd.  The origin, one and unit
+    exponents are the field's own, built once per field."""
 
     def __init__(self, s: str, field: Optional[FieldDesc] = None):
         self.toks, self.i = _tokenize(s), 0
         if field is not None:
-            r = field.r
-            self.p, self.r, self.origin = field.p, r, (0,) * r
-            self.one = {self.origin: 1}
-            self.units = {v: tuple(int(i == j) for j in range(r)) for i, v in enumerate(field.vars)}
+            shared = _SHARED[field]
+            self.p, self.r, self.origin, self.units = field.p, field.r, shared.origin, shared.units
+            self.one = shared.one.num.terms
 
     def take(self, kind: str) -> tuple[str, str, int]:
         tok = self.toks[self.i]

@@ -75,7 +75,14 @@ class FieldDesc(namedtuple("FieldDesc", "p vars")):
         for v in vars:
             if not v:
                 raise ValueError("empty variable name")
-        return super().__new__(cls, p, vars)
+        self = super().__new__(cls, p, tuple(vars))
+        if self not in _SHARED:  # once per field: MPoly and RatFunc are never changed in place
+            r = len(vars)
+            origin, units = (0,) * r, {v: tuple(int(i == j) for j in range(r)) for i, v in enumerate(vars)}
+            one = MPoly(self, {origin: 1})
+            _SHARED[self] = _Shared(origin, units, RatFunc(MPoly(self, {}), one, reduced=True),
+                                    RatFunc(one, one, reduced=True))
+        return self
 
     @property
     def r(self) -> int:
@@ -88,10 +95,10 @@ class FieldDesc(namedtuple("FieldDesc", "p vars")):
             raise UnknownVariable(f"{name!r} is not a variable of {self}") from None
 
     def zero(self) -> "RatFunc":
-        return RatFunc.from_poly(MPoly.zero(self))
+        return _SHARED[self].zero
 
     def one(self) -> "RatFunc":
-        return RatFunc.from_poly(MPoly.one(self))
+        return _SHARED[self].one
 
     def const(self, c: int) -> "RatFunc":
         return RatFunc.from_poly(MPoly.const(self, c))
@@ -106,6 +113,11 @@ class FieldDesc(namedtuple("FieldDesc", "p vars")):
         if not self.vars:
             return f"GF({self.p})"
         return f"GF({self.p})({', '.join(self.vars)})"
+
+
+# per field: the exponent (0, ..., 0), each variable's unit exponent, zero and one
+_Shared = namedtuple("_Shared", "origin units zero one")
+_SHARED: dict = {}
 
 
 def _grlex_key(e: tuple[int, ...]) -> tuple:
@@ -166,7 +178,7 @@ class MPoly:
     """Sparse multivariate polynomial over F_p.
 
     terms maps exponent tuples (length = field.r) to residues in [1, p-1].
-    Instances are treated as immutable; all operations return new objects.
+    Instances are immutable, so each field's zero and one are shared.
     """
 
     __slots__ = ("field", "terms")
@@ -189,11 +201,11 @@ class MPoly:
 
     @classmethod
     def zero(cls, field: FieldDesc) -> "MPoly":
-        return cls(field, {})
+        return _SHARED[field].zero.num
 
     @classmethod
     def one(cls, field: FieldDesc) -> "MPoly":
-        return cls(field, {(0,) * field.r: 1})
+        return _SHARED[field].one.num
 
     @classmethod
     def const(cls, field: FieldDesc, c: int) -> "MPoly":
@@ -214,10 +226,12 @@ class MPoly:
         return bool(self.terms)
 
     def is_one(self) -> bool:
-        return self.terms == {(0,) * self.field.r: 1}
+        t = self.terms
+        return len(t) == 1 and t.get(_SHARED[self.field].origin) == 1
 
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and (0,) * self.field.r in self.terms)
+        t = self.terms
+        return not t or (len(t) == 1 and _SHARED[self.field].origin in t)
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
@@ -286,13 +300,12 @@ class MPoly:
         Coefficients in F_p are fixed by Frobenius, so only the exponent
         divisibility can obstruct.
         """
-        p = self.field.p
-        out = {}
-        for e, c in self.terms.items():
-            if any(x % p for x in e):
-                return None
-            out[tuple(x // p for x in e)] = c
-        return MPoly(self.field, out)
+        p, terms = self.field.p, self.terms
+        for e in terms:  # every exponent is tested before any root is built
+            for x in e:
+                if x % p:
+                    return None
+        return MPoly(self.field, {tuple([x // p for x in e]): c for e, c in terms.items()})
 
     def partial(self, v: int) -> "MPoly":
         p = self.field.p  # lowering e[v] >= 1 by one is one to one, so no terms merge
@@ -562,7 +575,7 @@ class RatFunc:
 
     @classmethod
     def from_poly(cls, f: MPoly) -> "RatFunc":
-        return cls(f, MPoly.one(f.field), reduced=True)
+        return cls(f, _SHARED[f.field].one.num, reduced=True)
 
     @property
     def field(self) -> FieldDesc:
@@ -697,11 +710,6 @@ class RatFunc:
             return None
         return RatFunc(rn, rd, reduced=True)
 
-    def partial(self, name: str) -> "RatFunc":
-        v = self.field.var_index(name)
-        n = self.num.partial(v) * self.den - self.num * self.den.partial(v)
-        return RatFunc(n, self.den * self.den)
-
     def embed(self, target: FieldDesc, var_images: Sequence[tuple[int, int]]) -> "RatFunc":
         return RatFunc(self.num.embed(target, var_images), self.den.embed(target, var_images))
 
@@ -796,6 +804,11 @@ def _degree_bounds(roots: Sequence[tuple[RatFunc, int]]) -> tuple[int, int]:
     is at most p^min(r, |S_j|).  And k' lies in k(t_v^(1/p^(eps_v))), eps_v
     the largest e_i over the b_i whose num or den involves t_v.  The bounds
     free of J come first; when they meet at p^e no Jacobian is formed.
+
+    J is echeloned fraction-free: row i is den_i^2 * grad b_i, polynomial
+    entries on term dicts, as a unit factor leaves the rank over k alone,
+    and a row meeting a pivot becomes piv[lead]*row - row[lead]*piv, so no
+    gcd is taken and each row is reduced at most r times.
     """
     base = roots[0][0].field
     p, r = base.p, base.r
@@ -807,12 +820,21 @@ def _degree_bounds(roots: Sequence[tuple[RatFunc, int]]) -> tuple[int, int]:
     top = min(sum(min(r, s) for s in sizes), sum(eps))
     if top == e:
         return p ** e, p ** e
-    space, ranks, done = RowSpace(), [], 0
+    pivots, ranks, done = {}, [], 0
     for size in reversed(sizes):  # S_e in ... in S_1, so one echelon pass gives every rank
         for b, _ in roots[done:size]:
-            space.insert({v: b.partial(name) for v, name in enumerate(base.vars)})
+            num, den = b.num, b.den
+            grad = (num.partial(v) if den.is_one() else num.partial(v) * den - num * den.partial(v)
+                    for v in range(r))
+            row = {v: g.terms for v, g in enumerate(grad) if g}
+            while row and (piv := pivots.get(lead := min(row))) is not None:
+                a, c = piv[lead], {ex: p - x for ex, x in row.pop(lead).items()}
+                row = {v: t for v in range(lead + 1, r) if (t := _add_terms(
+                    _mul_terms(a, row.get(v, {}), p), _mul_terms(c, piv.get(v, {}), p), p))}
+            if row:
+                pivots[lead] = row
         done = size
-        ranks.append(space.rank)
+        ranks.append(len(pivots))
     return p ** sum(ranks), p ** min(top, ranks[-1] + sum(min(r, s) for s in sizes[1:]))
 
 

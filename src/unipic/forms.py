@@ -257,15 +257,17 @@ def _reduce_presentation(n: int, a: dict[int, RatFunc]) -> tuple[int, dict[int, 
         a, n = roots, n - 1
 
 
-def rationality_level(G: FormPresentation) -> NValue:
+def rationality_level(G: FormPresentation, *, splitting: Optional[NValue] = None) -> NValue:
     """The smallest twist level at which the function field becomes rational.
 
     For odd p this equals the group splitting level whenever that level is
-    exact.  For p = 2 a chain of Frobenius twists is walked: over each
-    k^(1/2^j) the presentation is reduced by extracting available square
-    roots, and the walk stops at the first level whose reduced presentation
-    is rational -- either trivial, or the smooth conic n = m = 1 whose
-    completion is a form of the projective line with a rational point.
+    exact; a caller that holds `splitting_level(G)` passes it as
+    `splitting`, so the ladders are not walked again.  For p = 2 a chain
+    of Frobenius twists is walked: over each k^(1/2^j) the presentation is
+    reduced by extracting available square roots, and the walk stops at
+    the first level whose reduced presentation is rational -- either
+    trivial, or the smooth conic n = m = 1 whose completion is a form of
+    the projective line with a rational point.
     Every fully reduced non-terminal presentation has a completion of
     positive genus, so the first detection is the true level.
 
@@ -276,7 +278,7 @@ def rationality_level(G: FormPresentation) -> NValue:
     """
     p = G.field.p
     if p != 2:
-        nv = splitting_level(G)
+        nv = splitting_level(G) if splitting is None else splitting
         if nv.is_exact:
             return NValue("exact", nv.value, "odd-characteristic-equality")
         return NValue("upper_bound", G.n)

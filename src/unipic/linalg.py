@@ -3,9 +3,9 @@
 Entries are any field-like objects supporting +, -, *, /, truthiness and
 an `inverse` through division; rows are dicts mapping column index to a
 nonzero entry.  Pivot rows are normalized after each insertion so later
-reductions need a single multiply per eliminated column.  It serves the
-dense tower of `unipic.field` and the row-by-row test references; the
-Cech H^1 of `unipic.wproj` needs no elimination.
+reductions need a single multiply per eliminated column.  It serves only
+the dense tower basis of `unipic.field` and the test references: the
+Jacobian ranks are echeloned fraction-free, and Cech H^1 needs none.
 """
 
 from __future__ import annotations

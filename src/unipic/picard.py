@@ -198,7 +198,7 @@ def invariant_report(
     else:
         quotient_desc = f"m*Z/p^rZ with r <= {r.value} and m | p^r"
     if not is_torsor or point is not None:
-        n_prime = rationality_level(G)
+        n_prime = rationality_level(G, splitting=n)
     else:
         n_prime = NValue("upper_bound", G.n)
     flags: list[str] = []

@@ -40,6 +40,7 @@ from parse_reference import (
     parse_form_equation_reference,
     parse_value_reference,
 )
+from test_forms import _golden_variants
 
 F3TU = FieldDesc(3, ("t", "u"))
 
@@ -135,6 +136,31 @@ def test_parser_matches_reference_on_golden_equations():
     for spec, eq in GOLDEN_EQUATIONS:
         k = fields[spec]
         assert parse_form_equation(eq, k) == parse_form_equation_reference(eq, k), (spec, eq)
+
+
+def test_shared_field_constants_survive_golden_calls(capsys):
+    # zero, one and the parser's table are built once per field and shared by
+    # every call; no call may change them in place
+    from unipic.field import _SHARED
+
+    variants = _golden_variants()
+    for v in variants:
+        argv = ["analyze", "--field", v["field"], "--eq", v["eq"], "--search-bound", str(v["bound"])]
+        for extra in (["--oracle"] * v["oracle"], ["--oracle"] * v["oracle"] + ["--json"]):
+            assert main(argv + extra) == 0
+    capsys.readouterr()
+    specs = sorted({v["field"] for v in variants})
+    assert len(specs) == 6
+    for spec in specs:
+        k = parse_field_spec(spec)
+        origin = (0,) * k.r
+        assert k.zero() is parse_field_spec(spec).zero() and k.one() is parse_field_spec(spec).one()
+        zero, one = _SHARED[k].zero, _SHARED[k].one
+        assert (zero.num.terms, zero.den.terms) == ({}, {origin: 1})
+        assert (one.num.terms, one.den.terms) == ({origin: 1}, {origin: 1})
+        assert {f.field for f in (zero.num, zero.den, one.num, one.den)} == {k}
+        assert _SHARED[k].origin == origin
+        assert _SHARED[k].units == {v: tuple(int(i == j) for j in range(k.r)) for i, v in enumerate(k.vars)}
 
 
 # pieces of coefficient expressions: mostly the field's own variables and
@@ -900,3 +926,9 @@ def test_bench_pairs_verdicts():
     # a higher-is-better metric flips every comparison
     flipped = bench.summarise(pairs, [{"name": "slower", "better": "higher", "bound": 0.25}])
     assert flipped["slower"]["gain"] and not flipped["slower"]["worse"]
+    # each side's src/ line count comes from the drift records of its runs
+    for i, pair in enumerate(pairs):
+        pair["parent"]["drift"] = {"src_lines": 2962}
+        pair["change"]["drift"] = {"src_lines": 2985 if i else 2990}
+    assert bench.src_lines({"forms": pairs[1:], "oracle": pairs[1:]}) == {"parent": 2962, "change": 2985}
+    assert bench.src_lines({"forms": pairs}) == {"parent": 2962, "change": [2985, 2990]}

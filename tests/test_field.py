@@ -25,14 +25,17 @@ from unipic import (
     poly_gcd,
     power_level,
 )
-from unipic.cli import _parse_value, parse_field_spec
+from unipic.cli import _parse_value, parse_field_spec, parse_form_equation
 
 from conftest import F2T, F2TU, F3T, mpoly_strategy, ratfunc_strategy
 from gcd_reference import prs_gcd_reference
 from mul_reference import mul_reference, pow_reference
+from test_forms import _golden_variants
 from tower_reference import (
     LevelMismatch,
+    degree_bounds_reference,
     dense_degree_reference,
+    ratfunc_partial,
     subfield_membership,
     tower_field,
     tower_root,
@@ -485,10 +488,14 @@ def test_power_level_shifts_under_frobenius(f, j, extra):
 
 
 def test_partial_derivative():
+    # the reduced derivative of a fraction is a test oracle; the library's
+    # Jacobian rank works on den^2 * grad b with MPoly.partial
     t, u = F2TU.var("t"), F2TU.var("u")
-    assert (t * t * u).partial("t") == F2TU.zero()
-    assert (t * u).partial("u") == t
-    assert (F3T.var("t") ** 3 + F3T.var("t")).partial("t") == F3T.one()
+    assert ratfunc_partial(t * t * u, "t") == F2TU.zero()
+    assert ratfunc_partial(t * u, "u") == t
+    assert ratfunc_partial(F3T.var("t") ** 3 + F3T.var("t"), "t") == F3T.one()
+    assert ratfunc_partial(1 / (t + u), "t") == 1 / (t + u) ** 2
+    assert not hasattr(RatFunc, "partial")
 
 
 # ----------------------------------------------------------- towers / degrees
@@ -668,6 +675,71 @@ def test_rules_match_dense_oracle(monkeypatch):
     rest = [b for pairs, branch in seen.items() if branch == "dense" for b, _ in roots_of(pairs)]
     assert any(not b.num.is_constant() and not b.den.is_constant() for b in rest)
     assert any(sum(b.den.leading()[0]) > sum(b.num.leading()[0]) for b in rest)
+
+
+def _roots(pairs):
+    """The roots (b_i, e_i) that `compositum_degree` hands to `_degree_bounds`."""
+    return [(b, n - v) for a, n in pairs for v, b in [power_level(a, n)] if v < n]
+
+
+def _count_jacobians(monkeypatch):
+    """A list that grows by one entry per MPoly.partial call: only the
+    Jacobian step of `_degree_bounds` takes one."""
+    calls, partial = [], MPoly.partial
+    monkeypatch.setattr(MPoly, "partial", lambda f, v: calls.append(v) or partial(f, v))
+    return calls
+
+
+def test_degree_bounds_match_reference_on_golden(monkeypatch):
+    # every root set of the golden benchmark inputs: the fraction-free rank
+    # against RowSpace over RatFunc
+    calls, formed, sets = _count_jacobians(monkeypatch), 0, 0
+    for v in _golden_variants():
+        X = parse_form_equation(v["eq"], parse_field_spec(v["field"])).build()
+        G = getattr(X, "form", X)
+        if roots := _roots([(c, G.n) for _, c in G.twist_coeffs()]):
+            before, sets = len(calls), sets + 1
+            bounds = field_mod._degree_bounds(roots)
+            formed += len(calls) > before
+            assert bounds == degree_bounds_reference(roots), v
+    assert (sets, formed) == (1366, 95)
+
+
+def test_degree_bounds_match_reference_on_seeded_corpus(monkeypatch):
+    # roots over GF(2|3|5)(t[,u[,w]]) with non-monomial denominators, and
+    # rows that depend on each other: a repeated b, b + c^p (same gradient),
+    # b * c^p (gradient times a unit) and b * b' (in the span of b and b');
+    # one fraction only over three variables, where the oracle is slow
+    calls, rng = _count_jacobians(monkeypatch), random.Random(3030)
+
+    def poly(k, top):
+        return RatFunc.from_poly(MPoly(k, {tuple(rng.randint(0, top) for _ in k.vars): rng.randint(1, k.p - 1)
+                                           for _ in range(rng.randint(1, 3))}))
+
+    def fraction(k, top):
+        while True:
+            den = poly(k, top) + poly(k, top)
+            if len(den.num.terms) > 1 and (b := poly(k, top) / den) and b.pth_root() is None:
+                return b
+
+    formed = deficient = 0
+    for _ in range(300):
+        p, r = rng.choice((2, 3, 5)), rng.randint(1, 3)
+        k, top = FieldDesc(p, ("t", "u", "w")[:r]), 1 if r == 3 else 2
+        bs = [fraction(k, top) for _ in range(rng.randint(1, 2 if r < 3 else 1))]
+        b, c = bs[0], k.var(rng.choice(k.vars)) + 1
+        for dep in (b, b + c ** p, b * c ** p, b * bs[-1]):
+            if rng.random() < 0.3 and dep.pth_root() is None:
+                bs.append(dep)
+        roots = [(b, rng.randint(1, 3)) for b in bs]
+        before = len(calls)
+        lo, hi = field_mod._degree_bounds(roots)
+        if len(calls) > before:  # the Jacobian was formed
+            formed += 1
+            deficient += lo < p ** sum(min(r, sum(1 for _, e in roots if e >= j))
+                                       for j in range(1, max(e for _, e in roots) + 1))
+        assert (lo, hi) == degree_bounds_reference(roots), roots
+    assert (formed, deficient) == (151, 102)
 
 
 def test_public_surface():

@@ -229,6 +229,21 @@ def test_report_builds_tower_and_completion_once(monkeypatch, X):
     assert len(completions) == 1
 
 
+def test_report_walks_splitting_level_once(monkeypatch):
+    # for odd p the rationality level is the splitting level, which the
+    # report hands over instead of walking every a_i's ladder again
+    golden = sorted({(v["field"], v["eq"]) for v in _golden_variants() if not v["field"].startswith("GF(2)")})
+    cases = [parse_form_equation(eq, parse_field_spec(field)).build() for field, eq in golden]
+    calls = _count_calls(monkeypatch, "splitting_level")
+    equal = 0
+    for X in cases:
+        calls.clear()
+        rep = invariant_report(X, search_bound=0)
+        assert len(calls) == 1, X
+        equal += rep.n_prime.certificate == "odd-characteristic-equality"
+    assert (len(cases), equal) == (641, 378)
+
+
 @pytest.mark.parametrize("X", _ONCE_CASES, ids=_ONCE_IDS)
 def test_report_with_oracle_builds_completion_once(monkeypatch, X):
     # the Cech oracle reuses the report's completion

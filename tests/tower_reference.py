@@ -7,6 +7,11 @@ denominator with a (p^N - 1)-th power.  `dense_degree_reference` is the old
 `_dense_degree`, the oracle for both the chain bounds of
 `compositum_degree` and the Frobenius-side `unipic.field._dense_degree`.
 `subfield_membership(x, gens)` decides x in k(gens) on the same basis.
+
+`degree_bounds_reference` is the Frobenius chain bounds of
+`unipic.field._degree_bounds` as they stood with the Jacobian echeloned
+over k, `RowSpace` on `RatFunc` entries built by `ratfunc_partial`: the
+oracle for the fraction-free rank that replaced it.
 """
 
 from dataclasses import dataclass
@@ -178,3 +183,32 @@ def subfield_membership(x: RootTowerElem, gens: Sequence[RootTowerElem]) -> bool
         if e:
             ladder.append((g, e))
     return _span_space(x.base, level, ladder).reduces_to_zero(_coords(x))
+
+
+def ratfunc_partial(f: RatFunc, name: str) -> RatFunc:
+    """The partial derivative of f in the variable `name`, reduced."""
+    v = f.field.var_index(name)
+    n = f.num.partial(v) * f.den - f.num * f.den.partial(v)
+    return RatFunc(n, f.den * f.den)
+
+
+def degree_bounds_reference(roots: Sequence[tuple[RatFunc, int]]) -> tuple[int, int]:
+    """(lo, hi) of `unipic.field._degree_bounds`, the Jacobian ranks taken
+    by `RowSpace` over k on rows of reduced partial derivatives."""
+    base = roots[0][0].field
+    p, r = base.p, base.r
+    roots = sorted(roots, key=lambda root: -root[1])
+    e = roots[0][1]
+    sizes = [sum(1 for _, ei in roots if ei >= j) for j in range(1, e + 1)]
+    eps = [max((ei for b, ei in roots if b.num.degree_in(v) > 0 or b.den.degree_in(v) > 0),
+               default=0) for v in range(r)]
+    top = min(sum(min(r, s) for s in sizes), sum(eps))
+    if top == e:
+        return p ** e, p ** e
+    space, ranks, done = RowSpace(), [], 0
+    for size in reversed(sizes):  # S_e in ... in S_1, so one echelon pass gives every rank
+        for b, _ in roots[done:size]:
+            space.insert({v: ratfunc_partial(b, name) for v, name in enumerate(base.vars)})
+        done = size
+        ranks.append(space.rank)
+    return p ** sum(ranks), p ** min(top, ranks[-1] + sum(min(r, s) for s in sizes[1:]))
