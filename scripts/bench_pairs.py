@@ -26,8 +26,12 @@ which of three verdicts hold:
   unchanged median does not show the metric unchanged; it does not hold
   when every run of the change is better than every run of the parent.
 Above the table it prints each side's line count of src/unipic, read off
-the drift records of its runs.  `--out` writes every run, with its drift
-record, the line counts and the summary as JSON.  Standard library only.
+the drift records of its runs.  Below each workload's setup_s it prints
+each side's median `setup_cpu_s` from the drift records: raw set-up CPU
+seconds, which, unlike setup_s, are not divided by the reference kernel's
+samples, so a move in the set-up itself shows apart from the kernel's.
+`--out` writes every run, with its drift record, the line counts, each
+side's median setup_cpu_s and the summary as JSON.  Standard library only.
 """
 
 from __future__ import annotations
@@ -111,6 +115,12 @@ def src_lines(runs: dict) -> dict:
     return out
 
 
+def setup_cpu(pairs: list) -> dict:
+    """Each side's median raw set-up CPU seconds over `pairs`, from the drift records."""
+    return {side: statistics.median(pair[side]["drift"]["setup_cpu_s"] for pair in pairs)
+            for side in ("parent", "change")}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="git revision of the parent side")
@@ -143,13 +153,17 @@ def main(argv=None) -> int:
           f"{'change':>8} {'won':>6}  verdicts")
     for w in workloads:
         summary = summarise(runs[w], bench["end_to_end"])
-        report["workloads"][w] = {"summary": summary, "pairs": runs[w]}
+        cpu = setup_cpu(runs[w])
+        report["workloads"][w] = {"summary": summary, "setup_cpu_s": cpu, "pairs": runs[w]}
         for name, s in summary.items():
             side = {k: f"{s[k]['median']:.4g} [{s[k]['q1']:.4g}, {s[k]['q3']:.4g}]" for k in ("parent", "change")}
             rel = "n/a" if s["median_change"] is None else f"{100 * s['median_change']:+.1f}%"
             verdicts = ", ".join(v for v in ("gain", "worse", "unresolved") if s[v]) or "-"
             print(f"{w:9} {name:15} {side['parent']:>30} {side['change']:>30} {rel:>8} "
                   f"{s['won']:>2}/{s['pairs']:<3}  {verdicts}")
+            if name == "setup_s":
+                print(f"{w:9} {'setup_cpu_s':15} {cpu['parent']:>30.4g} {cpu['change']:>30.4g} "
+                      f"{100 * (cpu['change'] / cpu['parent'] - 1):>+7.1f}%  median raw CPU s, drift record")
     if args.out:
         args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     return 0

@@ -18,6 +18,7 @@ import json
 import os
 import re
 import sys
+from itertools import accumulate
 from typing import NamedTuple, Optional, Union
 
 from .field import _SHARED, FieldDesc, MPoly, RatFunc, _add_terms, _mul_terms, _pow_terms, is_prime
@@ -53,51 +54,64 @@ class BadExponent(ParseError):
 
 # -- tokenizer ----------------------------------------------------------
 
-# one token per match, after any whitespace: ASCII digits (str.isdigit also
-# takes '²'), a run of \w, a symbol, or any other character.  In str patterns
-# \s is str.isspace and \w is str.isalnum or '_'; a run of \w is a name
-# only when it starts with str.isalpha or '_'.
-_TOKEN = re.compile(r"\s*(?:([0-9]+)|(\w+)|([()+\-*/^=,])|(\S))")
+# a string's tokens are the plain strings of one findall, whitespace
+# (str.isspace) skipped: a symbol, ASCII digits (str.isdigit also takes '²'), a
+# \w run (str.isalnum or '_'), a name when it starts with str.isalpha or '_', or
+# any other character, an error.  A token's text is its kind; "" is the end.
+_TOKEN = re.compile(r"[()+\-*/^=,]|[0-9]+|\w+|\S")  # symbols, the most common, first
+_ODD = re.compile(r"[^\s0-9A-Za-z_()+\-*/^=,]")  # only then may a token be an error
+_NOT_VALUE = frozenset(("", ")", "+", "-", "*", "/", "^", "=", ","))  # tokens no value starts with
 
 
-def _tokenize(s: str) -> list[tuple[str, str, int]]:
-    """(kind, text, pos) triples, kind "int", "name", "end" or the symbol."""
-    out = []
-    for m in _TOKEN.finditer(s):
-        k = m.lastindex
-        text = m[k]
-        if k == 4 or k == 2 and not (text[0].isalpha() or text[0] == "_"):
-            raise ParseError(f"unexpected character {text[0]!r}", m.start(k))
-        out.append((text if k == 3 else "int" if k == 1 else "name", text, m.start(k)))
-    out.append(("end", "", len(s)))
-    return out
-
-
-class _Reader:
-    """Recursive descent over one string's tokens, on unreduced (num, den)
-    pairs of `MPoly` term dicts; the caller makes one `RatFunc` per additive
-    term, and its constructor takes the one gcd.  The origin, one and unit
-    exponents are the field's own, built once per field."""
+class _Parser:
+    """Recursive descent on unreduced (num, den) pairs of term dicts, on the
+    field's own origin, one and unit exponents; the caller makes one `RatFunc`,
+    and takes one gcd, per additive term.  Tokens are kept last first (next
+    toks[-1], taken by toks.pop()); only an error looks up a position."""
 
     def __init__(self, s: str, field: Optional[FieldDesc] = None):
-        self.toks, self.i = _tokenize(s), 0
+        if _ODD.search(s):  # a character that may start no token
+            for m in _TOKEN.finditer(s):
+                if not (m[0][0] in "()+-*/^=,_0123456789" or m[0][0].isalpha()):
+                    raise ParseError(f"unexpected character {m[0][0]!r}", m.start())
+        self.s, self.toks = s, [""] + _TOKEN.findall(s)[::-1]
+        self.n = len(self.toks)
         if field is not None:
             shared = _SHARED[field]
             self.p, self.r, self.origin, self.units = field.p, field.r, shared.origin, shared.units
             self.one = shared.one.num.terms
 
-    def take(self, kind: str) -> tuple[str, str, int]:
-        tok = self.toks[self.i]
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        self.i += 1
-        return tok
+    def error(self, message: str, back: int = 0, exc: type = ParseError) -> ParseError:
+        """exc at the token `back` tokens before the next one, placed by a rescan."""
+        i = self.n - len(self.toks) - back
+        return exc(message, ([m.start() for m in _TOKEN.finditer(self.s)] + [len(self.s)])[i])
+
+    def take(self, kind: str) -> str:
+        """The next token, taken: an "int", a "name", or the symbol `kind` ("" the end)."""
+        tok = self.toks[-1]
+        if not (tok.isdigit() if kind == "int" else
+                tok[:1].isalpha() or tok[:1] == "_" if kind == "name" else tok == kind):
+            raise self.error(f"expected {kind or 'end'!r}, found {tok!r}")
+        return self.toks.pop()
+
+    def p_log(self, exc: type) -> int:
+        """e for the next token, an int p^e, taken."""
+        p, text = self.p, self.take("int")
+        value, e = int(text), 0
+        if value < 1:
+            raise self.error(f"exponent {value} must be a positive power of {p}", 1, exc)
+        while value % p == 0:
+            value //= p
+            e += 1
+        if value != 1:
+            raise self.error(f"exponent {text} is not a power of {p}", 1, exc)
+        return e
 
     def expr(self) -> tuple[dict, dict]:
         num, den, _ = self.product(False)
-        p = self.p
-        while (op := self.toks[self.i][0]) in ("+", "-"):
-            self.i += 1
+        p, toks = self.p, self.toks
+        while (op := toks[-1]) == "+" or op == "-":
+            toks.pop()
             c, d, _ = self.product(op == "-")
             if not num:
                 num, den = c, d
@@ -112,69 +126,72 @@ class _Reader:
         """Factors joined by '*' and '/'; at the top, one additive term, which
         may hold one power x^(p^i) of the curve variable (returned as i)."""
         toks, p, one = self.toks, self.p, self.one
-        num, den, xexp, op, op_pos = one, one, None, None, 0
+        num, den, xexp, op, left = one, one, None, None, 0
         while True:
-            kind, text, pos = toks[self.i]
+            tok = toks[-1]
             term = top and op != "/"  # a factor where the curve variable x may stand
-            if top and not term and text in ("x", "y"):
-                raise NotAdditive("curve variables cannot appear in denominators", op_pos)
+            if top and not term and (tok == "x" or tok == "y"):
+                raise self.error("curve variables cannot appear in denominators", left - len(toks), NotAdditive)
             if op is None or not term:
-                while kind == "-":  # unary minus chains
-                    self.i += 1
+                while tok == "-":  # unary minus chains
+                    toks.pop()
                     negate = not negate
-                    kind, text, pos = toks[self.i]
-            if term and text == "y":
-                raise NotAdditive("y cannot appear on the right side", pos)
-            if term and text == "x":
-                self.i += 1
+                    tok = toks[-1]
+            if term and tok == "y":
+                raise self.error("y cannot appear on the right side", exc=NotAdditive)
+            if term and tok == "x":
+                toks.pop()
                 if xexp is not None:
-                    raise NotAdditive("only one x-power per term", pos)
+                    raise self.error("only one x-power per term", 1, NotAdditive)
                 xexp = 0
-                if toks[self.i][0] == "^":
-                    self.i += 1
-                    xexp = _p_log(self.take("int"), p, NotAdditive)
+                if toks[-1] == "^":
+                    toks.pop()
+                    xexp = self.p_log(NotAdditive)
                 a = b = one
-            elif term and kind not in ("int", "name", "("):
-                raise ParseError(f"expected a term, found {text!r}", pos)
+            elif term and tok in _NOT_VALUE:
+                raise self.error(f"expected a term, found {tok!r}")
             else:
                 a, b = self.atom()
             if op == "/":
                 if not a:
-                    raise ParseError("division by zero constant", op_pos)
+                    raise self.error("division by zero constant", left - len(toks))
                 a, b = b, a
             # the first factor is taken as is, not times one: no dict here is changed in place
             num = a if num is one else num if a is one else _mul_terms(num, a, p)
             den = b if den is one else den if b is one else _mul_terms(den, b, p)
-            op, _, op_pos = toks[self.i]
-            if op not in ("*", "/"):
+            op = toks[-1]
+            if op != "*" and op != "/":
                 if negate:
                     num = {e: p - c for e, c in num.items()}
                 return num, den, xexp
-            self.i += 1
+            left = len(toks)
+            toks.pop()
 
     def atom(self) -> tuple[dict, dict]:
-        kind, text, pos = self.toks[self.i]
-        self.i += 1
-        one = self.one
-        if kind == "int":
-            c = int(text) % self.p
-            num, den = {self.origin: c} if c else {}, one
-        elif kind == "name":
-            e = self.units.get(text)
-            if e is None:
-                raise ParseError(f"unknown variable {text!r}", pos)
+        toks, one = self.toks, self.one
+        tok = toks.pop()
+        e = self.units.get(tok)
+        if e is not None:
             num, den = {e: 1}, one
-        elif kind == "(":
+        elif tok.isdigit():
+            c = int(tok) % self.p
+            num, den = {self.origin: c} if c else {}, one
+        elif tok == "(":
             try:
                 num, den = self.expr()
             except RecursionError:  # raised again one level up if no stack is left here
-                raise ParseError("parentheses nested too deeply", pos) from None
+                # the error names the outermost '(' still open, whatever the stack's depth
+                taken = _TOKEN.findall(self.s)[:self.n - len(toks)]
+                depth = list(accumulate((t == "(") - (t == ")") for t in taken))
+                outer = max(i for i, t in enumerate(taken) if t == "(" and depth[i] == 1)
+                raise self.error("parentheses nested too deeply", len(taken) - outer) from None
             self.take(")")
         else:
-            raise ParseError(f"expected a value, found {text!r}", pos)
-        if self.toks[self.i][0] == "^":
-            self.i += 1
-            e = int(self.take("int")[1])
+            message = f"expected a value, found {tok!r}" if tok in _NOT_VALUE else f"unknown variable {tok!r}"
+            raise self.error(message, 1)
+        if toks[-1] == "^":
+            toks.pop()
+            e = int(self.take("int"))
             num = _pow_terms(num, e, self.p, self.r)
             if den is not one:
                 den = _pow_terms(den, e, self.p, self.r)
@@ -184,34 +201,35 @@ class _Reader:
 # -- field specs --------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)  # a constant bound; a spec that raises is not kept
 def parse_field_spec(s: str) -> FieldDesc:
-    """Grammar: "GF(" prime ")" ( "(" name ("," name)* ")" )?"""
-    rd = _Reader(s)
-    head = rd.take("name")
-    if head[1] != "GF":
-        raise ParseError("field specs start with GF", head[2])
+    """Grammar: "GF(" prime ")" ( "(" name ("," name)* ")" )?  Each spec
+    string is read, tested for primality and built once per process."""
+    rd = _Parser(s)
+    toks = rd.toks
+    if rd.take("name") != "GF":
+        raise rd.error("field specs start with GF", 1)
     rd.take("(")
-    _, ptext, ppos = rd.take("int")
-    p = int(ptext)
+    p = int(rd.take("int"))
     if not is_prime(p):
-        raise NotPrime(f"{p} is not prime", ppos)
+        raise rd.error(f"{p} is not prime", 1, NotPrime)
     rd.take(")")
     names: tuple[str, ...] = ()
-    if rd.toks[rd.i][0] == "(":
+    if toks[-1] == "(":
         sep = ","
         while sep == ",":
-            rd.i += 1
-            _, name, pos = rd.take("name")
+            toks.pop()
+            name = rd.take("name")
             if name in ("x", "y"):
-                raise ParseError(f"{name!r} is a curve variable, not a field variable", pos)
+                raise rd.error(f"{name!r} is a curve variable, not a field variable", 1)
             if name in names:
-                raise ParseError(f"duplicate variable name {name!r}", pos)
+                raise rd.error(f"duplicate variable name {name!r}", 1)
             names = names + (name,)
-            sep, text, pos = rd.toks[rd.i]
+            sep = toks[-1]
         if sep != ")":
-            raise ParseError(f"expected ',' or ')', found {text!r}", pos)
-        rd.i += 1
-    rd.take("end")
+            raise rd.error(f"expected ',' or ')', found {sep!r}")
+        toks.pop()
+    rd.take("")
     return FieldDesc(p, names)
 
 
@@ -227,30 +245,14 @@ class EquationAST(NamedTuple):
     def build(self) -> Union[FormPresentation, Torsor]:
         cs = dict(self.coeffs)
         G = make_form(self.n, [cs[i] if i in cs else self.field.zero() for i in range(max(cs) + 1)])
-        if self.b:
-            return Torsor(G, self.b)
-        return G
-
-
-def _p_log(tok: tuple[str, str, int], p: int, exc: type) -> int:
-    _, text, pos = tok
-    value = int(text)
-    if value < 1:
-        raise exc(f"exponent {value} must be a positive power of {p}", pos)
-    e = 0
-    while value % p == 0:
-        value //= p
-        e += 1
-    if value != 1:
-        raise exc(f"exponent {text} is not a power of {p}", pos)
-    return e
+        return Torsor(G, self.b) if self.b else G
 
 
 def _parse_value(s: str, field: FieldDesc) -> RatFunc:
     """One coefficient expression in the field's variables."""
-    rd = _Reader(s, field)
+    rd = _Parser(s, field)
     num, den = rd.expr()
-    rd.take("end")
+    rd.take("")
     return RatFunc(MPoly(field, num), MPoly(field, den))
 
 
@@ -261,32 +263,27 @@ def parse_form_equation(s: str, field: FieldDesc) -> EquationAST:
     Integer coefficients reduce mod p; constants fold into the translation
     term.  The linear term in x must be present with nonzero coefficient.
     """
-    rd = _Reader(s, field)
-    lhs = rd.take("name")
-    if lhs[1] != "y":
-        raise ParseError("left side must be y or a power of y", lhs[2])
+    rd = _Parser(s, field)
+    toks = rd.toks
+    if rd.take("name") != "y":
+        raise rd.error("left side must be y or a power of y", 1)
     n = 0
-    if rd.toks[rd.i][0] == "^":
-        rd.i += 1
-        n = _p_log(rd.take("int"), field.p, BadExponent)
+    if toks[-1] == "^":
+        toks.pop()
+        n = rd.p_log(BadExponent)
     rd.take("=")
     coeffs: dict[int, RatFunc] = {}
-    b = field.zero()
-    negate = False
-    while True:
-        num, den, xexp = rd.product(negate, top=True)
+    b, op = field.zero(), "+"
+    while op:
+        if op != "+" and op != "-":
+            raise rd.error(f"expected '+', '-' or end of input, found {op!r}", 1)
+        num, den, xexp = rd.product(op == "-", top=True)
         coeff = RatFunc(MPoly(field, num), MPoly(field, den))
         if xexp is None:
             b = b + coeff
         else:
             coeffs[xexp] = coeffs[xexp] + coeff if xexp in coeffs else coeff
-        kind, text, pos = rd.toks[rd.i]
-        rd.i += 1
-        if kind == "end":
-            break
-        if kind not in ("+", "-"):
-            raise ParseError(f"expected '+', '-' or end of input, found {text!r}", pos)
-        negate = kind == "-"
+        op = toks.pop()
     coeffs = {i: c for i, c in coeffs.items() if c}
     if 0 not in coeffs:
         raise NotSeparable("the equation needs a nonzero linear term in x")

@@ -17,6 +17,7 @@ chain bounds leave open, in plain polynomial arithmetic over k.
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
 from itertools import zip_longest
 from operator import add
@@ -47,6 +48,7 @@ class BasisTooLarge(ValueError):
     """The dense tower basis p^(r*N), N the largest root exponent e_i, exceeds `BASIS_CAP`."""
 
 
+@functools.lru_cache(maxsize=64)  # one trial division per characteristic for a spec and its field
 def is_prime(p: int) -> bool:
     """Trial division, which would crawl from 2^31 up: there it raises ValueError."""
     if p >= 2 ** 31:

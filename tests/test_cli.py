@@ -72,6 +72,35 @@ def test_parse_field_spec_errors():
     assert exc.value.pos == 10
 
 
+def test_field_spec_is_read_once():
+    # a repeated spec is the same object; the cache stays within its bound
+    assert parse_field_spec("GF(3)(t,u)") is parse_field_spec("GF(3)(t,u)")
+    bound = parse_field_spec.cache_info().maxsize
+    for i in range(bound + 5):
+        assert parse_field_spec("GF(2)(t)" + " " * i) == FieldDesc(2, ("t",))
+    assert parse_field_spec.cache_info().currsize == bound
+    # a spec that raises leaves no entry and raises the same on every call
+    size = parse_field_spec.cache_info().currsize
+    for spec, outcome in [("GF(4)(t)", (NotPrime, "4 is not prime (at position 3)", 3)),
+                          ("GF(2)(t", (ParseError, "expected ',' or ')', found '' (at position 7)", 7)),
+                          ("GF(2)(t,u,t)", (ParseError, "duplicate variable name 't' (at position 10)", 10))]:
+        for _ in range(3):
+            assert _outcome(parse_field_spec, spec) == outcome == _outcome(parse_field_spec_reference, spec)
+            assert parse_field_spec.cache_info().currsize == size
+
+
+def test_fresh_spec_tests_its_characteristic_once(capsys):
+    # the spec parser and FieldDesc share one trial division per characteristic
+    from unipic.field import is_prime
+
+    is_prime.cache_clear()
+    parse_field_spec.cache_clear()
+    assert main(["analyze", "--field", "GF(2147483647)(t)", "--eq", "y = x + t*x^2147483647",
+                 "--search-bound", "0"]) == 0
+    assert is_prime.cache_info().misses == 1
+    assert "n(X)   = 0 (exact: split)" in capsys.readouterr().out
+
+
 def test_parse_form_equation():
     ast = parse_form_equation("y^9 = x + t*x^3 + u*x^9", F3TU)
     assert ast.n == 2
@@ -211,6 +240,16 @@ _FIELDS = (FieldDesc(2, ("t",)), F3TU, FieldDesc(5, ("t",)))
 @example(case=(F3TU, "y^3 = x + t^-1*x^3"))
 @example(case=(F3TU, "y^3 = x + t/(u-u)*x^3"))
 @example(case=(F3TU, "y^3 = x + ((t+1)/(t-1) - (t+1)^2/(t^2-1))*x^3 + 1/(t^2+u)^3"))
+@example(case=(_FIELDS[0], "y^2 = x + t*x²"))
+@example(case=(_FIELDS[0], "y^2 = 2x"))
+@example(case=(_FIELDS[0], "y^2 = x + $"))
+@example(case=(_FIELDS[0], "y^2 = x + ٣"))
+@example(case=(_FIELDS[0], ""))
+@example(case=(_FIELDS[0], "   "))
+@example(case=(_FIELDS[0], "y^2 = x +"))
+# the deep-nesting argv; hypothesis raises the recursion limit, so both parse it
+@example(case=(_FIELDS[0], "y^2 = x + " + "(" * 400 + "t" + ")" * 400 + "*x^2"))
+@example(case=(_FIELDS[0], "y^1 = t*-x^1"))  # a unary minus may only lead a term
 def test_parser_matches_reference_on_drawn_equations(case):
     field, eq = case
     assert _outcome(parse_form_equation, eq, field) == _outcome(parse_form_equation_reference, eq, field)
@@ -577,11 +616,12 @@ def _nested_t(depth):
     ("p1-complement", "--field", "GF(2)(t)", "--e", "1", "--c", _nested_t(400)),
 ])
 def test_deep_nesting_is_a_parse_error(capsys, argv):
-    # parsing recurses once per parenthesis; running out of stack exits 2
+    # parsing recurses once per parenthesis; running out of stack exits 2, and
+    # the error names the outermost parenthesis open, whatever the stack depth
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: parentheses nested too deeply (at position ")
+    assert err == f"error: parentheses nested too deeply (at position {argv[-1].index('(')})\n"
 
 
 def test_moderate_nesting_still_parses(capsys):
@@ -932,3 +972,8 @@ def test_bench_pairs_verdicts():
         pair["change"]["drift"] = {"src_lines": 2985 if i else 2990}
     assert bench.src_lines({"forms": pairs[1:], "oracle": pairs[1:]}) == {"parent": 2962, "change": 2985}
     assert bench.src_lines({"forms": pairs}) == {"parent": 2962, "change": [2985, 2990]}
+    # each side's median raw set-up CPU seconds, also from the drift records
+    for i, pair in enumerate(pairs):
+        pair["parent"]["drift"]["setup_cpu_s"] = 0.040 + 0.001 * i
+        pair["change"]["drift"]["setup_cpu_s"] = 0.030 + 0.002 * i
+    assert bench.setup_cpu(pairs) == pytest.approx({"parent": 0.0445, "change": 0.039})
