@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 from collections import namedtuple
 from itertools import zip_longest
-from operator import add
+from operator import add, sub
 from typing import Optional, Sequence
 
 from .linalg import RowSpace
@@ -330,43 +330,7 @@ class MPoly:
             out[tuple(img)] = out.get(tuple(img), 0) + c
         return MPoly.make(target, out)
 
-    # -- division and gcd ----------------------------------------------
-
-    def exact_div(self, d: "MPoly") -> "MPoly":
-        """Quotient self/d, assuming the division is exact."""
-        self._check(d)
-        if not d:
-            raise DivisionByZero("division by the zero polynomial")
-        p = self.field.p
-        if d.is_monomial():
-            (ed, cd), = d.terms.items()
-            inv = pow(cd, -1, p)
-            out = {}
-            for e, c in self.terms.items():
-                q = tuple(a - b for a, b in zip(e, ed))
-                if any(x < 0 for x in q):
-                    raise ValueError("inexact monomial division")
-                out[q] = (c * inv) % p
-            return MPoly(self.field, out)
-        ed, cd = d.leading()
-        inv = pow(cd, -1, p)
-        rem = self
-        quot: dict = {}
-        while rem:
-            er, cr = rem.leading()
-            q = tuple(a - b for a, b in zip(er, ed))
-            if any(x < 0 for x in q):
-                raise ValueError("inexact division")
-            cq = (cr * inv) % p
-            quot[q] = cq
-            rem = rem - MPoly(self.field, _mul_terms(d.terms, {q: cq}, p))
-        return MPoly(self.field, quot)
-
-    def monic(self) -> "MPoly":
-        if not self.terms:
-            return self
-        _, c = self.leading()
-        return self.scale(pow(c, -1, self.field.p))
+    # -- equality / display --------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MPoly):
@@ -510,33 +474,51 @@ def _gcd_dense(a: list, b: list, v: int, p: int) -> list:
     return a if _is_unit(c, v - 1) else [_mul(c, x, v - 1, p) for x in a]
 
 
+def _cancel(x: MPoly, y: MPoly) -> tuple[MPoly, MPoly, MPoly]:
+    """(g, x/g, y/g) for g = gcd(x, y) made monic: the library's one gcd-and-divide.
+
+    A monomial side makes g the monomial of the least exponents (1 when
+    either has a constant term) and each quotient an exponent shift; else
+    both go once to the dense lists in the last variable either involves,
+    where the gcd and, by `_div`, both quotients are taken.
+    """
+    field = x.field
+    if x.is_monomial() or y.is_monomial():
+        o = _SHARED[field].origin
+        s = o if o in x.terms or o in y.terms else tuple(map(min, zip(*x.terms, *y.terms)))
+        if not any(s):
+            return _SHARED[field].one.num, x, y
+        out = [MPoly(field, {s: 1})]
+        for f in (x, y):
+            out.append(MPoly(field, {tuple(map(sub, e, s)): c for e, c in f.terms.items()}))
+        return tuple(out)
+    p, r = field.p, field.r
+    v = max(i for e in (*x.terms, *y.terms) for i, k in enumerate(e) if k)
+    a, b = _to_dense(x.terms, v), _to_dense(y.terms, v)
+    d = _gcd_dense(a, b, v, p)
+    if _is_unit(d, v):
+        return _SHARED[field].one.num, x, y
+    tail = (0,) * (r - 1 - v)
+    g = dict(_from_dense(d, v, tail))
+    c = g[max(g, key=_grlex_key)]
+    inv = pow(c, -1, p)
+    out = [MPoly(field, {e: k * inv % p for e, k in g.items()})]
+    for f in (a, b):  # x/g with g monic is c times x/d
+        q = _from_dense(_div(f, d, v, p), v, tail)
+        out.append(MPoly(field, {e: k * c % p for e, k in q}))
+    return tuple(out)
+
+
 def poly_gcd(f: MPoly, g: MPoly) -> MPoly:
-    """Monic gcd, on the dense lists in the last variable either operand involves."""
-    if f.field != g.field:
-        raise FieldMismatch(f"{f.field} vs {g.field}")
-    if not f or not g:
-        return (f or g).monic()
-    if f.is_monomial() or g.is_monomial():
-        return MPoly(f.field, {tuple(map(min, *f.terms, *g.terms)): 1})
-    v = max(i for e in (*f.terms, *g.terms) for i, x in enumerate(e) if x)
-    d = _gcd_dense(_to_dense(f.terms, v), _to_dense(g.terms, v), v, f.field.p)
-    return MPoly(f.field, dict(_from_dense(d, v, (0,) * (f.field.r - 1 - v)))).monic()
+    """Monic gcd, the first of `_cancel`'s results (0 when f = g = 0)."""
+    f._check(g)
+    return _cancel(f, g)[0] if f or g else f
 
 
 def _monic_den(num: MPoly, den: MPoly) -> tuple[MPoly, MPoly]:
     """num and den scaled so that den has leading coefficient 1."""
     inv = pow(den.leading()[1], -1, den.field.p)
     return num.scale(inv), den.scale(inv)
-
-
-def _cancel(x: MPoly, y: MPoly) -> tuple[MPoly, MPoly]:
-    """x and y divided by their gcd, which is not taken when a side is constant."""
-    if x.is_constant() or y.is_constant():
-        return x, y
-    g = poly_gcd(x, y)
-    if g.is_one():
-        return x, y
-    return x.exact_div(g), y.exact_div(g)
 
 
 class RatFunc:
@@ -548,10 +530,11 @@ class RatFunc:
     Arithmetic on reduced a/b and c/d takes no gcd of a full cross product
     (Henrici; Knuth, TAOCP 4.5.1).  x + 0 is x; (a + c b)/b is coprime as
     gcd(a, b) = 1; with g = gcd(b, d) = 1, (a d + c b)/(b d) is too, else
-    only gcd(t, g) with t = a (d/g) + c (b/g) can cancel.  Products and
-    quotients divide out the cross gcds, gcd(a, d) and gcd(c, b) (gcd(a, c)
-    and gcd(d, b) for a quotient), skipped when a side is constant.  The
-    canonical form is unique, so each result equals the constructor's.
+    only h = gcd(t, g) with t = a (d/g) + c (b/g) can cancel, and the
+    denominator is (b/g) (d/g) (g/h).  Products and quotients divide out
+    the cross gcds, gcd(a, d) and gcd(c, b) (gcd(a, c) and gcd(d, b) for a
+    quotient).  Every gcd and its cofactors come from one `_cancel` call.
+    The canonical form is unique, so each result equals the constructor's.
     """
 
     __slots__ = ("num", "den")
@@ -561,15 +544,11 @@ class RatFunc:
             raise FieldMismatch(f"{num.field} vs {den.field}")
         if not den:
             raise DivisionByZero("zero denominator")
-        if not reduced:
+        if not reduced and not den.is_one():
             if not num:
                 den = MPoly.one(num.field)
-            elif not den.is_one():
-                g = poly_gcd(num, den)
-                if not g.is_one():
-                    num = num.exact_div(g)
-                    den = den.exact_div(g)
-                num, den = _monic_den(num, den)
+            else:
+                num, den = _monic_den(*_cancel(num, den)[1:])
         self.num = num
         self.den = den
 
@@ -621,14 +600,11 @@ class RatFunc:
             return RatFunc(a + c, b, reduced=True)
         if d.is_one():
             return RatFunc(a + c * b, b, reduced=True)
-        if b.is_one() or (g := poly_gcd(b, d)).is_one():
+        g, b1, d1 = _cancel(b, d)
+        if g.is_one():
             return RatFunc(a * d + c * b, b * d, reduced=True)
-        b1, d1 = b.exact_div(g), d.exact_div(g)
-        t = a * d1 + c * b1
-        h = poly_gcd(t, g)  # t = 0 only when b = d = g, and then h = g leaves 0/1
-        if not h.is_one():
-            t, d = t.exact_div(h), d.exact_div(h)
-        return RatFunc(t, b1 * d, reduced=True)
+        h, t, g1 = _cancel(a * d1 + c * b1, g)  # t = 0 only when b = d = g, and h = g leaves 0/1
+        return RatFunc(t, b1 * (d if h.is_one() else d1 * g1), reduced=True)
 
     __radd__ = __add__
 
@@ -655,8 +631,8 @@ class RatFunc:
             return RatFunc(self.num * o.num, self.den, reduced=True)
         if not self.num or not o.num:
             return self.field.zero()
-        a, d = _cancel(self.num, o.den)
-        c, b = _cancel(o.num, self.den)
+        _, a, d = _cancel(self.num, o.den)
+        _, c, b = _cancel(o.num, self.den)
         return RatFunc(a * c, b * d, reduced=True)
 
     __rmul__ = __mul__
@@ -669,8 +645,8 @@ class RatFunc:
             raise DivisionByZero("division by zero rational function")
         if not self.num:
             return self
-        a, c = _cancel(self.num, o.num)
-        d, b = _cancel(o.den, self.den)
+        _, a, c = _cancel(self.num, o.num)
+        _, d, b = _cancel(o.den, self.den)
         return RatFunc(*_monic_den(a * d, b * c), reduced=True)
 
     def __rtruediv__(self, other) -> "RatFunc":
@@ -775,25 +751,6 @@ def _coords(f: MPoly, q: int) -> dict[int, RatFunc]:
     return {idx: RatFunc.from_poly(MPoly(f.field, terms)) for idx, terms in coords.items()}
 
 
-def _span_space(base: FieldDesc, q: int, ladder: Sequence[tuple[MPoly, int]]) -> RowSpace:
-    """Echelon basis of k^q(ladder) in the coordinates of `_coords`.
-
-    It is spanned by the products of generators with exponents below each
-    one's ladder level.
-    """
-    one = MPoly.one(base)
-    products = [one]
-    for x, e in ladder:
-        powers = [one]
-        for _ in range(base.p ** e - 1):
-            powers.append(powers[-1] * x)
-        products = [acc * pw for acc in products for pw in powers]
-    space = RowSpace()
-    for prod in products:
-        space.insert(_coords(prod, q))
-    return space
-
-
 def _degree_bounds(roots: Sequence[tuple[RatFunc, int]]) -> tuple[int, int]:
     """lo <= [k':k] <= hi for k' = k(b_i^(1/p^(e_i))), each b_i outside k^p and e_i >= 1.
 
@@ -876,7 +833,11 @@ def _dense_degree(roots: Sequence[tuple[RatFunc, int]]) -> int:
     = b_i^(s_i) * den^q generates the same field over k^q.  As
     k^q(x) = k^q(1/x), the side of larger total degree takes the num role,
     which keeps the power of the other small.  Each generator contributes
-    p^e, e its inseparability exponent over the field built so far.
+    p^e, e its inseparability exponent over the field built so far.  The
+    span is built once, in one `RowSpace`: the products of the generators
+    so far are a basis of the field built so far, a generator x of
+    exponent e adds each of them times x, ..., x^(p^e - 1), and each
+    product is inserted once, so the degree is the number of products.
     """
     base = roots[0][0].field
     level = max(ei for _, ei in roots)
@@ -884,9 +845,9 @@ def _dense_degree(roots: Sequence[tuple[RatFunc, int]]) -> int:
     if size > BASIS_CAP:
         raise BasisTooLarge(f"dense tower basis p^(r*N) = {size} exceeds cap {BASIS_CAP}")
     q = base.p ** level
-    ladder: list[tuple[MPoly, int]] = []
-    degree = 1
-    space = _span_space(base, q, ladder)
+    products = [MPoly.one(base)]
+    space = RowSpace()
+    space.insert(_coords(products[0], q))
     for b, ei in roots:
         num, den = b.num, b.den
         if sum(den.leading()[0]) > sum(num.leading()[0]):
@@ -896,8 +857,9 @@ def _dense_degree(roots: Sequence[tuple[RatFunc, int]]) -> int:
         for e in range(ei + 1):
             if space.reduces_to_zero(_coords(x.frobenius(e), q)):
                 break
-        if e:
-            ladder.append((x, e))
-            degree *= base.p ** e
-            space = _span_space(base, q, ladder)
-    return degree
+        for acc in products[:]:  # each product, then its multiples: the order sets the cost
+            for _ in range(base.p ** e - 1):
+                acc = acc * x
+                products.append(acc)
+                space.insert(_coords(acc, q))
+    return len(products)

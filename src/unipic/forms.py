@@ -27,9 +27,9 @@ from .field import (
     MPoly,
     RatFunc,
     _add_terms,
+    _cancel,
     _mul_terms,
     _pow_terms,
-    poly_gcd,
     power_level,
 )
 
@@ -330,13 +330,14 @@ def equation_holds(T, x: RatFunc, y: RatFunc) -> bool:
 
 
 def _clear_denominators(field, coeffs, b, k: int = 1):
-    """The lcm L of the denominators, and B = b L^k and C_i = a_i L^k, each one product."""
+    """The lcm L of the denominators, and B = b L^k and C_i = a_i L^k, each one product:
+    den divides L, so L^k/den = L^(k-1) (L/den) and no division touches the sparse L^k."""
     L, fs = MPoly.one(field), [b, *coeffs]
     for f in fs:
         if not f.den.is_one():
-            L = L * f.den.exact_div(poly_gcd(L, f.den))
-    Lk = L ** k
-    B, *C = [f.num * (Lk if f.den.is_one() else Lk.exact_div(f.den)) for f in fs]
+            L = L * _cancel(L, f.den)[2]
+    Lk1 = L ** (k - 1)
+    B, *C = [f.num * (Lk1 * _cancel(L, f.den)[1]) for f in fs]
     return L, B, C
 
 
@@ -415,8 +416,9 @@ def _search(T, max_deg: int) -> Optional[tuple[int, int]]:
 
     For n > m, a prime pi outside Bp = num(a_m) L, with pi^s exactly dividing
     h for a reduced x = g/h, gives a_m x^(p^m) a valuation -p^m s that no other
-    term reaches, so p^(n - m) | s: h stripped of Bp's primes (dividing out
-    gcd(h, Bp) until it is 1) is a p^(n - m)-th power, or h is skipped.  A
+    term reaches, so p^(n - m) | s: h stripped of Bp's primes (divided by
+    f = gcd(h, Bp), then by the gcd of what is left and the last f, until
+    that is 1) is a p^(n - m)-th power, or h is skipped.  A
     common factor f of g and h puts (g/f, h/f) earlier, so no witness changes.
     """
     field, n, b, m = T.field, T.n, T.b, T.m
@@ -450,10 +452,11 @@ def _search(T, max_deg: int) -> Optional[tuple[int, int]]:
     for top in range(K):
         # monic h: leading digit 1 at position top, anything below
         for hidx in range(p ** top, 2 * p ** top):
-            h = core = _poly_at(field, monos, hidx)
-            if n > m:
-                while not (f := poly_gcd(core, Bp)).is_one():
-                    core = core.exact_div(f)  # h stripped of Bp's primes
+            h = _poly_at(field, monos, hidx)
+            if n > m:  # strip h of Bp's primes: each one left in core divides the last gcd f
+                f, core, _ = _cancel(h, Bp)
+                while not f.is_one():
+                    f, core, _ = _cancel(core, f)
                 if any(x % lift for e in core.terms for x in e):
                     continue
             h = hp1 = pack(h)

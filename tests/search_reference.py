@@ -25,6 +25,8 @@ from typing import Optional
 from unipic import MPoly
 from unipic.forms import _clear_denominators, _least_solution, _monomials_up_to
 
+from gcd_reference import exact_div_reference
+
 
 def _poly_at(field, monos, idx):
     terms = {}
@@ -81,8 +83,8 @@ def brute_force_search(T, max_deg):
     L = MPoly.one(field)
     for f in [b, *coeffs]:
         L = L * f.den
-    B = b.num * L.exact_div(b.den)
-    C = [c.num * L.exact_div(c.den) for c in coeffs]
+    B = b.num * exact_div_reference(L, b.den)
+    C = [c.num * exact_div_reference(L, c.den) for c in coeffs]
     monos = sorted((e for e in product(range(max_deg + 1), repeat=field.r) if sum(e) <= max_deg),
                    key=_key)
     total = p ** len(monos)

@@ -26,9 +26,10 @@ from unipic import (
     power_level,
 )
 from unipic.cli import _parse_value, parse_field_spec, parse_form_equation
+from unipic.linalg import RowSpace
 
 from conftest import F2T, F2TU, F3T, mpoly_strategy, ratfunc_strategy
-from gcd_reference import prs_gcd_reference
+from gcd_reference import exact_div_reference, prs_gcd_reference
 from mul_reference import mul_reference, pow_reference
 from test_forms import _golden_variants
 from tower_reference import (
@@ -262,7 +263,7 @@ def _sum_kind(f, g):
     gd = poly_gcd(f.den, g.den)
     if gd.is_one():
         return "coprime"
-    t = f.num * g.den.exact_div(gd) + g.num * f.den.exact_div(gd)
+    t = f.num * exact_div_reference(g.den, gd) + g.num * exact_div_reference(f.den, gd)
     return "shared" if poly_gcd(t, gd).is_one() else "shared, partly cancelled"
 
 
@@ -418,13 +419,27 @@ def _golden_fractions():
 @pytest.mark.parametrize("planted,f,g", _gcd_cases())
 def test_gcd_matches_references_on_planted_factors(planted, f, g):
     # Euclid in one variable and the PRS above it against the PRS at every
-    # level and against sympy; the result is monic and holds the planted factor
+    # level and against sympy; the result is monic and holds the planted
+    # factor, and _cancel's cofactors are the sparse long division's quotients
     ours = poly_gcd(f, g)
     assert ours == prs_gcd_reference(f, g)
     assert ours.leading()[1] == 1
     assert _to_sympy(ours).rem(_to_sympy(planted)).is_zero
     if f and g:
         assert _to_sympy(ours).monic() == _to_sympy(f).gcd(_to_sympy(g)).monic()
+    assert field_mod._cancel(f, g) == (ours, exact_div_reference(f, ours), exact_div_reference(g, ours))
+
+
+def test_division_reference_rejects_an_inexact_quotient():
+    # the cofactor oracle above must not pass a remainder off as a quotient
+    k = FieldDesc(3, ("t", "u"))
+    t, u, one = MPoly.var(k, "t"), MPoly.var(k, "u"), MPoly.one(k)
+    f, d = (t + u) * (t * u + one) + one, t + u
+    with pytest.raises(ValueError, match="inexact division"):
+        exact_div_reference(f, d)
+    with pytest.raises(ValueError, match="inexact monomial division"):
+        exact_div_reference(f, t)
+    assert exact_div_reference(f - one, d) == t * u + one
 
 
 @given(mpoly_strategy(F2T, nonzero=True), mpoly_strategy(F2T, nonzero=True))
@@ -611,6 +626,18 @@ def _golden_open_pairs():
     return [tuple((a, n) for a in cs) for n, cs in coeffs]
 
 
+def _open_draws():
+    """12 draws of several roots at n = 2 over GF(3)(t,u) that the chain
+    bounds leave open, about one in 260 draws."""
+    k, rng, den_rng = FieldDesc(3, ("t", "u")), random.Random(7), random.Random(8)
+    open_ = []
+    while len(open_) < 12:
+        pairs = tuple((_random_coeff(rng, k, den_rng), 2) for _ in range(rng.randint(2, 3)))
+        if (roots := _roots(pairs)) and (b := field_mod._degree_bounds(roots))[0] < b[1]:
+            open_.append(pairs)
+    return open_
+
+
 def test_rules_match_dense_oracle(monkeypatch):
     # the auxiliary-field oracle costs about p^(r*N) rows times a (p^N - 1)-th
     # power of each denominator, so both stay small: basis <= 81 and p^N <= 27;
@@ -631,28 +658,14 @@ def test_rules_match_dense_oracle(monkeypatch):
         if pairs not in corpus:
             corpus.append(pairs)
 
-    def roots_of(pairs):
-        return [(b, n - v) for a, n in pairs for v, b in [power_level(a, n)] if v < n]
-
-    def bounds(pairs):
-        roots = roots_of(pairs)
-        return field_mod._degree_bounds(roots) if roots else None
-
-    # the draws above are all split or settled; several roots at n = 2 over
-    # GF(3)(t,u) leave the bounds open about once in 260 draws
-    k, rng, den_rng = FieldDesc(3, ("t", "u")), random.Random(7), random.Random(8)
-    open_ = []
-    while len(open_) < 12:
-        pairs = tuple((_random_coeff(rng, k, den_rng), 2) for _ in range(rng.randint(2, 3)))
-        if (b := bounds(pairs)) and b[0] < b[1]:
-            open_.append(pairs)
-    golden = _golden_open_pairs()
+    # the draws above are all split or settled; the open draws below are not
+    golden, open_ = _golden_open_pairs(), _open_draws()
     seen, found = {}, {}
     for pairs in corpus + golden + open_:
         remainder.clear()
         want = dense_degree_reference(pairs, 81)
         assert compositum_degree(pairs) == want, pairs
-        if roots := roots_of(pairs):
+        if roots := _roots(pairs):
             assert dense(roots) == want, pairs
             lo, hi = field_mod._degree_bounds(roots)
             assert lo <= want <= hi, pairs
@@ -672,7 +685,7 @@ def test_rules_match_dense_oracle(monkeypatch):
              for lo, want, hi in map(found.get, open_)}
     assert {"lo", "hi"} <= cases
     # the dense path meets a denominator and both sides of the num/den choice
-    rest = [b for pairs, branch in seen.items() if branch == "dense" for b, _ in roots_of(pairs)]
+    rest = [b for pairs, branch in seen.items() if branch == "dense" for b, _ in _roots(pairs)]
     assert any(not b.num.is_constant() and not b.den.is_constant() for b in rest)
     assert any(sum(b.den.leading()[0]) > sum(b.num.leading()[0]) for b in rest)
 
@@ -680,6 +693,18 @@ def test_rules_match_dense_oracle(monkeypatch):
 def _roots(pairs):
     """The roots (b_i, e_i) that `compositum_degree` hands to `_degree_bounds`."""
     return [(b, n - v) for a, n in pairs for v, b in [power_level(a, n)] if v < n]
+
+
+def test_dense_span_is_built_once(monkeypatch):
+    # each product of the generators enters the RowSpace once, so the
+    # inserts number the degree; rebuilding the span after every generator
+    # would insert the earlier products again
+    inserts, insert = [], RowSpace.insert
+    monkeypatch.setattr(RowSpace, "insert", lambda space, row: inserts.append(row) or insert(space, row))
+    for pairs in _golden_open_pairs() + _open_draws():
+        inserts.clear()
+        degree = field_mod._dense_degree(_roots(pairs))
+        assert len(inserts) == degree, pairs
 
 
 def _count_jacobians(monkeypatch):
@@ -769,4 +794,7 @@ def test_public_surface():
         assert not hasattr(unipic, name)
     # the report takes its three settings as keyword arguments
     assert "ReportOptions" not in unipic.__all__ and not hasattr(unipic, "ReportOptions")
+    # division lives only in field._cancel, its sparse form in tests/gcd_reference.py
+    assert not hasattr(MPoly, "exact_div") and not hasattr(MPoly, "monic")
+    assert not hasattr(field_mod, "_span_space")
     assert len(unipic.__all__) == 43

@@ -515,6 +515,7 @@ def test_search_matches_references(monkeypatch):
             classes |= {("skipped", perfect), ("skipped", "Bp a monomial" if Bp.is_monomial() else "Bp not")}
         classes.add(("r", field.r))
         B, C = B * L ** (q - 1), [c * L ** (q - 1) for c in C]
+        assert _clear_denominators(field, coeffs, b, q) == (L, B, C), T  # k = q as `_search` calls it
         on_lattice = [all(x % q == 0 for x in e) for f in [B, C[-1]] for e in f.terms]
         if max_deg and max((x for f in [B] + C for e in f.terms for x in e), default=0) > P * max_deg:
             classes.add("coefficient sets S")
