@@ -16,7 +16,7 @@ a sound criterion applies and as honest upper bounds otherwise.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import partial, reduce
+from functools import cached_property, partial, reduce
 from itertools import product
 from math import gcd
 from typing import NamedTuple, Optional, Union
@@ -109,8 +109,6 @@ class FormPresentation(_Equation, namedtuple("FormPresentation", "field n coeffs
     coeffs is the dense tuple (1, a_1, ..., a_m) of tau, a_m nonzero.
     """
 
-    __slots__ = ()
-
     def __new__(cls, field: FieldDesc, n: int, coeffs: tuple[RatFunc, ...]):
         coeffs = tuple(coeffs)  # hashable, and equal to make_form's
         if n < 0:
@@ -131,6 +129,14 @@ class FormPresentation(_Equation, namedtuple("FormPresentation", "field n coeffs
     def twist_coeffs(self) -> list[tuple[int, RatFunc]]:
         """Nonzero coefficients a_i with i >= 1."""
         return [(i, c) for i, c in enumerate(self.coeffs) if i >= 1 and c]
+
+    @cached_property
+    def ladders(self) -> dict[int, tuple[int, RatFunc]]:
+        """i -> (v_i, b_i) = `power_level(a_i, n)` for each nonzero a_i, i >= 1.
+
+        Walked once per presentation; n, n', r and [k':k] all read it.
+        """
+        return {i: power_level(c, self.n) for i, c in self.twist_coeffs()}
 
 
 class Torsor(_Equation, namedtuple("Torsor", "form b")):
@@ -154,6 +160,10 @@ class Torsor(_Equation, namedtuple("Torsor", "form b")):
     @property
     def coeffs(self) -> tuple[RatFunc, ...]:
         return self.form.coeffs
+
+    @property
+    def ladders(self) -> dict[int, tuple[int, RatFunc]]:
+        return self.form.ladders
 
     @property
     def generic_fiber(self) -> bool:
@@ -213,7 +223,7 @@ def generic_fiber_torsor(G: FormPresentation) -> Torsor:
 def splitting_level(G: FormPresentation) -> NValue:
     """The level of the smallest Frobenius twist trivializing the group.
 
-    One pass reads the power level v_i <= n of every a_i.  The
+    It reads the power level v_i <= n of every a_i off `G.ladders`.  The
     presentation is split, certified level 0, when every v_i = n, so every
     a_i is a p^n-th power: k' = k(a_i^(1/p^n)) equals k exactly then, and
     no root tower is built.  If some v_i = 0, so a_i is not a p-th power,
@@ -222,7 +232,7 @@ def splitting_level(G: FormPresentation) -> NValue:
     here that field has exponent exactly n.  Otherwise the supplied n is
     only an upper bound and is reported as such.
     """
-    levels = [power_level(c, G.n)[0] for _, c in G.twist_coeffs()]
+    levels = [v for v, _ in G.ladders.values()]
     if all(v == G.n for v in levels):
         return NValue("exact", 0, "split")
     if 0 in levels:
@@ -230,69 +240,56 @@ def splitting_level(G: FormPresentation) -> NValue:
     return NValue("upper_bound", G.n)
 
 
-# -- presentation reduction and the rationality level -------------------
+# -- the rationality level ----------------------------------------------
 
 
-def _reduce_presentation(n: int, a: dict[int, RatFunc]) -> tuple[int, dict[int, RatFunc]]:
-    """Apply level-lowering moves until none fires.
+def rationality_level(G: FormPresentation) -> NValue:
+    """The smallest twist level at which the function field becomes rational.
 
-    Moves, each a group isomorphism over the current field:
+    For odd p this equals the group splitting level whenever that level is
+    exact, read off the same ladders.  For p = 2 a chain of Frobenius
+    twists is walked: over each k^(1/2^j) the presentation is reduced by
+    level-lowering moves, each a group isomorphism over the current field,
+    and the walk stops at the first level whose reduced presentation is
+    rational -- either trivial, or the smooth conic n = m = 1 whose
+    completion is a form of the projective line with a rational point.
+    Every fully reduced non-terminal presentation has a completion of
+    positive genus, so the first detection is the true level.  The moves:
       * absorb the top coefficient when a_m is a p^n-th power and m >= n,
         via y -> y + c x^(p^(m-n)) with c^(p^n) = -a_m;
       * when every a_i (i >= 1) is a p-th power, pass to the presentation
         (n-1, a_i^(1/p)) via the additive substitution w = y^(p^(n-1)) - g(x),
         g the p-th root of the twisted part.
-    """
-    while True:
-        a = {i: c for i, c in a.items() if c}
-        if not a or n == 0:
-            return n, a
-        m = max(a)
-        if m >= n and power_level(-a[m], n)[0] == n:
-            del a[m]
-            continue
-        roots = {i: c.pth_root() for i, c in a.items()}
-        if any(rc is None for rc in roots.values()):
-            return n, a
-        a, n = roots, n - 1
-
-
-def rationality_level(G: FormPresentation, *, splitting: Optional[NValue] = None) -> NValue:
-    """The smallest twist level at which the function field becomes rational.
-
-    For odd p this equals the group splitting level whenever that level is
-    exact; a caller that holds `splitting_level(G)` passes it as
-    `splitting`, so the ladders are not walked again.  For p = 2 a chain
-    of Frobenius twists is walked: over each k^(1/2^j) the presentation is
-    reduced by extracting available square roots, and the walk stops at
-    the first level whose reduced presentation is rational -- either
-    trivial, or the smooth conic n = m = 1 whose completion is a form of
-    the projective line with a rational point.
-    Every fully reduced non-terminal presentation has a completion of
-    positive genus, so the first detection is the true level.
 
     The twist stays inside k: read through k^(1/2) = k, u -> t, base change
     to k^(1/2) followed by the square-root move is (n, a_i) -> (n - 1, a_i),
     and the absorb tests at level n on a_i^2 are those at level n - 1 on a_i.
-    As n drops once per twist, the walk ends by n = 0, at j <= G.n.
+    So the chain runs on integer depths: after s square-root moves a_i sits
+    at depth v_i - s.  As n + s <= G.n throughout, the ladders' depths,
+    capped at G.n, decide every test, and as n drops once per twist, the
+    walk ends by n = 0, at j <= G.n.
     """
-    p = G.field.p
-    if p != 2:
-        nv = splitting_level(G) if splitting is None else splitting
+    if G.field.p != 2:
+        nv = splitting_level(G)
         if nv.is_exact:
             return NValue("exact", nv.value, "odd-characteristic-equality")
         return NValue("upper_bound", G.n)
-    n = G.n
-    a = dict(G.twist_coeffs())
-    j = 0
+    depth = {i: v for i, (v, _) in G.ladders.items()}
+    n, s, j = G.n, 0, 0
     while True:
-        n, a = _reduce_presentation(n, a)
-        if not a or n == 0:
+        while depth and n:
+            m = max(depth)
+            if m >= n and depth[m] - s >= n:
+                del depth[m]
+            elif min(depth.values()) > s:
+                n, s = n - 1, s + 1
+            else:
+                break
+        if not depth or n == 0:
             return NValue("exact", j, "split" if j == 0 else "twist-chain")
-        if n == 1 and max(a) == 1:
+        if n == 1 and max(depth) == 1:
             return NValue("exact", j, "conic" if j == 0 else "twist-chain")
-        j += 1
-        n -= 1
+        j, n = j + 1, n - 1
 
 
 # -- rational points ----------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional, Union
 
-from .field import RatFunc, compositum_degree, power_level
+from .field import RatFunc, compositum_degree
 from .forms import (
     FormPresentation,
     NValue,
@@ -126,7 +126,8 @@ def _residue_level(T, inf: Optional[InfinityData]) -> NValue:
     projective line (r = 0); regular naive completions read r off the
     boundary residue field; for n > m with a_m a p^m-th power, the
     plane-model rewrite with alpha = a_m^(1/p^m), s = n - m can expose a
-    field residue ring; otherwise only r <= n is known.
+    field residue ring; otherwise only r <= n is known.  The ladder of a_m,
+    a_m = b_m^(p^(v_m)), gives alpha = b_m^(p^(v_m - m)) with no new root.
     """
     n, m = T.n, T.m
     if m == 0:
@@ -134,9 +135,9 @@ def _residue_level(T, inf: Optional[InfinityData]) -> NValue:
     if inf.is_field:
         return NValue("exact", inf.exponent, "regular-completion")
     if n > m:
-        v, alpha = power_level(T.coeffs[m], m)
-        if v == m:
-            model = rewrite_plane_model(T, alpha, n - m)
+        v, b = T.ladders[m]
+        if v >= m:
+            model = rewrite_plane_model(T, b.frobenius(v - m), n - m)
             res = residue_from_plane_model(model)
             if res is not None and res.is_field:
                 return NValue("exact", res.exponent, "plane-model-residue")
@@ -164,7 +165,7 @@ def invariant_report(
     G = X.form if is_torsor else X
     p = G.field.p
     n = splitting_level(G)
-    deg = compositum_degree([(c, G.n) for _, c in G.twist_coeffs()])
+    deg = compositum_degree([(b, G.n - v) for v, b in G.ladders.values() if v < G.n])
     nontrivial = deg > 1
     # the completion and its boundary data serve both r and Pic0
     if G.m == 0:
@@ -198,7 +199,7 @@ def invariant_report(
     else:
         quotient_desc = f"m*Z/p^rZ with r <= {r.value} and m | p^r"
     if not is_torsor or point is not None:
-        n_prime = rationality_level(G, splitting=n)
+        n_prime = rationality_level(G)
     else:
         n_prime = NValue("upper_bound", G.n)
     flags: list[str] = []

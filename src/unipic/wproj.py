@@ -112,33 +112,25 @@ def is_regular_at_infinity(C: WeightedCurve) -> InfinityData:
     """Inspect the boundary z = 0.
 
     Exactly one affine term survives at the boundary, giving the ring
-    k[s]/(s^(p^e) - u) with u built from the top coefficient a_m.  This is
-    a field precisely when a_m is not a p-th power, and then the boundary
+    k[s]/(s^(p^e) - u), e = min(n, m): u = a_m in the chart x = 1 when
+    n <= m, u = 1/a_m in the chart y = 1 when n > m.  As 1/a_m sits exactly
+    as deep as a_m, both read v = min(v_m, e) off the ladder of a_m.  This
+    is a field precisely when a_m is not a p-th power, and then the boundary
     is a single regular point whose residue field is purely inseparable
     of the recorded exponent.
     """
-    n, m = C.source.n, C.source.m
-    am = C.source.coeffs[m]
-    if n <= m:
-        # chart x = 1: residue ring k[y]/(y^(p^n) - a_m)
-        e, u = n, am
-    else:
-        # chart y = 1: residue ring k[x]/(x^(p^m) - 1/a_m)
-        e, u = m, am.inverse()
-    return _residue_ring(u, e)
+    X = C.source
+    e = min(X.n, X.m)
+    return _residue_ring(min(X.ladders[X.m][0], e), e, X.field.p)
 
 
-def _residue_ring(u: RatFunc, e: int) -> InfinityData:
-    """The boundary ring k[s]/(s^(p^e) - u).
+def _residue_ring(v: int, e: int, p: int) -> InfinityData:
+    """The boundary ring k[s]/(s^(p^e) - u), u = b^(p^v) with v <= e as large as possible.
 
-    With u = b^(p^v), v <= e as large as possible, it is a field when
-    e = 0 or v = 0; otherwise nilpotents are present and the reduced
-    exponent is e - v.
+    It is a field when v = 0 (always when e = 0); otherwise nilpotents are
+    present and the reduced exponent is e - v.
     """
-    v, _ = power_level(u, e)
-    if e == 0 or v == 0:
-        return InfinityData(True, u.field.p ** e, e)
-    return InfinityData(False, u.field.p ** e, e - v)
+    return InfinityData(v == 0, p ** e, e - v)
 
 
 def genus_from_formula(C: WeightedCurve) -> int:
@@ -225,4 +217,4 @@ def residue_from_plane_model(model: PlaneModel) -> Optional[InfinityData]:
     J, cy = model.ycoeffs[-1]
     if I != J:
         return None
-    return _residue_ring(-(cy / cw), I)
+    return _residue_ring(power_level(-(cy / cw), I)[0], I, model.source.field.p)

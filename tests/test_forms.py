@@ -34,6 +34,7 @@ from unipic import (
     pic_p1_complement,
     plane_model_residual,
     poly_gcd,
+    power_level,
     rationality_level,
     rewrite_plane_model,
     splitting_level,
@@ -304,13 +305,16 @@ def _golden_forms(p):
 
 def test_rationality_chain_matches_twist_reference():
     # the chain inside k against the renamed-field twist chain, on every
-    # p = 2 golden form and a seeded GF(2)(t,u) corpus with n <= 4
+    # p = 2 golden form and a seeded GF(2)(t,u) corpus with n <= 4; some
+    # a_i are c^(2^j) with j up to n + 2, deeper than the ladders' cap at n
     rng = random.Random(0)
     seeded = []
     for _ in range(400):
         n, m = rng.randint(1, 4), rng.randint(1, 4)
-        coeffs = {i: _power_coeff(rng, F2TU, n) for i in range(1, m + 1) if i == m or rng.random() < 0.6}
+        coeffs = {i: _power_coeff(rng, F2TU, n + 2 * (rng.random() < 0.3))
+                  for i in range(1, m + 1) if i == m or rng.random() < 0.6}
         seeded.append(form_over(F2TU, n, {0: F2TU.one(), **coeffs}))
+    assert any(power_level(c, G.n + 1)[0] > G.n for G in seeded for _, c in G.twist_coeffs())
     seen, passed = set(), 0
     for G in itertools.chain(_golden_forms(2), seeded):
         level, chain = twist_chain_reference(G)

@@ -12,6 +12,7 @@ from unipic import (
     FieldDesc,
     NValue,
     NotIrreducible,
+    RatFunc,
     Torsor,
     find_rational_point,
     generic_fiber_torsor,
@@ -20,6 +21,7 @@ from unipic import (
     make_form,
     naive_completion,
     pic_p1_complement,
+    power_level,
 )
 from unipic.cli import parse_field_spec, parse_form_equation
 from unipic.forms import _search
@@ -229,19 +231,36 @@ def test_report_builds_tower_and_completion_once(monkeypatch, X):
     assert len(completions) == 1
 
 
-def test_report_walks_splitting_level_once(monkeypatch):
-    # for odd p the rationality level is the splitting level, which the
-    # report hands over instead of walking every a_i's ladder again
-    golden = sorted({(v["field"], v["eq"]) for v in _golden_variants() if not v["field"].startswith("GF(2)")})
+def test_report_takes_each_root_step_once(monkeypatch):
+    # each a_i's ladder is walked once per report, so the p-th roots a
+    # form's report takes are the v_i steps of its ladders and no more:
+    # n, n', r and [k':k] read them; only the n > m plane-model rewrite of
+    # y^8 = x + 1/(t^2)*x^2 + t^4*x^4 roots its own boundary ratio, twice
+    golden = sorted({(v["field"], v["eq"]) for v in _golden_variants()})
     cases = [parse_form_equation(eq, parse_field_spec(field)).build() for field, eq in golden]
-    calls = _count_calls(monkeypatch, "splitting_level")
-    equal = 0
-    for X in cases:
-        calls.clear()
+    steps = [None if isinstance(X, Torsor) else sum(power_level(c, X.n)[0] for _, c in X.twist_coeffs())
+             for X in cases]
+    roots = []
+    pth_root = RatFunc.pth_root
+
+    def counted(self):
+        root = pth_root(self)
+        roots.append(root is not None)
+        return root
+
+    monkeypatch.setattr(RatFunc, "pth_root", counted)
+    rewrite = ("GF(2)(t,u)", "y^8 = x + 1/(t^2)*x^2 + t^4*x^4")
+    forms = odd = equal = 0
+    for case, X, want in zip(golden, cases, steps):
+        roots.clear()
         rep = invariant_report(X, search_bound=0)
-        assert len(calls) == 1, X
-        equal += rep.n_prime.certificate == "odd-characteristic-equality"
-    assert (len(cases), equal) == (641, 378)
+        if want is not None:
+            forms += 1
+            assert sum(roots) == want + 2 * (case == rewrite), case
+        if not case[0].startswith("GF(2)"):
+            odd += 1
+            equal += rep.n_prime.certificate == "odd-characteristic-equality"
+    assert (forms, odd, equal) == (823, 641, 378)
 
 
 @pytest.mark.parametrize("X", _ONCE_CASES, ids=_ONCE_IDS)

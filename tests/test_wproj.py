@@ -1,6 +1,7 @@
 """Weighted projective completions, regularity at infinity, genus oracles."""
 
 import importlib.util
+import itertools
 import random
 from pathlib import Path
 
@@ -26,8 +27,10 @@ from unipic import (
     rewrite_plane_model,
 )
 
+from unipic.cli import parse_field_spec, parse_form_equation
 from unipic.wproj import _unit_count, check_pole_bound
 
+from boundary_reference import boundary_reference
 from cech_reference import (
     _explicit_unit_columns,
     _unit_column,
@@ -37,6 +40,8 @@ from cech_reference import (
 )
 from conftest import F2T, F3T
 from hilbert_reference import hilbert_count_reference
+from test_forms import _golden_variants
+from test_obstruction import _laurent
 
 T = F2T.var("t")
 ONE = F2T.one()
@@ -162,6 +167,31 @@ def test_regular_boundary_char3():
     inf = is_regular_at_infinity(naive_completion(g))
     assert inf.is_field
     assert inf.degree == 3
+
+
+def test_boundary_matches_chart_reference():
+    # the ladder of a_m against the chart's own element, a_m or 1/a_m, on
+    # every golden input with a twist term and a seeded corpus of forms and
+    # torsors with a_m = c^(p^j), j in 0..n+1
+    golden = sorted({(v["field"], v["eq"]) for v in _golden_variants()})
+    cases = [parse_form_equation(eq, parse_field_spec(field)).build() for field, eq in golden]
+    rng = random.Random(35)
+    for p, r, n, m in itertools.product((2, 3, 5), (1, 2), (1, 2, 3), (1, 2, 3)):
+        field = FieldDesc(p, ("t", "u")[:r])
+        for _ in range(3):
+            tau = [field.one()] + [_laurent(rng, field, 2) if rng.random() < 0.5 else field.zero()
+                                   for _ in range(1, m)]
+            G = make_form(n, tau + [_laurent(rng, field, rng.randint(1, 2)).frobenius(rng.randint(0, n + 1))])
+            cases += [G, Torsor(G, _laurent(rng, field, 2))]
+    branches = set()
+    for X in cases:
+        if X.m == 0:
+            continue
+        C = naive_completion(X)
+        inf = is_regular_at_infinity(C)
+        assert inf == boundary_reference(C), X
+        branches.add((X.n <= X.m, inf.is_field))
+    assert branches == set(itertools.product((False, True), repeat=2))
 
 
 # --------------------------------------------------------------------- genus
