@@ -25,6 +25,11 @@ which of three verdicts hold:
 - unresolved: the parent's interquartile range exceeds that bound, so an
   unchanged median does not show the metric unchanged; it does not hold
   when every run of the change is better than every run of the parent.
+A metric whose unit is `frac` (`exact_frac`, `ok_frac`) is a share of
+counts, which repeat exactly for a given seed and tree, so it is judged
+pair by pair: worse when some pair's change is worse than that pair's
+parent by more than the bound, a share of the parent's value, and never
+unresolved, as a spread over seeds is no noise.
 Above the table it prints each side's line count of src/unipic, read off
 the drift records of its runs.  Below each workload's setup_s it prints
 each side's median `setup_cpu_s` from the drift records: raw set-up CPU
@@ -81,7 +86,8 @@ def spread(values: list) -> tuple[float, float, float]:
 
 def summarise(pairs: list, metrics: list) -> dict:
     """Per metric of `metrics` (BENCHMARK.json `end_to_end` entries), both
-    sides' spread over `pairs` and the gain, worse and unresolved verdicts."""
+    sides' spread over `pairs` and the gain, worse and unresolved verdicts;
+    a `frac` metric is judged pair by pair."""
     out = {}
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
@@ -92,6 +98,11 @@ def summarise(pairs: list, metrics: list) -> dict:
         better = cmed < pmed if lower else cmed > pmed
         bound = m["bound"] * abs(pmed)
         apart = max(change) < min(parent) if lower else min(change) > max(parent)
+        paired = m["unit"] == "frac"  # a share of counts: it repeats exactly for a seed and tree
+        if paired:
+            worse = any((b - a if lower else a - b) > m["bound"] * abs(a) for a, b in zip(parent, change))
+        else:
+            worse = (cmed - pmed if lower else pmed - cmed) > bound
         out[name] = {
             "parent": {"median": pmed, "q1": pq1, "q3": pq3},
             "change": {"median": cmed, "q1": cq1, "q3": cq3},
@@ -99,8 +110,8 @@ def summarise(pairs: list, metrics: list) -> dict:
             "median_change": (cmed - pmed) / pmed if pmed else None,
             "won": won, "pairs": len(pairs),
             "gain": better and won >= 0.9 * len(pairs) and abs(cmed - pmed) > pq3 - pq1,
-            "worse": (cmed - pmed if lower else pmed - cmed) > bound,
-            "unresolved": pq3 - pq1 > bound and not apart,
+            "worse": worse,
+            "unresolved": not paired and pq3 - pq1 > bound and not apart,
         }
     return out
 

@@ -16,7 +16,6 @@ from .field import (
     UnknownVariable,
     ZeroInput,
     compositum_degree,
-    poly_gcd,
     power_level,
 )
 from .forms import (
@@ -93,7 +92,6 @@ __all__ = [
     "naive_completion",
     "pic_p1_complement",
     "plane_model_residual",
-    "poly_gcd",
     "power_level",
     "rationality_level",
     "residue_from_plane_model",

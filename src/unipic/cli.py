@@ -27,7 +27,6 @@ from .forms import (
     NotSeparable,
     Torsor,
     find_rational_point,
-    local_obstruction,
     make_form,
 )
 from .picard import InvariantReport, invariant_report, pic_p1_complement
@@ -413,8 +412,7 @@ def _cmd_hilbert(args) -> int:
 
 def _cmd_points(args) -> int:
     X = _build_target(args)
-    obstructed = args.max_deg >= 0 and local_obstruction(X)  # a negative bound still raises
-    pt = None if obstructed else find_rational_point(X, args.max_deg)
+    pt = find_rational_point(X, args.max_deg)
     if pt is None:
         print(f"no point found (bound {args.max_deg})")
     else:

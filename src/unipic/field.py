@@ -509,12 +509,6 @@ def _cancel(x: MPoly, y: MPoly) -> tuple[MPoly, MPoly, MPoly]:
     return tuple(out)
 
 
-def poly_gcd(f: MPoly, g: MPoly) -> MPoly:
-    """Monic gcd, the first of `_cancel`'s results (0 when f = g = 0)."""
-    f._check(g)
-    return _cancel(f, g)[0] if f or g else f
-
-
 def _monic_den(num: MPoly, den: MPoly) -> tuple[MPoly, MPoly]:
     """num and den scaled so that den has leading coefficient 1."""
     inv = pow(den.leading()[1], -1, den.field.p)

@@ -503,16 +503,21 @@ def find_rational_point(T, max_deg: int) -> Optional[tuple[RatFunc, RatFunc]]:
     over F_p, so one linear system, built on packed integer exponents,
     returns the least such g without enumerating the p^K numerators; for
     n > m only the denominators a reduced x can have are tried.  A form
-    (b = 0) has x = y = 0, its group identity, with no search; when b is a
-    nonzero p^n-th power, x = 0 is returned before any h.  The witness, the
-    first candidate in that order, is re-checked over one denominator built
-    from T's own coefficients, not the engine's, and y is a p^n-th root.
+    (b = 0) has x = y = 0, its group identity, with no search.  A torsor
+    with a `local_obstruction` has no point of degree prime to p, so None
+    is returned with no search.  A point gives m(X) = 1, so M = m(X)Z/p^rZ
+    is Z/p^rZ, and Pic(X) = M when Pic0(C) = 0.  When b is a nonzero p^n-th
+    power, x = 0 is returned before any h.  The witness, the first candidate
+    in that order, is re-checked over one denominator built from T's own
+    coefficients, not the engine's, and y is a p^n-th root.
     """
     if max_deg < 0:
         raise ValueError("max_deg must be nonnegative")
     if not T.b:
         zero = T.field.zero()
         return zero, zero
+    if local_obstruction(T):
+        return None
     hit = _search(T, max_deg)
     if hit is None:
         return None

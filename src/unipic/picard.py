@@ -6,7 +6,8 @@ tags: the p^n torsion bound on Pic, the boundary residue level r with its
 certificate chain, and the degree sequence
 0 -> Pic0(C) -> Pic(X) -> m(X) Z/p^r Z -> 0, stored once as r, the index
 m(X) of the degree map, the genus of the completion C (the dimension of
-Pic0) and a description of the quotient.  Pic(X) = 0 is read off the
+Pic0) and a description of the quotient M = m(X) Z/p^r Z.  Pic(X) = M when
+Pic0(C) = 0, that is when C has genus 0.  Pic(X) = 0 is read off the
 equation of a torsor that is the generic fiber of its own projection.
 Structural facts that the artifact cannot decide (woundness, splitting of
 the Picard scheme, specialness) are emitted as tagged assertion strings,
@@ -24,7 +25,6 @@ from .forms import (
     NValue,
     Torsor,
     find_rational_point,
-    local_obstruction,
     rationality_level,
     rewrite_plane_model,
     splitting_level,
@@ -155,10 +155,10 @@ def invariant_report(
     The report never upgrades a bound to an exact value: each field keeps
     the tag produced by its own certificate chain, and derived statements
     (the assembled Picard group, nontriviality) fire only from fully
-    certified inputs.
+    certified inputs.  The assembled group is Pic(X) = M when Pic0(C) = 0,
+    with M = m(X) Z/p^r Z, and Pic(X) = 0 for a generic fiber.
     """
-    if search_bound < 0:
-        # checked here, as the local obstruction below can skip the search that checks it
+    if search_bound < 0:  # outside input, rejected before any work
         raise ValueError("max_deg must be nonnegative")
     check_pole_bound(pole_bound, oracle)  # a projective-line completion never reads it
     is_torsor = isinstance(X, Torsor)
@@ -182,18 +182,18 @@ def invariant_report(
         else:
             genus = NValue("upper_bound", g)
     r = _residue_level(X, inf)
-    # a local obstruction proves that no point of degree prime to p exists
-    point = None if local_obstruction(X) else find_rational_point(X, search_bound)
+    point = find_rational_point(X, search_bound)
+    generic = is_torsor and X.generic_fiber
     pr = p ** r.value
     if point is not None:
         m_X = NValue("exact", 1, "rational-point")
-    elif is_torsor and X.generic_fiber and r.is_exact:
+    elif generic and r.is_exact:
         # Pic(X) = 0 maps onto m(X) Z/p^r Z, so that quotient is zero
         m_X = NValue("exact", pr, "generic-fiber")
     else:
         m_X = NValue("upper_bound", pr)
     if m_X.is_exact and r.is_exact:
-        quotient_desc = f"Z/{pr}Z" if m_X.value == 1 else "0"
+        quotient_desc = "0" if m_X.value == pr else f"Z/{pr // m_X.value}Z"
     elif r.is_exact:
         quotient_desc = f"m*Z/{pr}Z with m | {pr}"
     else:
@@ -212,27 +212,18 @@ def invariant_report(
             flags.append("cech-not-stabilized")
     pic_nontrivial: Optional[tuple[bool, str]] = None
     pic_group: Optional[str] = None
-    if is_torsor and X.generic_fiber:
+    if generic:
         flags.append("pic-trivial-by-construction")
         pic_nontrivial = (False, "generic fiber of its own defining projection; Pic vanishes by localization")
         pic_group = "0"
     elif point is not None and nontrivial:
         pic_nontrivial = (True, "rational point on a nontrivial form")
-    if (
-        pic_group is None
-        and genus.is_exact
-        and genus.value == 0
-        and point is not None
-        and r.is_exact
-    ):
-        if nontrivial and r.value >= 1:
-            pic_group = f"Z/{p ** r.value}Z"
-        elif not nontrivial:
-            pic_group = "0"
+    if pic_group is None and m_X.is_exact and r.is_exact and genus.is_exact and genus.value == 0:
+        pic_group = quotient_desc  # Pic0(C) = 0, so Pic(X) = M
     if n.is_exact and n_prime.is_exact and r.is_exact:
         if n.value < max(n_prime.value, r.value):
             raise AssertionError("level inequality violated; invariant chain inconsistent")
-    if m_X.is_exact and r.is_exact and (p ** r.value) % m_X.value != 0:
+    if m_X.is_exact and r.is_exact and pr % m_X.value != 0:
         raise AssertionError("m(X) does not divide p^r; invariant chain inconsistent")
     assertions: list[tuple[str, str]] = [
         (

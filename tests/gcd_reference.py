@@ -1,14 +1,16 @@
-"""References for `unipic.poly_gcd` and the library's division: the
-primitive PRS at every level, and sparse long division.
+"""The library's gcd as tests call it, and references for it and for the
+library's division: the primitive PRS at every level, and sparse long
+division.
 
-`poly_gcd` runs plain Euclid over F_p once its recursion reaches one
-variable.  Before that it took the same recursion as `prs_gcd_reference`
-all the way down: split off the contents in the last variable v, take
-pseudo-remainders in v of the primitive parts, and recurse on the
-contents in the variables before v, to the constants.
-It runs on `MPoly` objects throughout, where `poly_gcd` converts each
-operand once to recursive dense lists.  `prs_gcd_reference(f, g)` should
-equal `poly_gcd(f, g)`.
+`poly_gcd(f, g)` is the monic gcd, the first result of
+`unipic.field._cancel`, the one gcd in the library.  It runs plain Euclid
+over F_p once its recursion reaches one variable.  Before that it took the
+same recursion as `prs_gcd_reference` all the way down: split off the
+contents in the last variable v, take pseudo-remainders in v of the
+primitive parts, and recurse on the contents in the variables before v,
+to the constants.  The reference runs on `MPoly` objects throughout,
+where `_cancel` converts each operand once to recursive dense lists.
+`prs_gcd_reference(f, g)` should equal `poly_gcd(f, g)`.
 
 The library divides only in `unipic.field._cancel(x, y)`, which returns
 the monic gcd g with the cofactors x/g and y/g, long divisions on the
@@ -22,7 +24,13 @@ Frobenius power, dense division is 40 to 100 times slower than this one.
 """
 
 from unipic import DivisionByZero, MPoly
-from unipic.field import _mul_terms
+from unipic.field import _cancel, _mul_terms
+
+
+def poly_gcd(f, g):
+    """Monic gcd, the first of `_cancel`'s results (0 when f = g = 0)."""
+    f._check(g)
+    return _cancel(f, g)[0] if f or g else f
 
 
 def exact_div_reference(f, d):

@@ -4,6 +4,7 @@ import argparse
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -721,7 +722,7 @@ def test_import_loads_only_what_analyze_runs():
                            "dataclasses", "inspect", "unipic.catalogue"],
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == "[]\n43 [] True\n"
+    assert proc.stdout == "[]\n42 [] True\n"
 
 
 def test_closed_stdout_exits_quietly():
@@ -938,7 +939,40 @@ def test_output_digest_pinned(capsys):
     spec.loader.exec_module(digest)
     assert digest.main() == 0
     assert capsys.readouterr().out == (
-        "49e729cad43672d56bb476443c9bda2189150b1a74e727d983240b563d9da3e2  2871 calls\n")
+        "a00766e0edc344aef9160e75de31260810acad208455a1d6838552db13782c99  2871 calls\n")
+
+
+@pytest.fixture(scope="module")
+def digest_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "output_digest.py"
+    spec = importlib.util.spec_from_file_location("output_digest", path)
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    return digest, digest.side(digest.ROOT)
+
+
+def test_output_diff_of_a_tree_against_itself_is_empty(digest_script):
+    digest, calls = digest_script
+    assert len(calls) > 2000
+    assert digest.compare(calls, digest.side(digest.ROOT)) == ([], [], [])
+
+
+def test_output_diff_lists_the_calls_an_edit_changes(digest_script, tmp_path):
+    # a copy whose one certificate string is renamed differs on exactly the
+    # calls that print it, and on no other
+    digest, calls = digest_script
+    root = digest.ROOT
+    shutil.copytree(root / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    for data in ("perfbench/golden.json", "tests/golden_analyze.json"):
+        (tmp_path / data).parent.mkdir(exist_ok=True)
+        shutil.copy(root / data, tmp_path / data)
+    picard = tmp_path / "src" / "unipic" / "picard.py"
+    text = picard.read_text()
+    assert text.count('"zero-upper-bound"') == 1
+    picard.write_text(text.replace('"zero-upper-bound"', '"zero-upper-bound*"'))
+    printing = [argv for argv, (_, out, _) in calls.items() if "zero-upper-bound" in out]
+    assert printing
+    assert digest.compare(calls, digest.side(tmp_path)) == (printing, [], [])
 
 
 def test_bench_pairs_verdicts():
@@ -958,14 +992,25 @@ def test_bench_pairs_verdicts():
     }
     pairs = [{side: {"metrics": {name: runs[k][i] for name, runs in series.items()}}
               for k, side in enumerate(("parent", "change"))} for i in range(10)]
-    metrics = [{"name": name, "better": "lower", "bound": 0.25} for name in series]
+    metrics = [{"name": name, "better": "lower", "bound": 0.25, "unit": "ref"} for name in series]
     summary = bench.summarise(pairs, metrics)
     verdicts = {name: {v for v in ("gain", "worse", "unresolved") if s[v]} for name, s in summary.items()}
     assert verdicts == {"faster": {"gain"}, "slower": {"worse"}, "noisy": {"unresolved"}}
     assert summary["faster"]["won"] == 10 and summary["slower"]["won"] == 0
     # a higher-is-better metric flips every comparison
-    flipped = bench.summarise(pairs, [{"name": "slower", "better": "higher", "bound": 0.25}])
+    flipped = bench.summarise(pairs, [{"name": "slower", "better": "higher", "bound": 0.25, "unit": "ref"}])
     assert flipped["slower"]["gain"] and not flipped["slower"]["worse"]
+    # a share of counts repeats exactly for a seed, so it is judged pair by
+    # pair: a spread over seeds that both sides share is neither unresolved
+    # nor worse, and one pair worse past the bound is worse
+    by_seed = [0.90, 0.93, 0.88, 0.95, 0.91, 0.86, 0.94, 0.89, 0.92, 0.87]
+    exact = {"name": "exact_frac", "better": "higher", "bound": 0.001, "unit": "frac"}
+    for change, want in ((by_seed, set()), (by_seed[:4] + [0.9085] + by_seed[5:], {"worse"})):
+        runs = [{"parent": {"metrics": {"exact_frac": a}}, "change": {"metrics": {"exact_frac": b}}}
+                for a, b in zip(by_seed, change)]
+        s = bench.summarise(runs, [exact])["exact_frac"]
+        assert s["parent_iqr"] > 0.001 * s["parent"]["median"]
+        assert {v for v in ("gain", "worse", "unresolved") if s[v]} == want
     # each side's src/ line count comes from the drift records of its runs
     for i, pair in enumerate(pairs):
         pair["parent"]["drift"] = {"src_lines": 2962}

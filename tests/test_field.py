@@ -22,14 +22,13 @@ from unipic import (
     UnknownVariable,
     ZeroInput,
     compositum_degree,
-    poly_gcd,
     power_level,
 )
 from unipic.cli import _parse_value, parse_field_spec, parse_form_equation
 from unipic.linalg import RowSpace
 
 from conftest import F2T, F2TU, F3T, mpoly_strategy, ratfunc_strategy
-from gcd_reference import exact_div_reference, prs_gcd_reference
+from gcd_reference import exact_div_reference, poly_gcd, prs_gcd_reference
 from mul_reference import mul_reference, pow_reference
 from test_forms import _golden_variants
 from tower_reference import (
@@ -774,9 +773,10 @@ def test_public_surface():
         getattr(unipic, name)
     assert len(set(unipic.__all__)) == len(unipic.__all__)
     # the auxiliary-field tower lives on only in tests/tower_reference.py, and
-    # exports without a library caller are gone
+    # exports without a library caller are gone (poly_gcd, the first result of
+    # field._cancel, to tests/gcd_reference.py)
     for name in ("tower_field", "tower_root", "RootTowerElem", "LevelMismatch",
-                 "root_field_degree", "torsion_bound_unipotent", "pn_power_test"):
+                 "root_field_degree", "torsion_bound_unipotent", "pn_power_test", "poly_gcd"):
         assert name not in unipic.__all__
         assert not hasattr(unipic, name) and not hasattr(field_mod, name)
     # the ring k{F} lives on only in tests/skew_reference.py, a form stores
@@ -797,4 +797,4 @@ def test_public_surface():
     # division lives only in field._cancel, its sparse form in tests/gcd_reference.py
     assert not hasattr(MPoly, "exact_div") and not hasattr(MPoly, "monic")
     assert not hasattr(field_mod, "_span_space")
-    assert len(unipic.__all__) == 43
+    assert len(unipic.__all__) == 42

@@ -33,7 +33,6 @@ from unipic import (
     naive_completion,
     pic_p1_complement,
     plane_model_residual,
-    poly_gcd,
     power_level,
     rationality_level,
     rewrite_plane_model,
@@ -44,6 +43,7 @@ from unipic.cli import parse_field_spec, parse_form_equation
 from unipic.forms import _clear_denominators, _least_solution, _monomials_up_to, _rhs_at, _search
 
 from conftest import F2T, F2TU, F3T, ratfunc_strategy
+from gcd_reference import poly_gcd
 from search_reference import brute_force_search, linear_search_reference, rhs_reference
 from twist_reference import twist_chain_reference
 

@@ -6,7 +6,9 @@ import itertools
 import json
 import random
 
-import unipic.picard
+import pytest
+
+import unipic.forms
 from unipic import FieldDesc, MPoly, RatFunc, Torsor, find_rational_point, make_form
 from unipic.cli import main, parse_field_spec, parse_form_equation
 from unipic.forms import _search, local_obstruction
@@ -124,10 +126,11 @@ def test_hull_matches_fraction_reference():
 
 def test_no_obstruction_where_a_point_is_found():
     # golden: where the obstruction fires, the golden report found no point
-    # and the search finds none; the rest have no claim to check
+    # and the engine, which find_rational_point skips there, finds none; the
+    # rest have no claim to check
     fired = [(T, bound, point) for T, bound, _, point in GOLDEN if local_obstruction(T)]
     assert fired and not any(point for *_, point in fired)
-    assert all(find_rational_point(T, bound) is None for T, bound, _ in fired)
+    assert all(_search(T, bound) is None for T, bound, _ in fired)
     # the seeded search corpus: hits found by the engine or the brute force
     for T, max_deg in _search_oracle_inputs():
         if local_obstruction(T):
@@ -157,8 +160,26 @@ def test_output_unchanged_where_the_obstruction_fires(monkeypatch):
     assert fired
     for argv in fired:
         with monkeypatch.context() as mp:
-            mp.setattr(unipic.picard, "local_obstruction", lambda T: None)
+            mp.setattr(unipic.forms, "local_obstruction", lambda T: None)
             before = _analyze_json(argv)
         after = _analyze_json(argv)
         assert before == after, argv
         assert after["m_X"]["kind"] == "bound", argv
+
+
+def test_obstruction_answers_before_the_engine(monkeypatch, capsys):
+    # an obstructed torsor never reaches _search; a negative bound still
+    # raises, and `points` prints the line a search that finds nothing prints
+    field, eq = "GF(5)(t,u)", "y^5 = u + x + t*x^5"
+    T = parse_form_equation(eq, parse_field_spec(field)).build()
+    assert local_obstruction(T) == "t = oo"
+
+    def engine(T, max_deg):
+        raise AssertionError("the search engine ran on an obstructed torsor")
+
+    monkeypatch.setattr(unipic.forms, "_search", engine)
+    assert find_rational_point(T, 3) is None
+    with pytest.raises(ValueError, match="max_deg must be nonnegative"):
+        find_rational_point(T, -1)
+    assert main(["points", "--field", field, "--eq", eq, "--max-deg", "2"]) == 0
+    assert capsys.readouterr().out == "no point found (bound 2)\n"
