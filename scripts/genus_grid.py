@@ -18,7 +18,7 @@ from unipic import (
 )
 
 
-def run_grid(primes, max_level: int, pole_bound: int | None = None) -> list[tuple]:
+def run_grid(primes, max_level: int) -> list[tuple]:
     rows = []
     for p in primes:
         field = FieldDesc(p, ("t",))
@@ -26,7 +26,7 @@ def run_grid(primes, max_level: int, pole_bound: int | None = None) -> list[tupl
         for n in range(1, max_level + 1):
             for m in range(1, max_level + 1):
                 C = naive_completion(make_form(n, [field.one()] + [field.zero()] * (m - 1) + [t]))
-                dim, stable = cech_h1_dim(C, pole_bound)
+                dim, stable = cech_h1_dim(C)
                 regular = is_regular_at_infinity(C).is_field
                 rows.append((p, n, m, genus_from_formula(C), dim, stable, regular))
     return rows
@@ -37,11 +37,9 @@ def main() -> int:
     ap.add_argument("--primes", type=int, nargs="+", default=[2, 3])
     ap.add_argument("--max-level", type=int, default=2,
                     help="largest n and m in the sweep")
-    ap.add_argument("--pole-bound", type=int, default=None,
-                    help="Cech truncation override")
     args = ap.parse_args()
 
-    rows = run_grid(args.primes, args.max_level, args.pole_bound)
+    rows = run_grid(args.primes, args.max_level)
     print(f"{'p':>2} {'n':>2} {'m':>2} {'formula':>8} {'cech':>6} "
           f"{'stable':>7} {'regular':>8}")
     mismatches = 0

@@ -3,10 +3,11 @@
 
 The calls are `analyze`, as text and with `--json`, on every variant of
 perfbench/golden.json (with `--oracle` where the variant sets it), every
-argv of tests/golden_analyze.json, and `paper-examples`.  Each runs in
-process through `unipic.cli.main` from the src/ next to this script, and
-its argv, exit code, stdout and stderr enter the hash.  Two checkouts that
-print the same digest give byte-identical output on every call.
+argv of tests/golden_analyze.json, and `paper-examples`, each distinct
+argv once.  Each runs in process through `unipic.cli.main` from the src/
+next to this script, and its argv, exit code, stdout and stderr enter the
+hash.  Two checkouts that print the same digest give byte-identical output
+on every call.
 
 `--diff REV` lists where the output changed instead.  It unpacks the
 committed tree of REV as scripts/bench_pairs.py does, runs each side's own
@@ -45,18 +46,19 @@ for call in calls(Path(sys.argv[2])):
 """
 
 
-def argvs(root: Path):
+def argvs(root: Path) -> list[list[str]]:
+    """root's calls in order, each once: workloads of golden.json share variants."""
     golden = json.loads((root / "perfbench" / "golden.json").read_text())
+    out = []
     for slots in golden["workloads"].values():
         for slot in slots:
             for v in slot["variants"]:
                 argv = ["analyze", "--field", v["field"], "--eq", v["eq"],
                         "--search-bound", str(v["bound"])] + ["--oracle"] * v["oracle"]
-                yield argv
-                yield argv + ["--json"]
-    for case in json.loads((root / "tests" / "golden_analyze.json").read_text()):
-        yield case["argv"]
-    yield ["paper-examples"]
+                out += [argv, argv + ["--json"]]
+    out += [case["argv"] for case in json.loads((root / "tests" / "golden_analyze.json").read_text())]
+    out.append(["paper-examples"])
+    return [list(a) for a in dict.fromkeys(map(tuple, out))]
 
 
 def calls(root: Path = ROOT):

@@ -43,7 +43,6 @@ from .picard import (
     pic_p1_complement,
 )
 from .wproj import (
-    BoundTooSmall,
     InfinityData,
     TrivialTau,
     WeightedCurve,
@@ -57,7 +56,6 @@ from .wproj import (
 
 __all__ = [
     "BasisTooLarge",
-    "BoundTooSmall",
     "CatalogueResult",
     "DivisionByZero",
     "FieldDesc",

@@ -30,7 +30,7 @@ from .forms import (
     make_form,
 )
 from .picard import InvariantReport, invariant_report, pic_p1_complement
-from .wproj import TrivialTau, cech_h1_dim, check_pole_bound, genus_from_formula, hilbert_dim, naive_completion
+from .wproj import TrivialTau, cech_h1_dim, genus_from_formula, hilbert_dim, naive_completion
 
 
 class ParseError(ValueError):
@@ -384,21 +384,19 @@ def _build_target(args) -> Union[FormPresentation, Torsor]:
 
 
 def _cmd_analyze(args) -> int:
-    rep = invariant_report(_build_target(args), search_bound=args.search_bound,
-                           oracle=args.oracle, pole_bound=args.pole_bound)
+    rep = invariant_report(_build_target(args), search_bound=args.search_bound, oracle=args.oracle)
     print(render_report_json(rep) if args.json else render_report_text(rep))
     return 0
 
 
 def _cmd_genus(args) -> int:
-    check_pole_bound(args.pole_bound, args.oracle)  # a projective line never reads it
     X = _build_target(args)
     try:
         C = naive_completion(X)
     except TrivialTau:
         print("genus = 0 (completion is the projective line)")
         return 0
-    oracle = cech_h1_dim(C, args.pole_bound) if args.oracle else None
+    oracle = cech_h1_dim(C) if args.oracle else None
     print(f"genus = {genus_from_formula(C)}")
     if oracle:
         print(f"cech h1 = {oracle[0]} (stabilized: {str(oracle[1]).lower()})")
@@ -447,9 +445,8 @@ def _cmd_paper_examples(args) -> int:
 # analyze's options as its parser declares them, flag -> (dest, type), no
 # type for a store_true flag; a test holds both tables equal to the parser's
 _ANALYZE_FLAGS = {"--field": ("field", str), "--eq": ("eq", str), "--json": ("json", None),
-                  "--search-bound": ("search_bound", int), "--oracle": ("oracle", None),
-                  "--pole-bound": ("pole_bound", int)}
-_ANALYZE_DEFAULTS = {"json": False, "search_bound": 2, "oracle": False, "pole_bound": None}
+                  "--search-bound": ("search_bound", int), "--oracle": ("oracle", None)}
+_ANALYZE_DEFAULTS = {"json": False, "search_bound": 2, "oracle": False}
 
 
 def _read_analyze(argv: list[str]) -> Optional[argparse.Namespace]:
@@ -493,13 +490,11 @@ def _make_parser() -> argparse.ArgumentParser:
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--search-bound", type=int, default=2)
     sp.add_argument("--oracle", action="store_true", help="also run the Cech genus oracle")
-    sp.add_argument("--pole-bound", type=int, default=None, help="Cech window of --oracle")
     sp.set_defaults(fn=_cmd_analyze)
 
     sp = sub.add_parser("genus", help="arithmetic genus of the naive completion")
     add_target(sp)
     sp.add_argument("--oracle", action="store_true")
-    sp.add_argument("--pole-bound", type=int, default=None, help="Cech window of --oracle")
     sp.set_defaults(fn=_cmd_genus)
 
     sp = sub.add_parser("hilbert", help="graded piece dimension in P(1,1,a)")

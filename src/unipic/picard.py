@@ -32,7 +32,6 @@ from .forms import (
 from .wproj import (
     InfinityData,
     cech_h1_dim,
-    check_pole_bound,
     genus_from_formula,
     is_regular_at_infinity,
     naive_completion,
@@ -144,14 +143,12 @@ def _residue_level(T, inf: Optional[InfinityData]) -> NValue:
     return NValue("upper_bound", n)
 
 
-def invariant_report(
-    X, *, search_bound: int = 2, oracle: bool = False, pole_bound: Optional[int] = None
-) -> InvariantReport:
+def invariant_report(X, *, search_bound: int = 2, oracle: bool = False) -> InvariantReport:
     """Run every invariant computation on a form or torsor and consolidate.
 
     search_bound caps the total degree of the rational point search on a
     torsor; a form's point is x = y = 0, its group identity, with no search.
-    oracle also runs the Cech genus oracle, with pole_bound as its window.
+    oracle also runs the Cech genus oracle on the window 2 * degree.
     The report never upgrades a bound to an exact value: each field keeps
     the tag produced by its own certificate chain, and derived statements
     (the assembled Picard group, nontriviality) fire only from fully
@@ -159,8 +156,7 @@ def invariant_report(
     with M = m(X) Z/p^r Z, and Pic(X) = 0 for a generic fiber.
     """
     if search_bound < 0:  # outside input, rejected before any work
-        raise ValueError("max_deg must be nonnegative")
-    check_pole_bound(pole_bound, oracle)  # a projective-line completion never reads it
+        raise ValueError("search_bound must be nonnegative")
     is_torsor = isinstance(X, Torsor)
     G = X.form if is_torsor else X
     p = G.field.p
@@ -207,7 +203,7 @@ def invariant_report(
         flags.append("torsion-bound-on-bound")
     genus_oracle = None
     if oracle and C is not None:
-        genus_oracle = cech_h1_dim(C, pole_bound)
+        genus_oracle = cech_h1_dim(C)
         if not genus_oracle[1]:
             flags.append("cech-not-stabilized")
     pic_nontrivial: Optional[tuple[bool, str]] = None

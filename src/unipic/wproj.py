@@ -8,7 +8,7 @@ degree and terms off it.  The completion adds a one-point boundary whose
 residue ring detects regularity, and its arithmetic genus is computable
 both by a closed formula and by the Cech cohomology of the two-chart
 cover.  The Cech H^1 of a truncation window is a lattice-point count,
-in closed form in O(1) arithmetic steps for any pole bound, since every
+in closed form in O(1) arithmetic steps for any window, since every
 boundary row lands on unit columns; the row-by-row elimination it
 replaces is the test oracle in tests/cech_reference.py.  Graded piece
 dimensions of P(1, a, 1) come from their closed formula; the monomial
@@ -26,18 +26,6 @@ from .forms import FormPresentation, PlaneModel, Torsor
 
 class TrivialTau(ValueError):
     """The presentation has no twist term, so the completion is a line."""
-
-
-class BoundTooSmall(ValueError):
-    """The pole-order truncation is too small to compare two windows."""
-
-
-def check_pole_bound(pole_bound: Optional[int], oracle: bool) -> None:
-    """Reject a pole bound without the oracle, or below 2, before any work."""
-    if pole_bound is not None and not oracle:
-        raise ValueError("a pole bound needs the oracle")
-    if pole_bound is not None and pole_bound < 2:
-        raise BoundTooSmall("pole_bound must be at least 2")
 
 
 class WeightedCurve(namedtuple("WeightedCurve", "source")):
@@ -165,13 +153,20 @@ def _unit_count(N: int, pn: int, a: int, low: bool) -> int:
     return (N + 1) * pn + a * L * (L + 1) // 2 + L + (N - L) * pn
 
 
-def cech_h1_dim(C: WeightedCurve, pole_bound: Optional[int] = None) -> tuple[int, bool]:
+def _window_h1(C: WeightedCurve, N: int) -> int:
+    """H1 of the window [-N, N]: its (2N + 1) p^n columns less the unit ones."""
+    pn = C.field.p ** C.source.n
+    return (2 * N + 1) * pn - _unit_count(N, pn, C.a, C.source.n <= C.source.m)
+
+
+def cech_h1_dim(C: WeightedCurve) -> tuple[int, bool]:
     """Dimension of H1 of the structure sheaf, with a stabilization flag.
 
     H1 of the cover {z != 0, x != 0} is computed on the windows [-N, N] of
-    x-exponents for N = P - 1 and N = P, where P is the pole bound
-    (2 * degree by default).  The larger window's dimension is returned,
-    and the flag records whether the two windows agree.
+    x-exponents for N = P - 1 and N = P, with P = 2 * degree.  The larger
+    window's dimension is returned, and the flag records whether the two
+    windows agree.  Both are settled and equal `genus_from_formula`: the
+    count is constant for N >= p^m - p^(m-n) (n <= m), N >= p^m - 1 (n > m).
 
     The overlap ring has basis x^e y^j with e in Z and 0 <= j < p^n after
     reduction by the curve equation, so a window has (2N + 1) p^n columns.
@@ -194,12 +189,7 @@ def cech_h1_dim(C: WeightedCurve, pole_bound: Optional[int] = None) -> tuple[int
     row-by-row elimination is kept in tests/cech_reference.py as the
     oracle.
     """
-    check_pole_bound(pole_bound, oracle=True)
-    if pole_bound is None:
-        pole_bound = 2 * C.degree
-    n = C.source.n
-    pn, a, low = C.field.p ** n, C.a, n <= C.source.m
-    d_prev, d_cur = ((2 * N + 1) * pn - _unit_count(N, pn, a, low) for N in (pole_bound - 1, pole_bound))
+    d_prev, d_cur = (_window_h1(C, N) for N in (2 * C.degree - 1, 2 * C.degree))
     return d_cur, d_cur == d_prev
 
 

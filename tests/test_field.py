@@ -792,9 +792,11 @@ def test_public_surface():
                  "NotANaiveCompletion", "make_torsor"):
         assert name not in unipic.__all__
         assert not hasattr(unipic, name)
-    # the report takes its three settings as keyword arguments
+    # the report takes its two settings as keyword arguments, and the Cech
+    # oracle has one window, so no pole bound is checked
     assert "ReportOptions" not in unipic.__all__ and not hasattr(unipic, "ReportOptions")
+    assert not hasattr(unipic, "BoundTooSmall") and not hasattr(unipic.wproj, "check_pole_bound")
     # division lives only in field._cancel, its sparse form in tests/gcd_reference.py
     assert not hasattr(MPoly, "exact_div") and not hasattr(MPoly, "monic")
     assert not hasattr(field_mod, "_span_space")
-    assert len(unipic.__all__) == 42
+    assert len(unipic.__all__) == 41

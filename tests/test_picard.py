@@ -8,7 +8,6 @@ import unipic.forms
 import unipic.picard
 import unipic.wproj
 from unipic import (
-    BoundTooSmall,
     FieldDesc,
     NValue,
     NotIrreducible,
@@ -286,16 +285,6 @@ def test_report_no_longer_trusts_a_generic_fiber_flag():
     assert rep.pic_group == "Z/2Z"
     assert rep.pic_nontrivial == (True, "rational point on a nontrivial form")
     assert "pic-trivial-by-construction" not in rep.flags
-
-
-def test_report_pole_bound_needs_the_oracle():
-    with pytest.raises(ValueError, match="a pole bound needs the oracle"):
-        invariant_report(TOWER, pole_bound=10)
-    assert invariant_report(TOWER, oracle=True, pole_bound=10).genus_oracle == (9, True)
-    # refused before any work, also where the completion is P^1 and the oracle never runs
-    for form in (TOWER, make_form(1, [ONE])):
-        with pytest.raises(BoundTooSmall, match="pole_bound must be at least 2"):
-            invariant_report(form, oracle=True, pole_bound=1)
 
 
 def test_report_generic_fiber():

@@ -7,10 +7,9 @@ from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 
 from unipic import (
-    BoundTooSmall,
     FieldDesc,
     MPoly,
     RatFunc,
@@ -28,7 +27,7 @@ from unipic import (
 )
 
 from unipic.cli import parse_field_spec, parse_form_equation
-from unipic.wproj import _unit_count, check_pole_bound
+from unipic.wproj import _unit_count, _window_h1
 
 from boundary_reference import boundary_reference
 from cech_reference import (
@@ -225,20 +224,11 @@ def test_cech_ignores_translation():
 
 
 def test_cech_bound_too_small():
-    with pytest.raises(BoundTooSmall):
-        cech_h1_dim(naive_completion(CONIC), 1)
-
-
-def test_check_pole_bound():
-    # the one rule for a pole bound, shared by the oracle, the report and the CLI
-    for pole_bound, oracle in ((None, False), (None, True), (2, True), (9, True)):
-        check_pole_bound(pole_bound, oracle)
-    for pole_bound in (2, 1, -5):
-        with pytest.raises(ValueError, match="a pole bound needs the oracle"):
-            check_pole_bound(pole_bound, False)
-    for pole_bound in (1, 0, -5):
-        with pytest.raises(BoundTooSmall, match="pole_bound must be at least 2"):
-            check_pole_bound(pole_bound, True)
+    # below the settled window the count is truncated: the windows 1 and 2
+    # of y^2 = x + t*x^8 count 1 and 2, while the genus is 3
+    C = naive_completion(form2(1, {0: ONE, 3: T}))
+    assert [_window_h1(C, N) for N in (1, 2)] == [1, 2]
+    assert cech_h1_dim(C) == (genus_from_formula(C), True) == (3, True)
 
 
 def _cech_case(k, n, m, torsor=False, binomial=False):
@@ -248,13 +238,14 @@ def _cech_case(k, n, m, torsor=False, binomial=False):
     return Torsor(X, t + one) if torsor else X
 
 
-@settings(max_examples=18, deadline=None)
-@given(st.sampled_from([F2T, F3T]), st.integers(1, 3), st.integers(1, 3))
-def test_cech_matches_formula_grid(k, n, m):
-    C = naive_completion(_cech_case(k, n, m))
-    dim, stable = cech_h1_dim(C)
-    assert stable
-    assert dim == genus_from_formula(C)
+def test_cech_matches_formula_grid():
+    # the two windows 2 * degree - 1 and 2 * degree are settled on every cell
+    for p in (2, 3, 5, 7):
+        k = FieldDesc(p, ("t",))
+        for n in range(5):
+            for m in range(1, 5):
+                C = naive_completion(_cech_case(k, n, m))
+                assert cech_h1_dim(C) == (genus_from_formula(C), True), (p, n, m)
 
 
 def test_cech_p3_n3_m1_pinned():
@@ -287,13 +278,13 @@ def _random_sources(k, n, m):
     return out
 
 
-# Fixed cells run every pole bound P from 2 to 2 * degree + 1; the two
+# Fixed cells run every window N from 1 to 2 * degree + 1; the two
 # n > m cells with the most reference rows run one case each.
 _CECH_CELLS = [(f"p{p}-n{n}-m{m}", FieldDesc(p, ("t",)), n, m, _fixed_sources(_ALL_CASES), None)
                for p in (2, 3) for n in (1, 2) for m in (1, 2) if (p, n, m) != (3, 2, 1)]
 _CECH_CELLS += [("p3-n2-m1", F3T, 2, 1, _fixed_sources([(True, True)]), None),
                 ("p2-n3-m1", F2T, 3, 1, _fixed_sources([(False, False)]), None)]
-# Random cells over GF(p)(t, u) run P from 2 to p^m + 2: for n > m the rows
+# Random cells over GF(p)(t, u) run N from 1 to p^m + 2: for n > m the rows
 # built from f^q with q >= 1 start at window N = p^m, and the reference
 # stays cheap.
 _RANDOM_CELLS = {2: [(2, 1), (3, 1), (3, 2), (1, 1), (1, 2)],
@@ -310,8 +301,11 @@ def test_cech_matches_row_by_row_reference(k, n, m, sources, top):
         C = naive_completion(X)
         last = top or 2 * C.degree + 1
         ref = {N: h1_dim_window(C, N) for N in range(1, last + 1)}
-        for bound in range(2, last + 1):
-            assert cech_h1_dim(C, bound) == (ref[bound], ref[bound] == ref[bound - 1])
+        for N in range(1, last + 1):
+            assert _window_h1(C, N) == ref[N], (X, N)
+        P = 2 * C.degree
+        if P <= last:  # cech_h1_dim reads the windows P - 1 and P
+            assert cech_h1_dim(C) == (ref[P], ref[P] == ref[P - 1])
         if n > m:
             # the closed form rests on where the f^q rows land, so some must exist
             assert any(q and row for q, row in window_rows(C, last)), (n, m, X)
@@ -343,9 +337,9 @@ def test_unit_count_matches_reference_sums():
 
 
 def test_cech_huge_pole_bound():
-    # n > m: as a sum over l, a pole bound of 10^12 would not finish
+    # n > m: as a sum over l, a window of 10^12 would not finish
     C = naive_completion(form2(2, {0: ONE, 1: T}))
-    assert cech_h1_dim(C, 10 ** 12) == (genus_from_formula(C), True) == (1, True)
+    assert _window_h1(C, 10 ** 12) == genus_from_formula(C) == 1
 
 
 def test_genus_grid_script_level_4():
