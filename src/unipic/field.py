@@ -23,8 +23,6 @@ from itertools import zip_longest
 from operator import add, sub
 from typing import Optional, Sequence
 
-from .linalg import RowSpace
-
 BASIS_CAP = 4096  # largest dense tower basis p^(r*N) that `_dense_degree` builds
 
 
@@ -730,7 +728,7 @@ def power_level(a: RatFunc, n: int) -> tuple[int, RatFunc]:
 # -- the root tower, read through Frobenius -----------------------------
 
 
-def _coords(f: MPoly, q: int) -> dict[int, RatFunc]:
+def _coords(f: MPoly, q: int) -> dict[int, dict]:
     """Coordinates of f over k^q in the basis {t^e : 0 <= e_j < q}, each read as its q-th root.
 
     Exponents split as q*d + (e mod q), with e mod q read in base q as the
@@ -742,7 +740,26 @@ def _coords(f: MPoly, q: int) -> dict[int, RatFunc]:
         for d in e:
             idx = idx * q + d % q
         coords.setdefault(idx, {})[tuple(d // q for d in e)] = c
-    return {idx: RatFunc.from_poly(MPoly(f.field, terms)) for idx, terms in coords.items()}
+    return coords
+
+
+def _reduce(pivots: dict[int, dict], row: dict[int, dict], field: FieldDesc) -> dict[int, dict]:
+    """row reduced fraction-free against `pivots`: the library's one elimination.
+
+    Rows map columns to nonzero polynomial entries on term dicts; `pivots`
+    maps each stored row's lead, its least column, to the row.  A row whose
+    lead meets a pivot becomes (piv[lead]/g)*row - (row[lead]/g)*piv, g the
+    gcd of the two leads, from one `_cancel`: a nonzero multiple of row less
+    one of piv, so the span is kept and no `RatFunc` is built.  The result
+    is empty when row lies in the span, else its lead is free.
+    """
+    p = field.p
+    while row and (piv := pivots.get(lead := min(row))) is not None:
+        _, a, c = _cancel(MPoly(field, piv[lead]), MPoly(field, row[lead]))
+        a, c = a.terms, {e: p - x for e, x in c.terms.items()}
+        row = {v: t for v in row.keys() | piv.keys() if v != lead and (t := _add_terms(
+            _mul_terms(a, row.get(v, {}), p), _mul_terms(c, piv.get(v, {}), p), p))}
+    return row
 
 
 def _degree_bounds(roots: Sequence[tuple[RatFunc, int]]) -> tuple[int, int]:
@@ -758,10 +775,9 @@ def _degree_bounds(roots: Sequence[tuple[RatFunc, int]]) -> tuple[int, int]:
     the largest e_i over the b_i whose num or den involves t_v.  The bounds
     free of J come first; when they meet at p^e no Jacobian is formed.
 
-    J is echeloned fraction-free: row i is den_i^2 * grad b_i, polynomial
-    entries on term dicts, as a unit factor leaves the rank over k alone,
-    and a row meeting a pivot becomes piv[lead]*row - row[lead]*piv, so no
-    gcd is taken and each row is reduced at most r times.
+    J is echeloned by `_reduce` on rows den_i^2 * grad b_i, whose entries
+    are polynomials, as a unit factor leaves the rank over k alone; a row
+    has at most r columns, so it is reduced at most r times.
     """
     base = roots[0][0].field
     p, r = base.p, base.r
@@ -779,13 +795,8 @@ def _degree_bounds(roots: Sequence[tuple[RatFunc, int]]) -> tuple[int, int]:
             num, den = b.num, b.den
             grad = (num.partial(v) if den.is_one() else num.partial(v) * den - num * den.partial(v)
                     for v in range(r))
-            row = {v: g.terms for v, g in enumerate(grad) if g}
-            while row and (piv := pivots.get(lead := min(row))) is not None:
-                a, c = piv[lead], {ex: p - x for ex, x in row.pop(lead).items()}
-                row = {v: t for v in range(lead + 1, r) if (t := _add_terms(
-                    _mul_terms(a, row.get(v, {}), p), _mul_terms(c, piv.get(v, {}), p), p))}
-            if row:
-                pivots[lead] = row
+            if row := _reduce(pivots, {v: g.terms for v, g in enumerate(grad) if g}, base):
+                pivots[min(row)] = row
         done = size
         ranks.append(len(pivots))
     return p ** sum(ranks), p ** min(top, ranks[-1] + sum(min(r, s) for s in sizes[1:]))
@@ -828,10 +839,12 @@ def _dense_degree(roots: Sequence[tuple[RatFunc, int]]) -> int:
     k^q(x) = k^q(1/x), the side of larger total degree takes the num role,
     which keeps the power of the other small.  Each generator contributes
     p^e, e its inseparability exponent over the field built so far.  The
-    span is built once, in one `RowSpace`: the products of the generators
-    so far are a basis of the field built so far, a generator x of
-    exponent e adds each of them times x, ..., x^(p^e - 1), and each
-    product is inserted once, so the degree is the number of products.
+    span is built once, in one echelon of `_reduce`: the products of the
+    generators so far are a basis of the field built so far, a generator x
+    of exponent e adds each of them times x, ..., x^(p^e - 1), and each
+    product is reduced in once, so the degree is the number of products.
+    A new pivot row is divided by the gcd of its entries, which keeps the
+    leads that later rows meet small.
     """
     base = roots[0][0].field
     level = max(ei for _, ei in roots)
@@ -839,9 +852,7 @@ def _dense_degree(roots: Sequence[tuple[RatFunc, int]]) -> int:
     if size > BASIS_CAP:
         raise BasisTooLarge(f"dense tower basis p^(r*N) = {size} exceeds cap {BASIS_CAP}")
     q = base.p ** level
-    products = [MPoly.one(base)]
-    space = RowSpace()
-    space.insert(_coords(products[0], q))
+    products, pivots = [MPoly.one(base)], {0: {0: {_SHARED[base].origin: 1}}}  # the row of 1
     for b, ei in roots:
         num, den = b.num, b.den
         if sum(den.leading()[0]) > sum(num.leading()[0]):
@@ -849,11 +860,19 @@ def _dense_degree(roots: Sequence[tuple[RatFunc, int]]) -> int:
         x = (num * den ** (base.p ** ei - 1)).scale_exponents(q // base.p ** ei)
         # e = ei always stops the loop: x^(p^ei) lies in k^q, and the span holds 1
         for e in range(ei + 1):
-            if space.reduces_to_zero(_coords(x.frobenius(e), q)):
+            if not _reduce(pivots, _coords(x.frobenius(e), q), base):
                 break
         for acc in products[:]:  # each product, then its multiples: the order sets the cost
             for _ in range(base.p ** e - 1):
-                acc = acc * x
-                products.append(acc)
-                space.insert(_coords(acc, q))
+                products.append(acc := acc * x)
+                row = _reduce(pivots, _coords(acc, q), base)
+                g, quots = MPoly.zero(base), {}  # the gcd g of row's entries so far, each over g
+                for v, t in row.items():
+                    g, a, c = _cancel(g, MPoly(base, t))
+                    if g.is_constant():
+                        break
+                    quots = {w: y * a for w, y in quots.items()} | {v: c}
+                else:
+                    row = {v: y.terms for v, y in quots.items()}
+                pivots[min(row)] = row
     return len(products)

@@ -3,12 +3,14 @@
 It rebuilds f^q with q products for every boundary row and sends every
 row, unit rows included, through the elimination.  The sums that
 `unipic.wproj._unit_count` replaced by their closed forms are kept in
-`unit_count_reference`.  It shares only
-`RowSpace` with the library code.  `cech_h1_dim(C, P)` should equal
-(h1_dim_window(C, P), h1_dim_window(C, P) == h1_dim_window(C, P - 1)).
+`unit_count_reference`.  It imports no library module: the elimination
+is `tower_reference.RowSpace`, the arithmetic that of the curve's field,
+and none of the count of `unipic.wproj` is reused.  With P = 2 * C.degree,
+`cech_h1_dim(C)` should equal (h1_dim_window(C, P),
+h1_dim_window(C, P) == h1_dim_window(C, P - 1)).
 """
 
-from unipic.linalg import RowSpace
+from tower_reference import RowSpace
 
 
 def _poly_pow_dict(base, q, field):

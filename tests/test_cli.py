@@ -690,6 +690,7 @@ import sys
 sys.path.insert(0, sys.argv[1])
 import unipic.cli
 print(sorted(set(sys.argv[2:]) & set(sys.modules)))
+print(sorted(m for m in sys.modules if m == "unipic" or m.startswith("unipic.")))
 import unipic
 unipic.run_catalogue
 names = {}
@@ -700,13 +701,15 @@ print(len(unipic.__all__), sorted(set(unipic.__all__) - set(names)), "unipic.cat
 
 def test_import_loads_only_what_analyze_runs():
     # dataclasses (and the inspect it pulls in) and the example catalogue
-    # stay unloaded until named; -S keeps site's own imports out of the count
+    # stay unloaded until named; -S keeps site's own imports out of the count.
+    # The library modules that analyze runs are all that load
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run([sys.executable, "-S", "-c", _LEAN_IMPORT, str(src),
                            "dataclasses", "inspect", "unipic.catalogue"],
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == "[]\n41 [] True\n"
+    modules = ["unipic", "unipic.cli", "unipic.field", "unipic.forms", "unipic.picard", "unipic.wproj"]
+    assert proc.stdout == f"[]\n{modules}\n41 [] True\n"
 
 
 def test_closed_stdout_exits_quietly():

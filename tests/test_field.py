@@ -25,16 +25,17 @@ from unipic import (
     power_level,
 )
 from unipic.cli import _parse_value, parse_field_spec, parse_form_equation
-from unipic.linalg import RowSpace
 
 from conftest import F2T, F2TU, F3T, mpoly_strategy, ratfunc_strategy
 from gcd_reference import exact_div_reference, poly_gcd, prs_gcd_reference
 from mul_reference import mul_reference, pow_reference
 from test_forms import _golden_variants
+from transport_reference import transport
 from tower_reference import (
     LevelMismatch,
     degree_bounds_reference,
     dense_degree_reference,
+    dense_degree_rowspace_reference,
     ratfunc_partial,
     subfield_membership,
     tower_field,
@@ -665,7 +666,7 @@ def test_rules_match_dense_oracle(monkeypatch):
         want = dense_degree_reference(pairs, 81)
         assert compositum_degree(pairs) == want, pairs
         if roots := _roots(pairs):
-            assert dense(roots) == want, pairs
+            assert dense(roots) == dense_degree_rowspace_reference(roots) == want, pairs
             lo, hi = field_mod._degree_bounds(roots)
             assert lo <= want <= hi, pairs
             branch = "settled" if lo == hi else "dense"
@@ -695,15 +696,33 @@ def _roots(pairs):
 
 
 def test_dense_span_is_built_once(monkeypatch):
-    # each product of the generators enters the RowSpace once, so the
-    # inserts number the degree; rebuilding the span after every generator
-    # would insert the earlier products again
-    inserts, insert = [], RowSpace.insert
-    monkeypatch.setattr(RowSpace, "insert", lambda space, row: inserts.append(row) or insert(space, row))
+    # one echelon holds the span, and each product of the generators is
+    # reduced into it once, so its pivot rows number the degree; the only
+    # rows that reduce to zero end each generator's exponent probe, and
+    # rebuilding the span after a generator would reduce earlier products
+    # to zero again
+    calls, reduce = [], field_mod._reduce
+    monkeypatch.setattr(field_mod, "_reduce", lambda pivots, row, field: calls.append(
+        (pivots, out := reduce(pivots, row, field))) or out)
     for pairs in _golden_open_pairs() + _open_draws():
-        inserts.clear()
-        degree = field_mod._dense_degree(_roots(pairs))
-        assert len(inserts) == degree, pairs
+        calls.clear()
+        roots = _roots(pairs)
+        degree = field_mod._dense_degree(roots)
+        (pivots,) = {id(pivots): pivots for pivots, _ in calls}.values()
+        assert len(pivots) == degree, pairs
+        assert sum(not out for _, out in calls) == len(roots), pairs
+
+
+def test_dense_degree_matches_rowspace_on_quotients():
+    # roots num/(den1 + den2) over GF(5)(t,u) whose coordinates are true
+    # quotients, where the parent's RowSpace over RatFunc took its cross
+    # gcds; each settles in under 0.5 s on both sides
+    k = FieldDesc(5, ("t", "u"))
+    t, u = k.var("t"), k.var("u")
+    for roots in ([(4 / (t ** 2 * u + 2 * u), 1), (3 * t ** 2 * u ** 2 / (t ** 2 * u + 4), 1)],
+                  [(2 * t / (t + 2), 1), (2 / (t ** 2 * u + u ** 2), 1)],
+                  [(2 * t * u ** 2 / (t ** 2 + 2), 1), (u / (t ** 2 * u + 4 * t), 1)]):
+        assert field_mod._dense_degree(roots) == dense_degree_rowspace_reference(roots) == 25, roots
 
 
 def _count_jacobians(monkeypatch):
@@ -766,6 +785,40 @@ def test_degree_bounds_match_reference_on_seeded_corpus(monkeypatch):
     assert (formed, deficient) == (151, 102)
 
 
+def _automorphisms(k):
+    """Images of the variables under t_j -> t_j + 1, t_j -> 1/t_j, t_j -> 2*t_j
+    for odd p, and for r = 2 under t <-> u and t -> t + u."""
+    gens, out = k.generators(), []
+    for j, t in enumerate(gens):
+        for image in (t + 1, 1 / t) + ((2 * t,) if k.p % 2 else ()):
+            out.append(gens[:j] + (image,) + gens[j + 1:])
+    if k.r == 2:
+        t, u = gens
+        out += [(u, t), (t + u, u)]
+    return out
+
+
+def test_compositum_degree_survives_transport(monkeypatch):
+    # [k':k] of each distinct golden input's form is the same after an
+    # automorphism of k, which moves the roots off the monomials that the
+    # chain bounds settle: far more transported sets reach the dense path
+    dense, reached = field_mod._dense_degree, []
+    monkeypatch.setattr(field_mod, "_dense_degree", lambda roots: reached.append(roots) or dense(roots))
+    cases = sorted({(v["field"], v["eq"]) for v in _golden_variants()})
+    checked = direct = 0
+    for field, eq in cases:
+        X = parse_form_equation(eq, parse_field_spec(field)).build()
+        G = getattr(X, "form", X)
+        pairs = [(c, G.n) for _, c in G.twist_coeffs()]
+        before = len(reached)
+        want = compositum_degree(pairs)
+        direct += len(reached) - before
+        for images in _automorphisms(G.field):
+            assert compositum_degree([(transport(c, images), n) for c, n in pairs]) == want, (field, eq, images)
+            checked += 1
+    assert (len(cases), checked, direct, len(reached) - direct) == (1293, 6044, 7, 80)
+
+
 def test_public_surface():
     import unipic
 
@@ -786,6 +839,10 @@ def test_public_surface():
                  "to_additive", "SkewPoly", "splitting_field_degree", "RowSpace"):
         assert name not in unipic.__all__
         assert not hasattr(unipic, name)
+    # both eliminations of the tower are field._reduce; RowSpace over RatFunc
+    # lives on only in tests/tower_reference.py
+    assert not (Path(field_mod.__file__).parent / "linalg.py").exists()
+    assert not hasattr(field_mod, "RowSpace")
     # a completion and a report each store every fact once, and a torsor is
     # built by its constructor
     for name in ("ExactSeqData", "exact_sequence_data", "torsion_bound",

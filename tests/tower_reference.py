@@ -8,17 +8,68 @@ denominator with a (p^N - 1)-th power.  `dense_degree_reference` is the old
 `compositum_degree` and the Frobenius-side `unipic.field._dense_degree`.
 `subfield_membership(x, gens)` decides x in k(gens) on the same basis.
 
-`degree_bounds_reference` is the Frobenius chain bounds of
-`unipic.field._degree_bounds` as they stood with the Jacobian echeloned
-over k, `RowSpace` on `RatFunc` entries built by `ratfunc_partial`: the
-oracle for the fraction-free rank that replaced it.
+`RowSpace` is exact row reduction over k with `RatFunc` entries, each
+pivot row normalized.  `degree_bounds_reference` is the Frobenius chain
+bounds of `unipic.field._degree_bounds` as they stood with the Jacobian
+echeloned in a `RowSpace` on rows built by `ratfunc_partial`, and
+`dense_degree_rowspace_reference` is `unipic.field._dense_degree` as it
+stood with its span in a `RowSpace`: the oracles for the fraction-free
+elimination `unipic.field._reduce` that replaced both.
 """
 
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from unipic.field import BASIS_CAP, BasisTooLarge, FieldDesc, MPoly, RatFunc, ZeroInput
-from unipic.linalg import RowSpace
+from unipic.field import BASIS_CAP, BasisTooLarge, FieldDesc, MPoly, RatFunc, ZeroInput, _coords as _frobenius_coords
+
+
+class RowSpace:
+    """Growing echelon basis of a subspace over k, one normalized row per pivot column.
+
+    Rows map column indices to nonzero entries of any field-like type
+    (+, -, *, / and truthiness); pivot rows are normalized on insertion,
+    so a reduction takes one multiply per eliminated column.
+    """
+
+    def __init__(self):
+        self.pivots: dict[int, dict] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def _reduce(self, row: dict) -> tuple[Optional[int], dict]:
+        work = {c: v for c, v in row.items() if v}
+        while work:
+            lead = min(work)
+            piv = self.pivots.get(lead)
+            if piv is None:
+                return lead, work
+            c = work.pop(lead)
+            for col, val in piv.items():
+                if col == lead:
+                    continue
+                cur = work.get(col)
+                nxt = (cur - c * val) if cur is not None else -(c * val)
+                if nxt:
+                    work[col] = nxt
+                elif col in work:
+                    del work[col]
+        return None, {}
+
+    def insert(self, row: dict) -> bool:
+        """Add a row; True if it enlarged the span."""
+        lead, red = self._reduce(row)
+        if lead is None:
+            return False
+        c = red[lead]
+        norm = {col: val / c for col, val in red.items()}
+        self.pivots[lead] = norm
+        return True
+
+    def reduces_to_zero(self, row: dict) -> bool:
+        lead, _ = self._reduce(row)
+        return lead is None
 
 
 class LevelMismatch(ValueError):
@@ -212,3 +263,34 @@ def degree_bounds_reference(roots: Sequence[tuple[RatFunc, int]]) -> tuple[int, 
         done = size
         ranks.append(space.rank)
     return p ** sum(ranks), p ** min(top, ranks[-1] + sum(min(r, s) for s in sizes[1:]))
+
+
+def dense_degree_rowspace_reference(roots: Sequence[tuple[RatFunc, int]]) -> int:
+    """[k' : k] for the roots (b_i, e_i) of `unipic.field._dense_degree`, on
+    the same basis of k over k^q and the same products, with the span in
+    one `RowSpace` over `RatFunc` coordinates."""
+    base = roots[0][0].field
+    level = max(ei for _, ei in roots)
+    _check_basis(base, level, BASIS_CAP)
+    q = base.p ** level
+
+    def coords(f: MPoly) -> dict[int, RatFunc]:
+        return {i: RatFunc.from_poly(MPoly(base, t)) for i, t in _frobenius_coords(f, q).items()}
+
+    products = [MPoly.one(base)]
+    space = RowSpace()
+    space.insert(coords(products[0]))
+    for b, ei in roots:
+        num, den = b.num, b.den
+        if sum(den.leading()[0]) > sum(num.leading()[0]):
+            num, den = den, num
+        x = (num * den ** (base.p ** ei - 1)).scale_exponents(q // base.p ** ei)
+        for e in range(ei + 1):
+            if space.reduces_to_zero(coords(x.frobenius(e))):
+                break
+        for acc in products[:]:
+            for _ in range(base.p ** e - 1):
+                acc = acc * x
+                products.append(acc)
+                space.insert(coords(acc))
+    return len(products)
