@@ -16,7 +16,7 @@ a sound criterion applies and as honest upper bounds otherwise.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property, partial, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from itertools import product
 from math import gcd
 from typing import NamedTuple, Optional, Union
@@ -295,10 +295,11 @@ def rationality_level(G: FormPresentation) -> NValue:
 # -- rational points ----------------------------------------------------
 
 
-def _monomials_up_to(r: int, d: int) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=64)  # a constant bound; the engine, its witness and later calls share a table
+def _monomials_up_to(r: int, d: int) -> tuple[tuple[int, ...], ...]:
     """Exponent tuples of total degree <= d, sorted by (degree, exponents)."""
-    return sorted((e for e in product(range(d + 1), repeat=r) if sum(e) <= d),
-                  key=lambda e: (sum(e), e))
+    return tuple(sorted((e for e in product(range(d + 1), repeat=r) if sum(e) <= d),
+                        key=lambda e: (sum(e), e)))
 
 
 def _rhs_at(T, x: RatFunc) -> RatFunc:
@@ -327,25 +328,29 @@ def equation_holds(T, x: RatFunc, y: RatFunc) -> bool:
 
 
 def _clear_denominators(field, coeffs, b, k: int = 1):
-    """The lcm L of the denominators, and B = b L^k and C_i = a_i L^k, each one product:
-    den divides L, so L^k/den = L^(k-1) (L/den) and no division touches the sparse L^k."""
-    L, fs = MPoly.one(field), [b, *coeffs]
-    for f in fs:
-        if not f.den.is_one():
-            L = L * _cancel(L, f.den)[2]
+    """The lcm L of the denominators, and B = b L^k and C_i = a_i L^k, one product each but for
+    a zero: one `_cancel` per distinct den, the lcm step's, yields L/den, grown as L grows, and
+    L^k/den = L^(k-1) (L/den) is formed once per den, so no division touches the sparse L^k."""
+    fs, L, quo = [b, *coeffs], MPoly.one(field), {}  # den -> L/den
+    for den in dict.fromkeys(f.den for f in fs if f and not f.den.is_one()):
+        _, Lg, grow = _cancel(L, den)
+        quo = {d: Q * grow for d, Q in quo.items()}
+        quo[den], L = Lg, L * grow
+    quo[MPoly.one(field)] = L  # a_0 = 1 has den 1
     Lk1 = L ** (k - 1)
-    B, *C = [f.num * (Lk1 * _cancel(L, f.den)[1]) for f in fs]
+    Lk = {d: Lk1 * Q for d, Q in quo.items()}
+    B, *C = [f.num * Lk[f.den] if f else f.num for f in fs]
     return L, B, C
 
 
-def _poly_at(field: FieldDesc, monos: list[tuple[int, ...]], idx: int) -> MPoly:
-    """The polynomial whose base-p digits over monos spell idx."""
+def _digits(keys, idx: int, p: int) -> dict:
+    """{key: digit} for the nonzero base-p digits of idx, keys[0] the least significant."""
     out = {}
-    for e in monos:
-        idx, d = divmod(idx, field.p)
+    for e in keys:
+        idx, d = divmod(idx, p)
         if d:
             out[e] = d
-    return MPoly(field, out)
+    return out
 
 
 def _least_solution(rows, K: int, p: int) -> Optional[int]:
@@ -410,6 +415,7 @@ def _search(T, max_deg: int) -> Optional[tuple[int, int]]:
     formed exceeds the top coordinate of B and the C_i plus P * max_deg,
     and S is the next multiple of q above that: no sum carries into the
     next slot, and (e // S^j) % q is the residue of coordinate j itself.
+    Each monomial is packed once, and h^(p-1) is formed by square-and-multiply.
 
     For n > m, a prime pi outside Bp = num(a_m) L, with pi^s exactly dividing
     h for a reduced x = g/h, gives a_m x^(p^m) a valuation -p^m s that no other
@@ -430,35 +436,34 @@ def _search(T, max_deg: int) -> Optional[tuple[int, int]]:
     def res(e: int) -> tuple:
         return tuple([e // s % q for s in pows])
 
-    def pack(f: MPoly, whole: bool = True) -> dict:
-        """f with packed exponents, only its off-lattice terms unless whole."""
-        out = {sum(x * s for x, s in zip(e, pows)): c for e, c in f.terms.items()}
-        return out if whole else {e: c for e, c in out.items() if any(res(e))}
+    def pack(e: tuple) -> int:
+        return sum([x * s for x, s in zip(e, pows)])
 
-    B = pack(B, False)
+    B = {pack(e): c for e, c in B.terms.items() if any(x % q for x in e)}  # the off-lattice terms
     if not B:
         return 0, 1  # b is a q-th power: x = 0 over h = 1
-    C = [pack(c, i < n) for i, c in enumerate(C)]
+    C = [{pack(e): c for e, c in f.terms.items() if i < n or any(x % q for x in e)}
+         for i, f in enumerate(C)]
     monos = _monomials_up_to(r, max_deg)
-    K = len(monos)
+    K, base = len(monos), [pack(e) for e in monos]
     # the packed exponent of each monomial raised to the p^i, with its digit
-    shifts = [[(k, sum(x * s for x, s in zip(e, pows)) * p ** i) for k, e in enumerate(monos)]
-              for i in range(m + 1)]
+    shifts = [[(k, s * p ** i) for k, s in enumerate(base)] for i in range(m + 1)]
     cols: dict = {}  # (i, residue) -> the columns (k, shift) that leave the q-lattice, i < n
 
     for top in range(K):
         # monic h: leading digit 1 at position top, anything below
         for hidx in range(p ** top, 2 * p ** top):
-            h = _poly_at(field, monos, hidx)
             if n > m:  # strip h of Bp's primes: each one left in core divides the last gcd f
-                f, core, _ = _cancel(h, Bp)
+                f, core, _ = _cancel(MPoly(field, _digits(monos, hidx, p)), Bp)
                 while not f.is_one():
                     f, core, _ = _cancel(core, f)
                 if any(x % lift for e in core.terms for x in e):
                     continue
-            h = hp1 = pack(h)
-            for _ in range(p - 2):
-                hp1 = _pmul(hp1, h, p)
+            h = hp1 = _digits(base, hidx, p)
+            for bit in bin(p - 1)[3:]:  # h^(p-1) by square-and-multiply, past the leading bit
+                hp1 = _pmul(hp1, hp1, p)
+                if bit == "1":
+                    hp1 = _pmul(hp1, h, p)
             # one equation per off-lattice exponent: K digit coefficients, then the right side
             rows = {e: [0] * K + [-c] for e, c in _pmul(B, {e * P: c for e, c in h.items()}, p).items()}
             R = {0: 1}  # h^(P - p^i), for i from M down to 0
@@ -523,7 +528,7 @@ def find_rational_point(T, max_deg: int) -> Optional[tuple[RatFunc, RatFunc]]:
         return None
     field, n = T.field, T.n
     monos = _monomials_up_to(field.r, max_deg)
-    x = RatFunc(_poly_at(field, monos, hit[0]), _poly_at(field, monos, hit[1]))
+    x = RatFunc(*(MPoly(field, _digits(monos, i, field.p)) for i in hit))
     v, y = power_level(rhs := _rhs_at(T, x), n)
     if v < n or y.frobenius(n) != rhs:
         raise AssertionError("search engine returned a bogus candidate")
@@ -545,10 +550,12 @@ def local_obstruction(T) -> Optional[str]:
     Z_(p), or the one dominant term ties with y^q.  For b, or a_i with
     i >= n, that makes it a q-th power to leading order: q divides its
     valuation and its leading coefficient lies in kappa^q (the unit between
-    the uniformizers enters as a q-th power).  For i < n it needs
-    p^i | alpha_i, counted as feasible.  x = 0 needs the test of b.  When
-    every piece fails, every closed point has degree divisible by p.  The
-    slopes p^m > ... > p > 1 > 0 make the envelope one convex-hull pass.
+    the uniformizers enters as a q-th power), that is, q divides every
+    exponent of num and den of the lead once their common factor is gone.
+    For i < n it needs p^i | alpha_i, counted as feasible.  x = 0 needs the
+    test of b.  When every piece fails, every closed point has degree
+    divisible by p.  The slopes p^m > ... > p > 1 > 0 make the envelope one
+    convex-hull pass.
     """
     field, n, coeffs, b = T.field, T.n, T.coeffs, T.b
     if not b or n == 0:
@@ -571,8 +578,11 @@ def local_obstruction(T) -> Optional[str]:
             """Whether the term of line i (b for -1) can tie with y^q on its segment."""
             if 0 <= i < n:
                 return c % p ** i == 0
-            f = b if i < 0 else coeffs[i]  # the q-th-power test only once q | c
-            return c % q == 0 and power_level(RatFunc(lead(f.num), lead(f.den)), n)[0] == n
+            if c % q:  # the lead test only once q | c
+                return False
+            f = b if i < 0 else coeffs[i]
+            num, den = _cancel(lead(f.num), lead(f.den))[1:]
+            return not any(x % q for e in [*num.terms, *den.terms] for x in e)
 
         beta = val(b)
         if fits(beta, -1):

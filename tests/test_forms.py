@@ -40,10 +40,10 @@ from unipic import (
 )
 from unipic import forms
 from unipic.cli import parse_field_spec, parse_form_equation
-from unipic.forms import _clear_denominators, _least_solution, _monomials_up_to, _rhs_at, _search
+from unipic.forms import _clear_denominators, _least_solution, _monomials_up_to, _rhs_at, _search, local_obstruction
 
 from conftest import F2T, F2TU, F3T, ratfunc_strategy
-from gcd_reference import poly_gcd
+from gcd_reference import exact_div_reference, poly_gcd, prs_gcd_reference
 from search_reference import brute_force_search, linear_search_reference, rhs_reference
 from twist_reference import twist_chain_reference
 
@@ -510,6 +510,12 @@ def test_search_matches_references(monkeypatch):
         assert got == brute_force_search(T, max_deg), T
         q, P = field.p ** n, field.p ** max(T.m, n)
         L, B, C = _clear_denominators(field, coeffs, b)
+        # apart from the clearing: the lcm by the reference gcd, and the cofactors by long division
+        lcm = field.one().num
+        for den in dict.fromkeys(f.den for f in [b, *coeffs]):
+            lcm = exact_div_reference(lcm * den, prs_gcd_reference(lcm, den))
+        assert L == lcm and B == b.num * exact_div_reference(L, b.den), T
+        assert C == [a.num * exact_div_reference(L, a.den) for a in coeffs], T
         perfect = all(x % q == 0 for e in L.terms for x in e)
         classes.add((T.m < n, perfect, None if got is None else got[1] > 1))
         skipped = _monic_through(got, len(_monomials_up_to(field.r, max_deg)), field.p) - len(solves)
@@ -527,12 +533,36 @@ def test_search_matches_references(monkeypatch):
             classes.add("b a q-th power")
         if T.m > n and any(on_lattice[len(B.terms):]):
             classes.add("m > n, on-lattice C_m")
+        # the clearing's cases: one _cancel per distinct denominator, no product for a zero
+        dens = [f.den for f in [b, *coeffs] if f and not f.den.is_one()]
+        if not all(coeffs[1:-1]):
+            classes.add("a zero a_i between nonzero ones")
+        if len(set(dens)) < len(dens):
+            classes.add("a denominator shared")
+        if not L.is_one() and any(f and f.den.is_one() for f in [b, *coeffs[1:]]):
+            classes.add("den 1 beside L != 1")
+        if field.p == 5 and got is not None and got[1] > 1:
+            classes.add("p = 5 hit past h = 1")
     # misses, and hits over h = 1 and over a later h, in every (m < n, perfect)
-    # cell, and every edge case of the packed exponents
+    # cell, and every edge case of the packed exponents and of the clearing
     assert classes == set(itertools.product((True, False), (True, False), (None, False, True))) | {
         ("r", 0), ("r", 1), ("r", 2), ("r", 3),
         "coefficient sets S", "b a q-th power", "m > n, on-lattice C_m",
-        ("skipped", True), ("skipped", False), ("skipped", "Bp a monomial"), ("skipped", "Bp not")}
+        ("skipped", True), ("skipped", False), ("skipped", "Bp a monomial"), ("skipped", "Bp not"),
+        "a zero a_i between nonzero ones", "a denominator shared", "den 1 beside L != 1",
+        "p = 5 hit past h = 1"}
+
+
+def test_search_squares_for_h_to_the_p_minus_1(monkeypatch):
+    # h^(p-1) by square-and-multiply: at p = 101 a solved system takes about
+    # 2 log2(p) products of packed polynomials, not the p - 2 of repeated
+    # multiplication; an unobstructed miss solves for all 102 monic h
+    p, products, pmul = 101, [], forms._pmul
+    T = parse_form_equation(f"y^{p} = x + t*x^{p} + t^{p} + t^2 + 1", parse_field_spec(f"GF({p})(t)")).build()
+    monkeypatch.setattr(forms, "_pmul", lambda *args: products.append(None) or pmul(*args))
+    solves = _count_solves(monkeypatch)
+    assert local_obstruction(T) is None and _search(T, 1) is None
+    assert len(solves) == 102 and len(products) <= len(solves) * (2 * (p - 1).bit_length() + 3)
 
 
 def test_search_solves_only_admissible_denominators(monkeypatch):

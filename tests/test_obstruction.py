@@ -13,8 +13,8 @@ from unipic import FieldDesc, MPoly, RatFunc, Torsor, find_rational_point, make_
 from unipic.cli import main, parse_field_spec, parse_form_equation
 from unipic.forms import _search, local_obstruction
 
-from obstruction_reference import fraction_obstruction
-from search_reference import brute_force_search
+from obstruction_reference import _order_and_lead, fraction_obstruction
+from search_reference import _is_qth_power, brute_force_search
 from test_forms import _golden_variants, _search_oracle_inputs
 
 
@@ -114,14 +114,23 @@ def test_worked_case():
 
 def test_hull_matches_fraction_reference():
     # the integer convex hull against the pairwise Fraction sweep, on every
-    # golden torsor and on a seeded corpus of Laurent coefficients
+    # golden torsor and on a seeded corpus of Laurent coefficients; at t = 0,
+    # the place always tried, b's lead test runs once q | v(b): for r = 1 on
+    # a constant lead, and for r = 2 on a lead whose numerator and
+    # denominator share a factor whose removal changes the exponent test
     seeded = list(_seeded_torsors(1717, 600))
-    fired = 0
+    fired, classes = 0, set()
     for T in itertools.chain((T for T, *_ in GOLDEN), seeded):
         got = local_obstruction(T)
         assert got == fraction_obstruction(T), T
         fired += got is not None
+        v, N, D = _order_and_lead(T.b, 0, False)
+        q = T.field.p ** T.n
+        if T.n and v % q == 0:
+            raw = not any(x % q for f in (N, D) for e in f.terms for x in e)
+            classes.add((T.field.r, raw == _is_qth_power(N, D, T.n)))
     assert fired and {T.field.p for T in seeded} == {2, 3, 5} and {T.field.r for T in seeded} == {1, 2}
+    assert {(1, True), (2, False)} <= classes
 
 
 def test_no_obstruction_where_a_point_is_found():
