@@ -24,7 +24,6 @@ from .forms import (
     NValue,
     NotSeparable,
     PlaneModel,
-    Torsor,
     VariableClash,
     equation_holds,
     find_rational_point,
@@ -71,7 +70,6 @@ __all__ = [
     "P1ComplementData",
     "PlaneModel",
     "RatFunc",
-    "Torsor",
     "TrivialTau",
     "UnknownVariable",
     "VariableClash",

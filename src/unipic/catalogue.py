@@ -14,7 +14,6 @@ from typing import Callable, NamedTuple
 from .field import FieldDesc
 from .forms import (
     FormPresentation,
-    Torsor,
     find_rational_point,
     generic_fiber_torsor,
     make_form,
@@ -122,7 +121,7 @@ def _degree_p_boundary(p: int) -> tuple[bool, str]:
 def _no_point_two_variable() -> tuple[bool, str]:
     """y^2 = u + x + t*x^2 over GF(2)(t,u): empty bounded point search."""
     t, u = FieldDesc(2, ("t", "u")).generators()
-    pt = find_rational_point(Torsor(make_form(1, [t.field.one(), t]), u), 3)
+    pt = find_rational_point(make_form(1, [t.field.one(), t], u), 3)
     return pt is None, "no rational point with degrees <= 3"
 
 

@@ -19,13 +19,12 @@ import os
 import re
 import sys
 from itertools import accumulate
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 from .field import _SHARED, FieldDesc, MPoly, RatFunc, _add_terms, _mul_terms, _pow_terms, is_prime
 from .forms import (
     FormPresentation,
     NotSeparable,
-    Torsor,
     find_rational_point,
     make_form,
 )
@@ -241,10 +240,9 @@ class EquationAST(NamedTuple):
     coeffs: tuple[tuple[int, RatFunc], ...]
     b: RatFunc
 
-    def build(self) -> Union[FormPresentation, Torsor]:
-        cs = dict(self.coeffs)
-        G = make_form(self.n, [cs[i] if i in cs else self.field.zero() for i in range(max(cs) + 1)])
-        return Torsor(G, self.b) if self.b else G
+    def build(self) -> FormPresentation:
+        cs, zero = dict(self.coeffs), self.field.zero()
+        return make_form(self.n, [cs.get(i, zero) for i in range(max(cs) + 1)], self.b)
 
 
 def _parse_value(s: str, field: FieldDesc) -> RatFunc:
@@ -379,7 +377,7 @@ def render_report_text(rep: InvariantReport) -> str:
 # -- subcommands --------------------------------------------------------
 
 
-def _build_target(args) -> Union[FormPresentation, Torsor]:
+def _build_target(args) -> FormPresentation:
     return parse_form_equation(args.eq, parse_field_spec(args.field)).build()
 
 

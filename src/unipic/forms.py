@@ -1,12 +1,14 @@
 """Forms of the additive group and their torsors, with splitting invariants.
 
-A presentation is a level n and the coefficients (1, a_1, ..., a_m) of
-tau = 1 + a_1 F + ... + a_m F^m in the skew polynomial ring k{F}; it
-describes the smooth affine group
+A presentation is a level n, the coefficients (1, a_1, ..., a_m) of
+tau = 1 + a_1 F + ... + a_m F^m in the skew polynomial ring k{F}, and a
+translation term b in k; it describes the smooth affine curve
 
-    y^(p^n) = x + a_1 x^p + ... + a_m x^(p^m).
+    y^(p^n) = b + x + a_1 x^p + ... + a_m x^(p^m).
 
-Over an imperfect field such a group is usually a nontrivial form of G_a.
+With b = 0 this is a group, over an imperfect field usually a nontrivial
+form of G_a; with b != 0 it is a torsor under that group.  Both are one
+record, `FormPresentation`; a torsor's group is X._replace(b=X.field.zero()).
 Two levels are attached to a form X: the smallest Frobenius twist that
 trivializes the group, and the smallest twist that makes the function
 field rational.  Both are reported as exact values with certificates when
@@ -19,7 +21,7 @@ from collections import namedtuple
 from functools import cached_property, lru_cache, partial, reduce
 from itertools import product
 from math import gcd
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 from .field import (
     FieldDesc,
@@ -75,16 +77,60 @@ class NValue(namedtuple("NValue", "kind value certificate")):
         return f"<= {self.value} (bound)"
 
 
-class _Equation:
-    """The equation y^(p^n) = b + sum coeffs[i] x^(p^i), read off the
-    field, n, coeffs and b of a form or torsor."""
+class FormPresentation(namedtuple("FormPresentation", "field n coeffs b")):
+    """The equation y^(p^n) = b + tau(x), tau = sum coeffs[i] x^(p^i).
 
-    __slots__ = ()
+    coeffs is the dense tuple (1, a_1, ..., a_m) of tau, a_m nonzero.  With
+    b = 0, the default, it is a form of the additive group; with b != 0 it
+    is a torsor under that form.
+    """
+
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs the checks
+
+    def __new__(cls, field: FieldDesc, n: int, coeffs, b: Optional[RatFunc] = None):
+        coeffs = tuple(coeffs)  # hashable, and equal to make_form's
+        if n < 0:
+            raise ValueError("twist level n must be nonnegative")
+        if any(c.field != field for c in coeffs):
+            raise FieldMismatch("a coefficient of tau lives over a different field")
+        if not coeffs or not coeffs[0].is_one():
+            raise NotSeparable("presentation must be normalized with constant coefficient 1")
+        if not coeffs[-1]:
+            raise ValueError("the last coefficient of tau must be nonzero")
+        b = field.zero() if b is None else b
+        if b.field != field:
+            raise FieldMismatch("translation term over a different field")
+        return super().__new__(cls, field, n, coeffs, b)
 
     @property
     def m(self) -> int:
         return len(self.coeffs) - 1
+
+    def twist_coeffs(self) -> list[tuple[int, RatFunc]]:
+        """Nonzero coefficients a_i with i >= 1."""
+        return [(i, c) for i, c in enumerate(self.coeffs) if i >= 1 and c]
+
+    @cached_property
+    def ladders(self) -> dict[int, tuple[int, RatFunc]]:
+        """i -> (v_i, b_i) = `power_level(a_i, n)` for each nonzero a_i, i >= 1.
+
+        Walked once per presentation; n, n', r and [k':k] all read it.
+        """
+        return {i: power_level(c, self.n) for i, c in self.twist_coeffs()}
+
+    @property
+    def generic_fiber(self) -> bool:
+        """Whether b is a variable T of k that no a_i involves: then X is the
+        generic fiber of (x, y) -> y^(p^n) - tau(x) over F_p(the other
+        variables), a localization of the plane, and Pic(X) = 0."""
+        b = self.b
+        if len(b.num.terms) != 1 or not b.den.is_one():
+            return False
+        (e, c), = b.num.terms.items()
+        if c != 1 or sum(e) != 1:
+            return False
+        j = e.index(1)
+        return not any(d[j] for a in self.coeffs for f in (a.num, a.den) for d in f.terms)
 
     def __str__(self) -> str:
         p, b = self.field.p, self.b
@@ -103,83 +149,6 @@ class _Equation:
         return f"{lhs} = {' + '.join(parts)}"
 
 
-class FormPresentation(_Equation, namedtuple("FormPresentation", "field n coeffs")):
-    """A form of the additive group given by y^(p^n) = tau(x).
-
-    coeffs is the dense tuple (1, a_1, ..., a_m) of tau, a_m nonzero.
-    """
-
-    def __new__(cls, field: FieldDesc, n: int, coeffs: tuple[RatFunc, ...]):
-        coeffs = tuple(coeffs)  # hashable, and equal to make_form's
-        if n < 0:
-            raise ValueError("twist level n must be nonnegative")
-        if any(c.field != field for c in coeffs):
-            raise FieldMismatch("a coefficient of tau lives over a different field")
-        if not coeffs or not coeffs[0].is_one():
-            raise NotSeparable("presentation must be normalized with constant coefficient 1")
-        if not coeffs[-1]:
-            raise ValueError("the last coefficient of tau must be nonzero")
-        return super().__new__(cls, field, n, coeffs)
-
-    @property
-    def b(self) -> RatFunc:
-        """The translation term, zero on a form."""
-        return self.field.zero()
-
-    def twist_coeffs(self) -> list[tuple[int, RatFunc]]:
-        """Nonzero coefficients a_i with i >= 1."""
-        return [(i, c) for i, c in enumerate(self.coeffs) if i >= 1 and c]
-
-    @cached_property
-    def ladders(self) -> dict[int, tuple[int, RatFunc]]:
-        """i -> (v_i, b_i) = `power_level(a_i, n)` for each nonzero a_i, i >= 1.
-
-        Walked once per presentation; n, n', r and [k':k] all read it.
-        """
-        return {i: power_level(c, self.n) for i, c in self.twist_coeffs()}
-
-
-class Torsor(_Equation, namedtuple("Torsor", "form b")):
-    """Principal homogeneous space y^(p^n) = b + tau(x) under its form."""
-
-    __slots__ = ()
-
-    def __new__(cls, form: FormPresentation, b: RatFunc):
-        if b.field != form.field:
-            raise FieldMismatch("translation term over a different field")
-        return super().__new__(cls, form, b)
-
-    @property
-    def field(self) -> FieldDesc:
-        return self.form.field
-
-    @property
-    def n(self) -> int:
-        return self.form.n
-
-    @property
-    def coeffs(self) -> tuple[RatFunc, ...]:
-        return self.form.coeffs
-
-    @property
-    def ladders(self) -> dict[int, tuple[int, RatFunc]]:
-        return self.form.ladders
-
-    @property
-    def generic_fiber(self) -> bool:
-        """Whether b is a variable T of k that no a_i involves: then X is the
-        generic fiber of (x, y) -> y^(p^n) - tau(x) over F_p(the other
-        variables), a localization of the plane, and Pic(X) = 0."""
-        b = self.b
-        if len(b.num.terms) != 1 or not b.den.is_one():
-            return False
-        (e, c), = b.num.terms.items()
-        if c != 1 or sum(e) != 1:
-            return False
-        j = e.index(1)
-        return not any(d[j] for a in self.coeffs for f in (a.num, a.den) for d in f.terms)
-
-
 def _coeff_str(c: RatFunc) -> str:
     s = str(c)
     if "+" in s or (s.count("*") and "/" in s):
@@ -187,12 +156,13 @@ def _coeff_str(c: RatFunc) -> str:
     return s
 
 
-def make_form(n: int, coeffs) -> FormPresentation:
-    """The presentation y^(p^n) = sum coeffs[i] x^(p^i), normalized so a_0 = 1.
+def make_form(n: int, coeffs, b: Optional[RatFunc] = None) -> FormPresentation:
+    """The presentation y^(p^n) = b + sum coeffs[i] x^(p^i), normalized so a_0 = 1.
 
-    Trailing zeros are dropped and the field is read off the coefficients.
-    Rescaling x by the inverse unit is a group isomorphism, sending a_i to
-    a_i * c^(-p^i) for c the original constant coefficient.
+    Trailing zeros are dropped and the field is read off the coefficients;
+    b defaults to zero, a form.  Rescaling x by the inverse unit is an
+    isomorphism that keeps b, sending a_i to a_i * c^(-p^i) for c the
+    original constant coefficient.
     """
     cs = list(coeffs)
     while cs and not cs[-1]:
@@ -202,22 +172,21 @@ def make_form(n: int, coeffs) -> FormPresentation:
     if not cs[0].is_one():
         mu = cs[0].inverse()
         cs = [c * mu.frobenius(i) if c else c for i, c in enumerate(cs)]
-    return FormPresentation(cs[0].field, n, cs)
+    return FormPresentation(cs[0].field, n, cs, b)
 
 
-def generic_fiber_torsor(G: FormPresentation) -> Torsor:
+def generic_fiber_torsor(G: FormPresentation) -> FormPresentation:
     """The torsor y^(p^n) = T + tau(x) over k(T), T a fresh indeterminate.
 
-    This is the generic fiber of the projection (x, y) -> y^(p^n) - tau(x),
-    so its Picard group vanishes by construction.
+    It keeps G's n and tau.  This is the generic fiber of the projection
+    (x, y) -> y^(p^n) - tau(x), so its Picard group vanishes by construction.
     """
     base = G.field
     if "T" in base.vars:
         raise VariableClash("'T' is already a field variable")
     ext = FieldDesc(base.p, base.vars + ("T",))
     images = [(i, 1) for i in range(base.r)]
-    form = FormPresentation(ext, G.n, [c.embed(ext, images) for c in G.coeffs])
-    return Torsor(form, ext.var("T"))
+    return FormPresentation(ext, G.n, [c.embed(ext, images) for c in G.coeffs], ext.var("T"))
 
 
 def splitting_level(G: FormPresentation) -> NValue:
@@ -327,7 +296,7 @@ def equation_holds(T, x: RatFunc, y: RatFunc) -> bool:
     return y.frobenius(T.n) == _rhs_at(T, x)
 
 
-def _clear_denominators(field, coeffs, b, k: int = 1):
+def _clear_denominators(field, coeffs, b, k: int):
     """The lcm L of the denominators, and B = b L^k and C_i = a_i L^k, one product each but for
     a zero: one `_cancel` per distinct den, the lcm step's, yields L/den, grown as L grows, and
     L^k/den = L^(k-1) (L/den) is formed once per den, so no division touches the sparse L^k."""
@@ -499,8 +468,8 @@ def _search(T, max_deg: int) -> Optional[tuple[int, int]]:
     return None
 
 
-def find_rational_point(T, max_deg: int) -> Optional[tuple[RatFunc, RatFunc]]:
-    """Search for a rational point with x = g/h, total degrees <= max_deg.
+def find_rational_point(T: FormPresentation, max_deg: int) -> Optional[tuple[RatFunc, RatFunc]]:
+    """Search y^(p^n) = b + tau(x) for a point x = g/h of total degrees <= max_deg.
 
     Candidates are ordered denominators outer, numerators inner, both in
     base-p counting order over the graded monomial list, with h monic.
@@ -508,13 +477,14 @@ def find_rational_point(T, max_deg: int) -> Optional[tuple[RatFunc, RatFunc]]:
     over F_p, so one linear system, built on packed integer exponents,
     returns the least such g without enumerating the p^K numerators; for
     n > m only the denominators a reduced x can have are tried.  A form
-    (b = 0) has x = y = 0, its group identity, with no search.  A torsor
-    with a `local_obstruction` has no point of degree prime to p, so None
-    is returned with no search.  A point gives m(X) = 1, so M = m(X)Z/p^rZ
-    is Z/p^rZ, and Pic(X) = M when Pic0(C) = 0.  When b is a nonzero p^n-th
-    power, x = 0 is returned before any h.  The witness, the first candidate
-    in that order, is re-checked over one denominator built from T's own
-    coefficients, not the engine's, and y is a p^n-th root.
+    (b = 0) has x = y = 0, its group identity, with no search, so every
+    form has a point.  A torsor (b != 0) with a `local_obstruction` has no
+    point of degree prime to p, so None is returned with no search.  A
+    point gives m(X) = 1, so M = m(X)Z/p^rZ is Z/p^rZ, and Pic(X) = M when
+    Pic0(C) = 0.  When b is a nonzero p^n-th power, x = 0 is returned
+    before any h.  The witness, the first candidate in that order, is
+    re-checked over one denominator built from T's own coefficients, not
+    the engine's, and y is a p^n-th root.
     """
     if max_deg < 0:
         raise ValueError("max_deg must be nonnegative")
@@ -612,7 +582,7 @@ class PlaneModel(NamedTuple):
     maps are kept sparse and exact.
     """
 
-    source: Union[FormPresentation, Torsor]
+    source: FormPresentation
     wcoeffs: tuple[tuple[int, RatFunc], ...]
     ycoeffs: tuple[tuple[int, RatFunc], ...]
     alpha: RatFunc

@@ -17,13 +17,12 @@ never as computed booleans.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 from .field import RatFunc, compositum_degree
 from .forms import (
     FormPresentation,
     NValue,
-    Torsor,
     find_rational_point,
     rationality_level,
     rewrite_plane_model,
@@ -57,7 +56,7 @@ class P1ComplementData(NamedTuple):
 
 
 class InvariantReport(NamedTuple):
-    target: Union[FormPresentation, Torsor]
+    target: FormPresentation
     n: NValue
     n_prime: NValue
     r: NValue
@@ -74,7 +73,7 @@ class InvariantReport(NamedTuple):
 
     @property
     def is_torsor(self) -> bool:
-        return isinstance(self.target, Torsor)
+        return bool(self.target.b)
 
     @property
     def torsion_bound(self) -> int:
@@ -147,7 +146,8 @@ def invariant_report(X, *, search_bound: int = 2, oracle: bool = False) -> Invar
     """Run every invariant computation on a form or torsor and consolidate.
 
     search_bound caps the total degree of the rational point search on a
-    torsor; a form's point is x = y = 0, its group identity, with no search.
+    torsor (b != 0); a form (b = 0) has x = y = 0, its group identity, with
+    no search.  With no point known, n' is only the bound n.
     oracle also runs the Cech genus oracle on the window 2 * degree.
     The report never upgrades a bound to an exact value: each field keeps
     the tag produced by its own certificate chain, and derived statements
@@ -157,14 +157,12 @@ def invariant_report(X, *, search_bound: int = 2, oracle: bool = False) -> Invar
     """
     if search_bound < 0:  # outside input, rejected before any work
         raise ValueError("search_bound must be nonnegative")
-    is_torsor = isinstance(X, Torsor)
-    G = X.form if is_torsor else X
-    p = G.field.p
-    n = splitting_level(G)
-    deg = compositum_degree([(b, G.n - v) for v, b in G.ladders.values() if v < G.n])
+    p = X.field.p
+    n = splitting_level(X)
+    deg = compositum_degree([(b, X.n - v) for v, b in X.ladders.values() if v < X.n])
     nontrivial = deg > 1
     # the completion and its boundary data serve both r and Pic0
-    if G.m == 0:
+    if X.m == 0:
         C = inf = None
         genus = NValue("exact", 0, "projective-line")
     else:
@@ -179,7 +177,7 @@ def invariant_report(X, *, search_bound: int = 2, oracle: bool = False) -> Invar
             genus = NValue("upper_bound", g)
     r = _residue_level(X, inf)
     point = find_rational_point(X, search_bound)
-    generic = is_torsor and X.generic_fiber
+    generic = X.generic_fiber
     pr = p ** r.value
     if point is not None:
         m_X = NValue("exact", 1, "rational-point")
@@ -194,10 +192,7 @@ def invariant_report(X, *, search_bound: int = 2, oracle: bool = False) -> Invar
         quotient_desc = f"m*Z/{pr}Z with m | {pr}"
     else:
         quotient_desc = f"m*Z/p^rZ with r <= {r.value} and m | p^r"
-    if not is_torsor or point is not None:
-        n_prime = rationality_level(G)
-    else:
-        n_prime = NValue("upper_bound", G.n)
+    n_prime = rationality_level(X) if point is not None else NValue("upper_bound", X.n)
     flags: list[str] = []
     if not n.is_exact:
         flags.append("torsion-bound-on-bound")

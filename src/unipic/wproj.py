@@ -18,10 +18,10 @@ count is the oracle in tests/hilbert_reference.py.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 from .field import FieldDesc, RatFunc, power_level
-from .forms import FormPresentation, PlaneModel, Torsor
+from .forms import FormPresentation, PlaneModel
 
 
 class TrivialTau(ValueError):
@@ -41,7 +41,7 @@ class WeightedCurve(namedtuple("WeightedCurve", "source")):
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs the checks
 
-    def __new__(cls, source: Union[FormPresentation, Torsor]):
+    def __new__(cls, source: FormPresentation):
         if source.m == 0:
             raise TrivialTau("tau has no twist term; the completion is a projective line")
         return super().__new__(cls, source)

@@ -125,7 +125,7 @@ def linear_search_reference(T, max_deg) -> Optional[tuple[int, int]]:
     p = field.p
     m = T.m
     q = p ** n
-    L, B, C = _clear_denominators(field, coeffs, b)
+    L, B, C = _clear_denominators(field, coeffs, b, 1)
     monos = _monomials_up_to(field.r, max_deg)
     K = len(monos)
     one = MPoly.one(field)

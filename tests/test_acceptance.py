@@ -12,7 +12,6 @@ import pytest
 from unipic import (
     FieldDesc,
     MPoly,
-    Torsor,
     cech_h1_dim,
     equation_holds,
     find_rational_point,
@@ -159,7 +158,7 @@ def test_acceptance_6_trivial_picard_searches():
     started = time.perf_counter()
     k2 = FieldDesc(2, ("t", "u"))
     t, u = k2.var("t"), k2.var("u")
-    T = Torsor(form_over(k2, 1, {0: k2.one(), 1: t}), u)
+    T = form_over(k2, 1, {0: k2.one(), 1: t})._replace(b=u)
     checks = [find_rational_point(T, 3) is None]
 
     k = field_for(2)
@@ -212,7 +211,7 @@ def test_acceptance_8_randomized_invariant_relations():
                 coeffs[i] = monomial_fraction(field)
         X = form_over(field, n, coeffs)
         if rng.random() < 0.5:
-            X = Torsor(X, monomial_fraction(field))
+            X = X._replace(b=monomial_fraction(field))
         rep = invariant_report(X)
         if rep.n.kind == rep.n_prime.kind == rep.r.kind == "exact":
             checks.append(rep.n.value >= max(rep.n_prime.value, rep.r.value))

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 import unipic.catalogue as catalogue_mod
 import unipic.cli as cli_mod
 import unipic.picard
-from unipic import FieldDesc, Torsor, invariant_report, run_catalogue
+from unipic import FieldDesc, FormPresentation, invariant_report, run_catalogue
 from unipic.catalogue import CatalogueResult
 from unipic.cli import (
     BadExponent,
@@ -114,7 +114,7 @@ def test_parse_form_equation():
 
 def test_parse_torsor_equation():
     X = parse_form_equation("y^9 = t + x + t*x^3", F3TU).build()
-    assert isinstance(X, Torsor)
+    assert type(X) is FormPresentation
     assert X.b == F3TU.var("t")
 
 
@@ -709,7 +709,7 @@ def test_import_loads_only_what_analyze_runs():
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
     modules = ["unipic", "unipic.cli", "unipic.field", "unipic.forms", "unipic.picard", "unipic.wproj"]
-    assert proc.stdout == f"[]\n{modules}\n41 [] True\n"
+    assert proc.stdout == f"[]\n{modules}\n40 [] True\n"
 
 
 def test_closed_stdout_exits_quietly():

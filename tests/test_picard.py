@@ -9,10 +9,10 @@ import unipic.picard
 import unipic.wproj
 from unipic import (
     FieldDesc,
+    FormPresentation,
     NValue,
     NotIrreducible,
     RatFunc,
-    Torsor,
     find_rational_point,
     generic_fiber_torsor,
     invariant_report,
@@ -27,8 +27,10 @@ from unipic.forms import _search
 from unipic.picard import _residue_level
 
 from conftest import F2T, F3T
+from test_field import _automorphisms
 from test_forms import _golden_variants
 from test_obstruction import _random_form
+from transport_reference import transport
 
 T = F2T.var("t")
 ONE = F2T.one()
@@ -44,7 +46,7 @@ SPLIT = make_form(1, [ONE])
 def test_torsion_bounds():
     assert invariant_report(CONIC).torsion_bound == 2
     assert invariant_report(TOWER).torsion_bound == 8
-    assert invariant_report(Torsor(CONIC, T)).torsion_bound == 2
+    assert invariant_report(CONIC._replace(b=T)).torsion_bound == 2
 
 
 # ------------------------------------------------------------ residue levels
@@ -75,7 +77,7 @@ def test_exact_sequence_conic():
 
 
 def test_exact_sequence_without_point():
-    rep = invariant_report(Torsor(CONIC, ONE / T))
+    rep = invariant_report(CONIC._replace(b=ONE / T))
     assert rep.m_X == NValue("upper_bound", 2)
     assert not rep.m_X.is_exact
     assert rep.quotient_desc == "m*Z/2Z with m | 2"
@@ -189,7 +191,7 @@ def test_report_level_inequalities():
 
 
 def test_report_pointless_torsor():
-    rep = invariant_report(Torsor(CONIC, ONE / T))
+    rep = invariant_report(CONIC._replace(b=ONE / T))
     assert rep.is_torsor
     assert rep.point is None
     assert rep.pic_group is None
@@ -215,7 +217,7 @@ def _count_calls(monkeypatch, name):
 _ONCE_CASES = [
     TOWER,
     make_form(1, [F3T.one(), F3T.var("t")]),
-    Torsor(CONIC, ONE / T),
+    CONIC._replace(b=ONE / T),
 ]
 _ONCE_IDS = ["p2-form", "p3-form", "torsor"]
 
@@ -237,7 +239,7 @@ def test_report_takes_each_root_step_once(monkeypatch):
     # y^8 = x + 1/(t^2)*x^2 + t^4*x^4 roots its own boundary ratio, twice
     golden = sorted({(v["field"], v["eq"]) for v in _golden_variants()})
     cases = [parse_form_equation(eq, parse_field_spec(field)).build() for field, eq in golden]
-    steps = [None if isinstance(X, Torsor) else sum(power_level(c, X.n)[0] for _, c in X.twist_coeffs())
+    steps = [None if X.b else sum(power_level(c, X.n)[0] for _, c in X.twist_coeffs())
              for X in cases]
     roots = []
     pth_root = RatFunc.pth_root
@@ -262,6 +264,52 @@ def test_report_takes_each_root_step_once(monkeypatch):
     assert (forms, odd, equal) == (823, 641, 378)
 
 
+def test_torsor_group_invariants_come_from_its_own_record():
+    # n, r, the genus and [k':k] read only n and tau, so a torsor's report
+    # gives them as its group's does, read off the torsor's own record
+    cases = sorted({(v["field"], v["eq"]) for v in _golden_variants()})
+    torsors = [X for X in (parse_form_equation(eq, parse_field_spec(f)).build() for f, eq in cases) if X.b]
+    for X in torsors:
+        rep, group = (invariant_report(Y, search_bound=0) for Y in (X, X._replace(b=X.field.zero())))
+        assert rep.target is X
+        assert rep.n == group.n and rep.r == group.r and rep.genus == group.genus, X
+        assert rep.splitting_degree == group.splitting_degree, X
+    assert len(torsors) == 470
+
+
+def _consistent(u: NValue, v: NValue) -> bool:
+    """Equal when both are exact; else an exact value lies within the other's bound."""
+    if u.is_exact == v.is_exact:
+        return not u.is_exact or u.value == v.value
+    exact, bound = (u, v) if u.is_exact else (v, u)
+    return exact.value <= bound.value
+
+
+def test_reports_survive_transport():
+    # every invariant of X is that of X^sigma, sigma an automorphism of k,
+    # though the report reaches it by routes sigma does not respect (ladders,
+    # boundary residues, the point search): on each golden input at its own
+    # search bound, the two reports never contradict each other
+    cases = sorted({(v["field"], v["eq"], v["bound"]) for v in _golden_variants()})
+    pairs = mixed = assembled = 0
+    for field, eq, bound in cases:
+        X = parse_form_equation(eq, parse_field_spec(field)).build()
+        rep = invariant_report(X, search_bound=bound)
+        for images in _automorphisms(X.field):
+            other = invariant_report(transport(X, images), search_bound=bound)
+            for name in ("n", "n_prime", "r", "m_X", "genus"):
+                u, v = getattr(rep, name), getattr(other, name)
+                assert _consistent(u, v), (X, images, name, u, v)
+                mixed += u.is_exact != v.is_exact
+            assert rep.splitting_degree == other.splitting_degree, (X, images)
+            if rep.pic_group is not None and other.pic_group is not None:
+                assert rep.pic_group == other.pic_group, (X, images)
+                assembled += 1
+            pairs += 1
+    # sigma moves some values between exact and bound, so both rules are used
+    assert (len(cases), pairs) == (1297, 6056) and mixed and assembled
+
+
 @pytest.mark.parametrize("X", _ONCE_CASES, ids=_ONCE_IDS)
 def test_report_with_oracle_builds_completion_once(monkeypatch, X):
     # the Cech oracle reuses the report's completion
@@ -276,8 +324,8 @@ def test_report_no_longer_trusts_a_generic_fiber_flag():
     # a_1 = t involves; the torsor has the point (1, 1) with r = 1, so
     # Pic(X) maps onto Z/2Z
     with pytest.raises(TypeError):
-        Torsor(CONIC, T, generic_fiber=True)
-    X = Torsor(CONIC, T)
+        FormPresentation(*CONIC._replace(b=T), generic_fiber=True)
+    X = CONIC._replace(b=T)
     assert not X.generic_fiber
     rep = invariant_report(X)
     assert rep.point == (ONE, ONE)
