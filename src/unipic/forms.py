@@ -18,7 +18,7 @@ a sound criterion applies and as honest upper bounds otherwise.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property, lru_cache, partial, reduce
+from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd
 from typing import NamedTuple, Optional
@@ -28,10 +28,7 @@ from .field import (
     FieldMismatch,
     MPoly,
     RatFunc,
-    _add_terms,
     _cancel,
-    _mul_terms,
-    _pow_terms,
     power_level,
 )
 
@@ -272,27 +269,17 @@ def _monomials_up_to(r: int, d: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _rhs_at(T, x: RatFunc) -> RatFunc:
-    """b + tau(x) at x = g/h as one fraction over D h^(p^m), D the product of
-    the distinct denominators of b and the a_i: a_i x^(p^i) has numerator
-    num(a_i) (D / den(a_i)) g^(p^i) h^(p^m - p^i), b has num(b) (D / den(b))
-    h^(p^m).  Each product leaves out its factors of one: h^0, g^0 for b, and
-    every power of h = 1.  The sum is reduced once, by the `RatFunc` constructor's gcd."""
-    field, g, h = T.field, x.num.terms, x.den.terms
-    p, r, pm = field.p, field.r, field.p ** T.m
-    fs = [(f, p ** i) for i, f in enumerate(T.coeffs) if f] + [(T.b, 0)]  # b takes no power of x
-    dens = [d.terms for d in dict.fromkeys(f.den for f, _ in fs) if not d.is_one()]
-    hk = {} if x.den.is_one() else {pm - k: _pow_terms(h, pm - k, p, r) for _, k in fs if k < pm}
-    mul, N = partial(_mul_terms, p=p), {}
-    for f, k in fs:
-        gk = {tuple(v * k for v in e): c for e, c in g.items()} if k else None
-        factors = [f.num.terms, *(d for d in dens if d != f.den.terms), gk, hk.get(pm - k)]
-        N = _add_terms(N, reduce(mul, [t for t in factors if t is not None]), p)
-    D = [t for t in (hk.get(pm), *dens) if t is not None]
-    return RatFunc(MPoly(field, N), MPoly(field, reduce(mul, D) if D else {(0,) * r: 1}))
+    """b + sum_i a_i x^(p^i), summed in `RatFunc` on T's own coefficients, never on the
+    search engine's B, C_i or L, so a witness is re-checked by field arithmetic alone."""
+    rhs = T.b
+    for i, a in enumerate(T.coeffs):
+        if a:
+            rhs = rhs + a * x.frobenius(i)
+    return rhs
 
 
 def equation_holds(T, x: RatFunc, y: RatFunc) -> bool:
-    """Check y^(p^n) = b + tau(x) exactly."""
+    """Check y^(p^n) = b + tau(x) exactly, by field arithmetic on T's own coefficients."""
     return y.frobenius(T.n) == _rhs_at(T, x)
 
 
@@ -483,8 +470,8 @@ def find_rational_point(T: FormPresentation, max_deg: int) -> Optional[tuple[Rat
     point gives m(X) = 1, so M = m(X)Z/p^rZ is Z/p^rZ, and Pic(X) = M when
     Pic0(C) = 0.  When b is a nonzero p^n-th power, x = 0 is returned
     before any h.  The witness, the first candidate in that order, is
-    re-checked over one denominator built from T's own coefficients, not
-    the engine's, and y is a p^n-th root.
+    re-checked by field arithmetic on T's own coefficients, not the
+    engine's, and y is a p^n-th root.
     """
     if max_deg < 0:
         raise ValueError("max_deg must be nonnegative")

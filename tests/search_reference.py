@@ -1,5 +1,5 @@
 """References for the rational point search `unipic.forms._search` and
-its witness check `unipic.forms._rhs_at`.
+for the right side b + tau(x) that its witness is re-checked against.
 
 `brute_force_search` tests every candidate x = g/h in turn and shares no
 code with `unipic.forms._search`; only the counting order and the monic
@@ -15,14 +15,18 @@ reduction is sound.  Both references try every monic h: for n > m the
 engine skips the denominators no reduced point can have, so they agree
 only if that rule is sound too.
 
-`rhs_reference` is the earlier witness check, a sum of `RatFunc` terms.
+`rhs_one_denominator_reference` is the earlier witness check: it forms
+b + tau(x) over one denominator and reduces it by one gcd, where the
+library sums `RatFunc` terms.
 """
 
+from functools import partial, reduce
 from itertools import product
 from operator import add
 from typing import Optional
 
-from unipic import MPoly
+from unipic import MPoly, RatFunc
+from unipic.field import _add_terms, _mul_terms, _pow_terms
 from unipic.forms import _clear_denominators, _least_solution, _monomials_up_to
 
 from gcd_reference import exact_div_reference
@@ -185,10 +189,21 @@ def linear_search_reference(T, max_deg) -> Optional[tuple[int, int]]:
     return None
 
 
-def rhs_reference(T, x):
-    """The right side b + tau(x) of the equation of T at x, summed term by term."""
-    rhs = T.b
-    for i, c in enumerate(T.coeffs):
-        if c:
-            rhs = rhs + c * x.frobenius(i)
-    return rhs
+def rhs_one_denominator_reference(T, x):
+    """b + tau(x) at x = g/h as one fraction over D h^(p^m), D the product of
+    the distinct denominators of b and the a_i: a_i x^(p^i) has numerator
+    num(a_i) (D / den(a_i)) g^(p^i) h^(p^m - p^i), b has num(b) (D / den(b))
+    h^(p^m).  Each product leaves out its factors of one: h^0, g^0 for b, and
+    every power of h = 1.  The sum is reduced once, by the `RatFunc` constructor's gcd."""
+    field, g, h = T.field, x.num.terms, x.den.terms
+    p, r, pm = field.p, field.r, field.p ** T.m
+    fs = [(f, p ** i) for i, f in enumerate(T.coeffs) if f] + [(T.b, 0)]  # b takes no power of x
+    dens = [d.terms for d in dict.fromkeys(f.den for f, _ in fs) if not d.is_one()]
+    hk = {} if x.den.is_one() else {pm - k: _pow_terms(h, pm - k, p, r) for _, k in fs if k < pm}
+    mul, N = partial(_mul_terms, p=p), {}
+    for f, k in fs:
+        gk = {tuple(v * k for v in e): c for e, c in g.items()} if k else None
+        factors = [f.num.terms, *(d for d in dens if d != f.den.terms), gk, hk.get(pm - k)]
+        N = _add_terms(N, reduce(mul, [t for t in factors if t is not None]), p)
+    D = [t for t in (hk.get(pm), *dens) if t is not None]
+    return RatFunc(MPoly(field, N), MPoly(field, reduce(mul, D) if D else {(0,) * r: 1}))

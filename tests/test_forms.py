@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 import re
+import time
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -43,7 +44,7 @@ from unipic.forms import _clear_denominators, _least_solution, _monomials_up_to,
 
 from conftest import F2T, F2TU, F3T, ratfunc_strategy
 from gcd_reference import exact_div_reference, poly_gcd, prs_gcd_reference
-from search_reference import brute_force_search, linear_search_reference, rhs_reference
+from search_reference import brute_force_search, linear_search_reference, rhs_one_denominator_reference
 from twist_reference import twist_chain_reference
 
 F5T = FieldDesc(5, ("t",))
@@ -619,16 +620,16 @@ def test_least_witness_takes_low_digit_over_free_high_digit():
 
 
 def test_witness_check_matches_reference():
-    # the right side over one denominator against the RatFunc sum, on every
-    # golden witness, and on seeded x = g/h where h shares a factor with the
-    # denominator of an a_i and two terms share a denominator
+    # the library's RatFunc sum against the earlier build over one denominator,
+    # on every golden witness, and on seeded x = g/h where h shares a factor
+    # with the denominator of an a_i and two terms share a denominator
     cases = {(v["field"], v["eq"], v["bound"]) for v in _golden_variants()}
     witnesses = 0
     for field, eq, bound in sorted(cases):
         T = parse_form_equation(eq, parse_field_spec(field)).build()
         pt = find_rational_point(T, bound) if T.b else None
         if pt is not None:
-            assert _rhs_at(T, pt[0]) == rhs_reference(T, pt[0]), (field, eq, bound)
+            assert _rhs_at(T, pt[0]) == rhs_one_denominator_reference(T, pt[0]), (field, eq, bound)
             witnesses += 1
     assert witnesses > 100
     rng, classes = random.Random(2604), set()
@@ -643,13 +644,26 @@ def test_witness_check_matches_reference():
             G = make_form(n, [field.one()] + [poly() / rng.choice(dens) for _ in range(m)])
             T = G._replace(b=poly() / rng.choice(dens))
             x = poly() / (rng.choice(dens) * rng.choice(dens))
-            assert _rhs_at(T, x) == rhs_reference(T, x), (T, x)
+            assert _rhs_at(T, x) == rhs_one_denominator_reference(T, x), (T, x)
             if any(not poly_gcd(x.den, a.den).is_one() for a in G.coeffs):
                 classes.add("h meets a den(a_i)")
             own = [f.den for f in [T.b, *G.coeffs] if f and not f.den.is_one()]
             if len(set(own)) < len(own):
                 classes.add("a shared denominator")
     assert classes == {"h meets a den(a_i)", "a shared denominator"}
+
+
+def test_cube_translation_with_large_denominators_is_found_at_once():
+    # b is a cube, so the witness is x = 0; its check must stay as cheap as the
+    # search although b's three denominators have degree 24 each
+    k = parse_field_spec("GF(3)(t,u)")
+    eq = "y^3 = x + t*x^3 + 1/(t^2+u+1)^12 + 1/(t+u^2+2)^12 + 1/(t*u+1)^12"
+    T = parse_form_equation(eq, k).build()
+    started = time.perf_counter()
+    x, y = find_rational_point(T, 0)
+    elapsed = time.perf_counter() - started
+    assert not x and y.frobenius(1) == T.b
+    assert elapsed < 1.5, f"{elapsed:.2f}s"
 
 
 @pytest.mark.parametrize("hit", [(0, 1), (1, 2)])
