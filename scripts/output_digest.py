@@ -3,11 +3,13 @@
 
 The calls are `analyze`, as text and with `--json`, on every variant of
 perfbench/golden.json (with `--oracle` where the variant sets it), every
-argv of tests/golden_analyze.json, and `paper-examples`, each distinct
-argv once.  Each runs in process through `unipic.cli.main` from the src/
-next to this script, and its argv, exit code, stdout and stderr enter the
-hash.  Two checkouts that print the same digest give byte-identical output
-on every call.
+argv of tests/golden_analyze.json, `paper-examples`, `genus --oracle` on
+every golden variant, `points --max-deg <bound>` on every `torsors`
+variant, and a fixed grid of `hilbert` and `p1-complement` argvs with one
+argv of each that exits 2, each distinct argv once.  Each runs in process
+through `unipic.cli.main` from the src/ next to this script, and its argv,
+exit code, stdout and stderr enter the hash.  Two checkouts that print
+the same digest give byte-identical output on every call.
 
 `--diff REV` lists where the output changed instead.  It unpacks the
 committed tree of REV as scripts/bench_pairs.py does, runs each side's own
@@ -46,18 +48,31 @@ for call in calls(Path(sys.argv[2])):
 """
 
 
+# the subcommands that read no equation: a fixed grid, whose last argv exits 2
+_HILBERT = [["--a", str(a), "--delta", str(d)] for a in (1, 2, 3, 4, 9) for d in (0, 1, 2, 7)] + [
+    ["--a", "0", "--delta", "1"]]
+_P1 = [["--field", f, "--e", str(e), "--c", c]
+       for f, cs in (("GF(2)(t)", ("t", "t + 1", "1/t")), ("GF(3)(t)", ("t", "-t", "t^2 + 1")),
+                     ("GF(5)(t,u)", ("t", "u/(t + 1)", "t*u + 2")))
+       for c in cs for e in (1, 2, 3)] + [["--field", "GF(3)(t)", "--e", "1", "--c", "t^3"]]
+
+
 def argvs(root: Path) -> list[list[str]]:
     """root's calls in order, each once: workloads of golden.json share variants."""
     golden = json.loads((root / "perfbench" / "golden.json").read_text())
-    out = []
-    for slots in golden["workloads"].values():
+    out, later = [], []
+    for workload, slots in golden["workloads"].items():
         for slot in slots:
             for v in slot["variants"]:
-                argv = ["analyze", "--field", v["field"], "--eq", v["eq"],
-                        "--search-bound", str(v["bound"])] + ["--oracle"] * v["oracle"]
+                target = ["--field", v["field"], "--eq", v["eq"]]
+                argv = ["analyze", *target, "--search-bound", str(v["bound"])] + ["--oracle"] * v["oracle"]
                 out += [argv, argv + ["--json"]]
+                later.append(["genus", *target, "--oracle"])
+                if workload == "torsors":
+                    later.append(["points", *target, "--max-deg", str(v["bound"])])
     out += [case["argv"] for case in json.loads((root / "tests" / "golden_analyze.json").read_text())]
-    out.append(["paper-examples"])
+    out += [["paper-examples"], *later]
+    out += [["hilbert", *a] for a in _HILBERT] + [["p1-complement", *a] for a in _P1]
     return [list(a) for a in dict.fromkeys(map(tuple, out))]
 
 

@@ -843,8 +843,6 @@ def _dense_degree(roots: Sequence[tuple[RatFunc, int]]) -> int:
     generators so far are a basis of the field built so far, a generator x
     of exponent e adds each of them times x, ..., x^(p^e - 1), and each
     product is reduced in once, so the degree is the number of products.
-    A new pivot row is divided by the gcd of its entries, which keeps the
-    leads that later rows meet small.
     """
     base = roots[0][0].field
     level = max(ei for _, ei in roots)
@@ -866,13 +864,5 @@ def _dense_degree(roots: Sequence[tuple[RatFunc, int]]) -> int:
             for _ in range(base.p ** e - 1):
                 products.append(acc := acc * x)
                 row = _reduce(pivots, _coords(acc, q), base)
-                g, quots = MPoly.zero(base), {}  # the gcd g of row's entries so far, each over g
-                for v, t in row.items():
-                    g, a, c = _cancel(g, MPoly(base, t))
-                    if g.is_constant():
-                        break
-                    quots = {w: y * a for w, y in quots.items()} | {v: c}
-                else:
-                    row = {v: y.terms for v, y in quots.items()}
                 pivots[min(row)] = row
     return len(products)

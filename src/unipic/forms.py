@@ -364,7 +364,7 @@ def _search(T, max_deg: int) -> Optional[tuple[int, int]]:
     system over F_p in the K base-p digits of g.  As q divides P, h^P is a
     q-th power: the constant rows are pi(B) h^P, pi keeping the off-lattice
     terms, so pi(B) = 0 makes x = 0 a point; and a column with i >= n is
-    pi(C_i) h^(P - p^i) in every digit, with no residue split.
+    pi(C_i) h^(P - p^i) in every digit.
 
     Exponents are packed as sum_j e_j S^j, so a monomial product is one
     addition and h^(p^i) multiplies each exponent by p^i.  No coordinate
@@ -404,7 +404,7 @@ def _search(T, max_deg: int) -> Optional[tuple[int, int]]:
     K, base = len(monos), [pack(e) for e in monos]
     # the packed exponent of each monomial raised to the p^i, with its digit
     shifts = [[(k, s * p ** i) for k, s in enumerate(base)] for i in range(m + 1)]
-    cols: dict = {}  # (i, residue) -> the columns (k, shift) that leave the q-lattice, i < n
+    cols: dict = {}  # (i, residue) -> the columns (k, shift) that leave the q-lattice
 
     for top in range(K):
         # monic h: leading digit 1 at position top, anything below
@@ -429,21 +429,14 @@ def _search(T, max_deg: int) -> Optional[tuple[int, int]]:
                 if i > m or not C[i]:
                     continue
                 # column k gets C_i h^(P - p^i) times monos[k]^(p^i)
-                W = _pmul(C[i], R, p)
-                if i >= n:
-                    groups = [(shifts[i], W.items())]
-                else:
-                    split: dict = {}
-                    for e, c in W.items():
-                        split.setdefault(res(e), []).append((e, c))
-                    groups = []
-                    for rs, terms in split.items():
-                        if (i, rs) not in cols:
-                            cols[i, rs] = [(k, s) for k, s in shifts[i]
-                                           if any((x + y) % q for x, y in zip(rs, res(s)))]
-                        groups.append((cols[i, rs], terms))
-                for ks, terms in groups:
-                    for k, s in ks:
+                split: dict = {}
+                for e, c in _pmul(C[i], R, p).items():
+                    split.setdefault(res(e), []).append((e, c))
+                for rs, terms in split.items():
+                    if (i, rs) not in cols:
+                        cols[i, rs] = [(k, s) for k, s in shifts[i]
+                                       if any((x + y) % q for x, y in zip(rs, res(s)))]
+                    for k, s in cols[i, rs]:
                         for e, c in terms:
                             row = rows.get(e + s)
                             if row is None:
@@ -575,20 +568,6 @@ class PlaneModel(NamedTuple):
     alpha: RatFunc
     s: int
     degenerate: bool
-
-    def __str__(self) -> str:
-        p, const = self.source.field.p, self.source.b
-        lhs = []
-        for j, c in self.ycoeffs:
-            yp = "y" if j == 0 else f"y^{p ** j}"
-            lhs.append(f"({-c})*{yp}" if not (-c).is_one() else yp)
-        rhs = []
-        for i, c in self.wcoeffs:
-            wp = "w" if i == 0 else f"w^{p ** i}"
-            rhs.append(f"({c})*{wp}" if not c.is_one() else wp)
-        if const:
-            rhs.append(f"({const})")
-        return " + ".join(lhs) + " = " + " + ".join(rhs) if lhs else "0 = " + " + ".join(rhs)
 
 
 def rewrite_plane_model(T, alpha: RatFunc, s: int) -> PlaneModel:

@@ -148,7 +148,8 @@ def invariant_report(X, *, search_bound: int = 2, oracle: bool = False) -> Invar
     search_bound caps the total degree of the rational point search on a
     torsor (b != 0); a form (b = 0) has x = y = 0, its group identity, with
     no search.  With no point known, n' is only the bound n.
-    oracle also runs the Cech genus oracle on the window 2 * degree.
+    oracle also runs the Cech genus oracle on the windows 2 * degree - 1
+    and 2 * degree.
     The report never upgrades a bound to an exact value: each field keeps
     the tag produced by its own certificate chain, and derived statements
     (the assembled Picard group, nontriviality) fire only from fully
